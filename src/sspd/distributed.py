@@ -187,8 +187,7 @@ def merge_timestamp_pools(pools: list) -> "object":
     for p in pools[1:]:
         np.minimum(out_ages, p.ages(), out=out_ages)
     merged = copy.deepcopy(first)
-    merged.ts = ((np.uint64(first._wrapped_now()) - out_ages)
-                 & np.uint64(first._mask)).astype(first.ts.dtype)
+    merged.ts = first.ts.dtype.type(first._wrapped_now()) - out_ages
     return merged
 
 
@@ -252,15 +251,16 @@ def simulate_window(params: DetectorParams, window_id: int,
         for shard in shards:
             _scan_shard(shard[0], shard[1], shard[2], buffer_pairs)
 
+    if frames_dir is not None:
+        Path(frames_dir).mkdir(parents=True, exist_ok=True)
     frames = []
     for w, state in enumerate(states):
-        frames.append(parse_frame(serialize(state.seav, window_id)))
-        frames.append(parse_frame(serialize(state.ldca, window_id)))
-        if frames_dir is not None:
-            d = Path(frames_dir)
-            d.mkdir(parents=True, exist_ok=True)
-            (d / f"wp{w}_win{window_id}_seav.sspd").write_bytes(serialize(state.seav, window_id))
-            (d / f"wp{w}_win{window_id}_ldca.sspd").write_bytes(serialize(state.ldca, window_id))
+        for name, sketch in (("seav", state.seav), ("ldca", state.ldca)):
+            data = serialize(sketch, window_id)
+            frames.append(parse_frame(data))
+            if frames_dir is not None:
+                (Path(frames_dir) / f"wp{w}_win{window_id}_{name}.sspd").write_bytes(data)
+            del data  # a whole sketch: free it before the next serialize and the merge
 
     global_seav, global_ldca = merge_frames(frames)
     global_state = DetectorState(seav=global_seav, ldca=global_ldca,

@@ -22,12 +22,14 @@ import numpy as np
 from .errors import ConfigError
 from .hashing import SeedFamily, hash_range, hash_range_array
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
 DEFAULT_K = 8192
 DEFAULT_V = 8192
 DEFAULT_DESIGN_N = 1_000_000
 DEFAULT_MAX_ROWS = 8
+
+# Hosts per gather in LdcaSketch.zero_counts: two (hosts, k/8)-byte arrays
+# live at once, 512 KiB at the default k.
+ZERO_COUNT_CHUNK = 256
 
 
 def ldc_estimate(z0: int, k: int) -> tuple[float, bool]:
@@ -142,9 +144,30 @@ class LdcaSketch:
             np.bitwise_and(out, self.data[i, self.row_column(i, hip)], out=out)
         return out
 
+    def zero_counts(self, hips: np.ndarray) -> np.ndarray:
+        """Zero-bit count of each host's AND-union register.
+
+        Registers are read as whole words: one gather per row, ANDed in
+        place, then a popcount per host, ``ZERO_COUNT_CHUNK`` hosts at a time.
+        """
+        cfg = self.config
+        hips = np.asarray(hips, dtype=np.uint64)
+        word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
+                    if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
+        words = self.data.view(word)
+        out = np.empty(len(hips), dtype=np.int64)
+        for start in range(0, len(hips), ZERO_COUNT_CHUNK):
+            chunk = hips[start:start + ZERO_COUNT_CHUNK]
+            cols = hash_range_array(chunk, self.seeds.lh(0), cfg.lc).astype(np.int64)
+            union = words[0, cols]
+            for i in range(1, cfg.lr):
+                cols = hash_range_array(chunk, self.seeds.lh(i), cfg.lc).astype(np.int64)
+                np.bitwise_and(union, words[i, cols], out=union)
+            out[start:start + len(chunk)] = cfg.k - np.bitwise_count(union).sum(axis=1)
+        return out
+
     def estimate(self, hip: int) -> tuple[float, bool]:
-        union = self.union_register(hip)
-        z0 = self.config.k - int(_POPCOUNT8[union].sum())
+        z0 = int(self.zero_counts(np.array([hip], dtype=np.uint64))[0])
         return ldc_estimate(z0, self.config.k)
 
     def merge(self, other: "LdcaSketch"):
@@ -164,10 +187,6 @@ class LdcaSketch:
 def ldca_update(sketch: LdcaSketch, hip: int, oip: int) -> LdcaSketch:
     sketch.update(hip, oip)
     return sketch
-
-
-def ldca_estimate(sketch: LdcaSketch, hip: int) -> tuple[float, bool]:
-    return sketch.estimate(hip)
 
 
 def psu(k: int, n_pairs: float, lc: float, lr: int) -> float:

@@ -31,8 +31,8 @@ from .hashing import (
 )
 
 DEFAULT_RESTORE_CAP = 1 << 20
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# Partial tuples built at once per row in the restore join (a few MiB).
+RESTORE_BLOCK = 1 << 16
 
 
 def tau_from_theta(theta: int, g: int) -> int:
@@ -220,7 +220,7 @@ class SeavConfig:
         per_register = np.dtype(_register_dtype(self.g)).itemsize
         return (1 << self.r) * sum(self.sc) * per_register
 
-    # Scatter tables for the restore walk: column -> (lp fragment, position mask).
+    # Scatter tables for the restore join: column -> (lp fragment, position mask).
     def _row_scatter(self, i: int) -> tuple[np.ndarray, int]:
         w = self.lp_bits
         cols = np.arange(self.sc[i], dtype=np.uint64)
@@ -247,7 +247,7 @@ def lp_from_indexes(config: SeavConfig, indexes: list[int] | tuple[int, ...]) ->
     return config.lp_from_indexes(indexes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateHost:
     """A reconstructed IP whose row-register AND still has weight >= 3."""
 
@@ -257,7 +257,7 @@ class CandidateHost:
 
 
 class SeavSketch:
-    """2^r register arrays of SR rows each, plus the restore walk.
+    """2^r register arrays of SR rows each, plus the restore join.
 
     Updates are monotone bit-sets, so any stream permutation or sharding
     followed by an OR-merge yields bit-identical state.
@@ -271,8 +271,7 @@ class SeavSketch:
         dt = _register_dtype(config.g)
         self.rows = [np.zeros(((1 << config.r), config.sc[i]), dtype=dt)
                      for i in range(config.sr)]
-        self._scatter = [(vals.tolist(), mask)
-                         for vals, mask in (config._row_scatter(i) for i in range(config.sr))]
+        self._scatter = [config._row_scatter(i) for i in range(config.sr)]
 
     def memory_bytes(self) -> int:
         return self.config.memory_bytes()
@@ -321,7 +320,7 @@ class SeavSketch:
         return ShortEstimator(int(self.rows[row][rp, col]), self.config.g)
 
     def total_set_bits(self) -> int:
-        return sum(int(_POPCOUNT8[arr.view(np.uint8)].sum()) for arr in self.rows)
+        return sum(int(np.bitwise_count(arr).sum()) for arr in self.rows)
 
     def merge(self, other: "SeavSketch"):
         """OR another sketch into this one (cross-watch-point merge)."""
@@ -347,47 +346,75 @@ class SeavSketch:
     def restore_sea(self, rp: int) -> list[CandidateHost]:
         """Reconstruct candidates for one register array.
 
-        Depth-first over rows: a partial tuple is dropped as soon as its
-        column bits disagree with already-fixed left-part bits.  Raises
-        SeaOverflowError once more than ``restore_cap`` tuples survive the
-        consistency pruning.
+        A join row by row: partial tuples, one hot column per row so far,
+        are carried as arrays of their assembled left part and register
+        AND.  Every partial tuple at row i has fixed the same left-part
+        bits, so row i's hot columns join them by equality on the bits the
+        row shares with those, found by sort and binary search.  Each row
+        builds its extensions about ``RESTORE_BLOCK`` at a time and hands
+        them on depth first, which bounds memory when most registers are
+        hot.  Output order is lexicographic in the columns.  Raises SeaOverflowError, before
+        building them, once more than ``restore_cap`` consistent full
+        tuples exist; tuples count whatever their AND weight.
         """
         cfg = self.config
-        hot: list[list[tuple[int, int]]] = []
+        hot = []  # per row: lp fragments and registers of the hot columns
         for i in range(cfg.sr):
             regs = self.rows[i][rp]
-            weights = _POPCOUNT8[regs.view(np.uint8).reshape(len(regs), -1)].sum(axis=1)
-            cols = np.nonzero(weights >= 3)[0]
+            cols = np.flatnonzero(np.bitwise_count(regs) >= 3)
             if len(cols) == 0:
                 return []
-            hot.append([(int(c), int(regs[c])) for c in cols])
+            hot.append((self._scatter[i][0][cols], regs[cols]))
+        fixed = [0]  # left-part bits fixed by rows before row i
+        for _, mask in self._scatter[:-1]:
+            fixed.append(fixed[-1] | mask)
+        found_lp: list[np.ndarray] = []
+        found_and: list[np.ndarray] = []
+        n_found = 0
 
-        scatter_vals = [self._scatter[i][0] for i in range(cfg.sr)]
-        row_masks = [self._scatter[i][1] for i in range(cfg.sr)]
-        full_bits = (1 << cfg.g) - 1
-        survivors = 0
-        out: list[CandidateHost] = []
-
-        def walk(i: int, acc_mask: int, acc_lp: int, acc_and: int):
-            nonlocal survivors
-            if i == cfg.sr:
-                survivors += 1
-                if survivors > self.restore_cap:
+        def join(i: int, acc_lp: np.ndarray, acc_and: np.ndarray):
+            nonlocal n_found
+            row_lp, row_regs = hot[i]
+            overlap = np.uint64(fixed[i] & self._scatter[i][1])
+            row_keys = row_lp & overlap
+            order = np.argsort(row_keys, kind="stable")
+            row_keys = row_keys[order]
+            left_keys = acc_lp & overlap
+            lo = np.searchsorted(row_keys, left_keys, side="left")
+            counts = np.searchsorted(row_keys, left_keys, side="right") - lo
+            last = i == cfg.sr - 1
+            if last:
+                n_found += int(counts.sum())
+                if n_found > self.restore_cap:
                     raise SeaOverflowError(rp, self.restore_cap)
-                w = bin(acc_and).count("1")
-                if w >= 3:
-                    out.append(CandidateHost((acc_lp << cfg.r) | rp, rp, w))
-                return
-            vals = scatter_vals[i]
-            mask = row_masks[i]
-            for col, bits in hot[i]:
-                v = vals[col]
-                if (acc_lp ^ v) & (acc_mask & mask):
-                    continue
-                walk(i + 1, acc_mask | mask, acc_lp | v, acc_and & bits)
+            ends = np.cumsum(counts)
+            start = 0
+            while start < len(acc_lp):
+                base = int(ends[start - 1]) if start else 0
+                stop = max(start + 1,
+                           int(np.searchsorted(ends, base + RESTORE_BLOCK, side="right")))
+                c = counts[start:stop]
+                left = np.repeat(np.arange(start, stop), c)
+                right = order[np.arange(int(ends[stop - 1]) - base)
+                              - np.repeat(np.cumsum(c) - c - lo[start:stop], c)]
+                next_lp = acc_lp[left] | row_lp[right]
+                next_and = acc_and[left] & row_regs[right]
+                if last:
+                    found_lp.append(next_lp)
+                    found_and.append(next_and)
+                else:
+                    join(i + 1, next_lp, next_and)
+                start = stop
 
-        walk(0, 0, 0, full_bits)
-        return out
+        join(1, *hot[0])
+        if not found_lp:
+            return []
+        acc_lp = np.concatenate(found_lp)
+        weights = np.bitwise_count(np.concatenate(found_and))
+        keep = weights >= 3
+        ips = (acc_lp[keep] << np.uint64(cfg.r)) | np.uint64(rp)
+        return [CandidateHost(ip, rp, w)
+                for ip, w in zip(ips.tolist(), weights[keep].tolist())]
 
     def restore(self, on_overflow: str = "raise") -> list[CandidateHost]:
         """Reconstruct candidates across all register arrays, sorted by IP.
@@ -395,23 +422,19 @@ class SeavSketch:
         ``on_overflow`` is "raise" (propagate the first per-array overflow)
         or "warn" (skip the offending array and keep going).
         """
-        found: dict[int, CandidateHost] = {}
+        found: list[CandidateHost] = []
         for rp in range(1 << self.config.r):
             try:
-                for cand in self.restore_sea(rp):
-                    found[cand.ip] = cand
+                found += self.restore_sea(rp)
             except SeaOverflowError as exc:
                 if on_overflow == "warn":
                     warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
                     continue
                 raise
-        return [found[ip] for ip in sorted(found)]
+        # IPs are unique: an IP fixes its array and its column in every row.
+        return sorted(found, key=lambda c: c.ip)
 
 
 def seav_update(sketch: SeavSketch, hip: int, oip: int) -> SeavSketch:
     sketch.update(hip, oip)
     return sketch
-
-
-def seav_restore(sketch: SeavSketch, on_overflow: str = "raise") -> list[CandidateHost]:
-    return sketch.restore(on_overflow=on_overflow)

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import SeedFamily, hash_full_array, hash_range, hash_range_array, lsb_at_least
-from .long_sketch import ldc_estimate
+from .hashing import SeedFamily, hash_full_array, hash_range_array, lsb_at_least
 from .short_sketch import SeavSketch
-from .window_detector import DetectionReport, DetectorParams
+from .window_detector import DetectionReport, DetectorParams, report_candidates
+
+# Hosts per gather in SlidingDetector.zero_counts: a host holds k stamps
+# and two k-byte masks per row, 4 MiB per row at the default k and window.
+ZERO_COUNT_CHUNK = 128
 
 
 def timestamp_dtype(window_slices: int):
@@ -87,19 +90,33 @@ class TimestampPool:
 
     def _sweep(self):
         """Clamp every expired slot to age == window so wrapped ages never alias."""
-        ages = (np.uint64(self._wrapped_now()) - self.ts.astype(np.uint64)) & np.uint64(self._mask)
-        stale = ages >= self.window_slices
+        stale = self.ages() >= self.window_slices
         self.ts[stale] = (self.now - self.window_slices) & self._mask
         self._since_sweep = 0
         self.sweep_count += 1
 
-    def ages(self) -> np.ndarray:
-        return ((np.uint64(self._wrapped_now()) - self.ts.astype(np.uint64))
-                & np.uint64(self._mask))
+    def ages(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Age in slices of each slot in [start, stop), in the stamp dtype.
 
-    def active(self) -> np.ndarray:
-        """Boolean view: slot touched within the last window_slices slices."""
-        return self.ages() < self.window_slices
+        Stamps wrap at exactly the modulus of their dtype, so one
+        subtraction in that dtype gives the wrapped age.
+        """
+        ts = self.ts[start:stop]
+        return ts.dtype.type(self._wrapped_now()) - ts
+
+    def active(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Boolean view of slots [start, stop): touched within the last
+        window_slices slices."""
+        return self.ages(start, stop) < self.window_slices
+
+    def active_cells(self, base: int, width: int, cells: np.ndarray) -> np.ndarray:
+        """Active bits of fixed-width cells laid out from slot ``base``:
+        row j of the result covers the ``width`` slots from
+        base + cells[j] * width."""
+        n_cells = (self.n_slots - base) // width
+        stamps = self.ts[base:base + n_cells * width].reshape(n_cells, width)[cells]
+        np.subtract(stamps.dtype.type(self._wrapped_now()), stamps, out=stamps)
+        return stamps < self.window_slices
 
     def is_active(self, slot_index: int) -> bool:
         existing_age = (self._wrapped_now() - int(self.ts[slot_index])) & self._mask
@@ -189,10 +206,12 @@ class SlidingDetector:
                            np.array([oip], dtype=np.uint64))
 
     def materialize_seav(self) -> SeavSketch:
-        """Active-bit view of the candidate sketch as a regular sketch."""
+        """Active-bit view of the candidate sketch as a regular sketch.
+
+        Reads only the candidate-sketch prefix of the pool."""
         cfg = self.seav_config
         sketch = SeavSketch(cfg, self.seeds, restore_cap=self.params.restore_cap)
-        active = self.pool.active()
+        active = self.pool.active(0, self.layout.ldca_base)
         weights = np.left_shift(np.uint64(1), np.arange(cfg.g, dtype=np.uint64))
         for i in range(cfg.sr):
             base = self.layout.seav_row_base[i]
@@ -202,50 +221,40 @@ class SlidingDetector:
             sketch.rows[i] = regs.astype(sketch.rows[i].dtype)
         return sketch
 
-    def materialize_ldca_cell(self, row: int, col: int) -> np.ndarray:
-        """Active bits of one counter cell, packed little-endian."""
+    def materialize_ldca_cell(self, row: int, cols: np.ndarray) -> np.ndarray:
+        """Active bits of the counter cells (row, cols[j]), one row of k
+        booleans per column."""
         lcfg = self.ldca_config
-        base = self.layout.ldca_base + (row * lcfg.lc + col) * lcfg.k
-        ages = ((np.uint64(self.pool._wrapped_now())
-                 - self.pool.ts[base:base + lcfg.k].astype(np.uint64))
-                & np.uint64(self.pool._mask))
-        bits = (ages < self.pool.window_slices).astype(np.uint8)
-        return np.packbits(bits, bitorder="little")
+        return self.pool.active_cells(self.layout.ldca_base, lcfg.k,
+                                      row * lcfg.lc + np.asarray(cols, dtype=np.int64))
 
     def materialize_ldca(self) -> np.ndarray:
         """Full active-bit view of the counter array as packed bytes."""
         lcfg = self.ldca_config
-        base = self.layout.ldca_base
-        bits = self.pool.active()[base:].reshape(lcfg.lr, lcfg.lc, lcfg.k).astype(np.uint8)
+        bits = self.pool.active(self.layout.ldca_base).reshape(lcfg.lr, lcfg.lc, lcfg.k)
         return np.packbits(bits, axis=-1, bitorder="little")
 
-    def _estimate(self, hip: int) -> tuple[float, bool]:
+    def zero_counts(self, hips: np.ndarray) -> np.ndarray:
+        """Zero-bit count of each host's active AND-union counter register,
+        ``ZERO_COUNT_CHUNK`` hosts at a time."""
         lcfg = self.ldca_config
-        union = None
-        for i in range(lcfg.lr):
-            col = hash_range(hip, self.seeds.lh(i), lcfg.lc)
-            cell = self.materialize_ldca_cell(i, col)
-            union = cell if union is None else (union & cell)
-        z0 = lcfg.k - int(np.unpackbits(union, bitorder="little").sum())
-        return ldc_estimate(z0, lcfg.k)
+        hips = np.asarray(hips, dtype=np.uint64)
+        out = np.empty(len(hips), dtype=np.int64)
+        for start in range(0, len(hips), ZERO_COUNT_CHUNK):
+            chunk = hips[start:start + ZERO_COUNT_CHUNK]
+            cols = hash_range_array(chunk, self.seeds.lh(0), lcfg.lc)
+            union = self.materialize_ldca_cell(0, cols)
+            for i in range(1, lcfg.lr):
+                cols = hash_range_array(chunk, self.seeds.lh(i), lcfg.lc)
+                np.logical_and(union, self.materialize_ldca_cell(i, cols), out=union)
+            out[start:start + len(chunk)] = lcfg.k - np.count_nonzero(union, axis=1)
+        return out
 
     def detect(self, beta: float | None = None) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
         beta = self.params.beta if beta is None else beta
-        cutoff = beta * self.params.theta
-        seav = self.materialize_seav()
-        reports = []
-        for cand in seav.restore(on_overflow="warn"):
-            est, saturated = self._estimate(cand.ip)
-            if saturated or est >= cutoff:
-                reports.append(DetectionReport(
-                    ip=cand.ip,
-                    estimated_cardinality=est,
-                    saturated=saturated,
-                    window_id=self.now,
-                    source="sliding",
-                ))
-        return reports
+        return report_candidates(self.materialize_seav(), self.zero_counts, self.ldca_config.k,
+                                 beta * self.params.theta, self.now, "sliding")
 
 
 def detect_sliding(detector: SlidingDetector, theta: int | None = None,

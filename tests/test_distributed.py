@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sspd import distributed
 from sspd.distributed import (
     SketchFrame,
     deserialize,
@@ -253,6 +254,24 @@ def test_topology_writes_frame_files(tmp_path):
                      "wp1_win0_ldca.sspd", "wp1_win0_seav.sspd"]
     for p in tmp_path.iterdir():
         parse_frame(p.read_bytes())  # every file is a valid frame
+
+
+def test_frame_files_hold_the_merged_frames_serialized_once(tmp_path, monkeypatch):
+    written = []
+
+    def recording_serialize(sketch, window_id):
+        written.append(serialize(sketch, window_id))
+        return written[-1]
+
+    monkeypatch.setattr(distributed, "serialize", recording_serialize)
+    _, hips, oips = random_states(n_pairs=2_000, seed=12)
+    n_wp = 3
+    result = simulate_window(PARAMS, 5, hips, oips, n_wp, frames_dir=tmp_path)
+    assert len(written) == 2 * n_wp
+    files = [tmp_path / f"wp{w}_win5_{kind}.sspd"
+             for w in range(n_wp) for kind in ("seav", "ldca")]
+    assert [f.read_bytes() for f in files] == written
+    assert [parse_frame(data) for data in written] == result.frames
 
 
 def test_topology_splits_windows_by_slice():

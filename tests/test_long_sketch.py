@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sspd import long_sketch
 from sspd.errors import ConfigError
 from sspd.hashing import SeedFamily
 from sspd.long_sketch import (
@@ -191,6 +192,31 @@ def test_union_estimate_never_exceeds_single_rows():
     for i in range(2):
         cell = sk.data[i, sk.row_column(i, probe)]
         assert union_ones <= int(np.unpackbits(cell).sum())
+
+
+@pytest.mark.parametrize("k", [512, 8 * 65])  # uint64 words, and bytes
+def test_zero_counts_match_scalar_union(k, monkeypatch):
+    # Chunks of 7 hosts, so several chunks and a short last one.
+    monkeypatch.setattr(long_sketch, "ZERO_COUNT_CHUNK", 7)
+    rng = np.random.default_rng(71)
+    sk = small_sketch(lr=3, lc=8, k=k)
+    stream_hosts = rng.integers(0, 2**32, size=4, dtype=np.uint64)
+    hips = np.repeat(stream_hosts, 60)
+    sk.update_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
+    saturated = 0xFEEDF00D
+    for i in range(sk.config.lr):
+        sk.data[i, sk.row_column(i, saturated)] = 0xFF
+    probes = np.concatenate([stream_hosts, [saturated],
+                             rng.integers(0, 2**32, size=40, dtype=np.uint64)])
+
+    z0 = sk.zero_counts(probes)
+    expected = [k - int(np.unpackbits(sk.union_register(int(p))).sum()) for p in probes]
+    assert z0.tolist() == expected
+    assert [sk.estimate(int(p)) for p in probes] == [ldc_estimate(z, k) for z in expected]
+    assert 0 in expected and k in expected  # a saturated and an untouched host
+    cells = {(i, sk.row_column(i, int(p))) for p in probes for i in range(sk.config.lr)}
+    assert len(cells) < len(probes) * sk.config.lr  # hosts share cells
+    assert sk.zero_counts(np.array([], dtype=np.uint64)).tolist() == []
 
 
 def test_memory_accounting():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sspd import short_sketch
 from sspd.errors import ConfigError, SeaOverflowError
 from sspd.hashing import SeedFamily, hash_full, hash_range, lsb
 from sspd.short_sketch import (
@@ -352,19 +353,24 @@ def test_restore_single_heavy_host():
     assert cand.union_weight >= 3
 
 
+def all_hot_left_parts(sk: SeavSketch, rp: int) -> list[int]:
+    """Left parts of a shrunken address space whose register is hot in every
+    row: one per consistent tuple of hot columns."""
+    cfg = sk.config
+    return [lp for lp in range(1 << cfg.lp_bits)
+            if all(bin(int(sk.rows[i][rp, cfg.index_of(i, lp)])).count("1") >= 3
+                   for i in range(cfg.sr))]
+
+
 def brute_force_restore(sk: SeavSketch, rp: int) -> set[int]:
     """Enumerate every left part of a shrunken address space."""
     cfg = sk.config
     out = set()
-    for lp in range(1 << cfg.lp_bits):
+    for lp in all_hot_left_parts(sk, rp):
         union = (1 << cfg.g) - 1
         for i in range(cfg.sr):
             union &= int(sk.rows[i][rp, cfg.index_of(i, lp)])
-        weight = bin(union).count("1")
-        hot_everywhere = all(
-            bin(int(sk.rows[i][rp, cfg.index_of(i, lp)])).count("1") >= 3
-            for i in range(cfg.sr))
-        if hot_everywhere and weight >= 3:
+        if bin(union).count("1") >= 3:
             out.add((lp << cfg.r) | rp)
     return out
 
@@ -413,6 +419,30 @@ def test_restore_brute_force_planted_scenario():
     assert got == expected
     hot_supers = expected & {int(h) for h in supers}
     assert len(hot_supers) >= 18  # nearly all planted supers reconstruct
+
+
+@pytest.mark.parametrize("block", [1, 5, short_sketch.RESTORE_BLOCK])
+def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
+    # The cap counts every consistent full tuple, light AND or not; small
+    # join blocks must neither change the output nor the overflow point.
+    monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
+    cfg = make_config(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    sk = SeavSketch(cfg, SEEDS)
+    rng = np.random.default_rng(81)
+    hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
+    sk.update_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
+    counts = {rp: len(all_hot_left_parts(sk, rp)) for rp in range(1 << cfg.r)}
+    rp = max(counts, key=counts.get)
+    n = counts[rp]
+    assert n > len(brute_force_restore(sk, rp)) > 0  # some tuples have a light AND
+
+    sk.restore_cap = n
+    found = sk.restore_sea(rp)
+    assert {c.ip for c in found} == brute_force_restore(sk, rp)
+    sk.restore_cap = n - 1
+    with pytest.raises(SeaOverflowError) as err:
+        sk.restore_sea(rp)
+    assert err.value.rp == rp
 
 
 def test_restore_output_sorted_and_unique():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sspd import sliding
 from sspd.errors import ConfigError
 from sspd.sliding import SlidingDetector, TimestampPool, advance_slice, timestamp_dtype, touch
 from sspd.window_detector import DetectorParams, DetectorState
@@ -160,6 +163,43 @@ def test_sliding_equals_discrete_for_one_window():
     assert [(r.ip, r.estimated_cardinality, r.saturated) for r in sliding_reports] == \
            [(r.ip, r.estimated_cardinality, r.saturated) for r in discrete_reports]
     assert all(r.source == "sliding" for r in sliding_reports)
+
+
+def test_sliding_zero_counts_match_discrete_union(monkeypatch):
+    monkeypatch.setattr(sliding, "ZERO_COUNT_CHUNK", 3)
+    rng = np.random.default_rng(8)
+    hips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
+    oips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
+    discrete = run_discrete(SMALL, hips, oips)
+    det = SlidingDetector(SMALL, window_slices=4)
+    det.observe_batch(hips[:2500], oips[:2500])
+    det.advance_slice()
+    det.observe_batch(hips[2500:], oips[2500:])
+    probes = np.concatenate([hips[:10], rng.integers(0, 2**32, size=10, dtype=np.uint64)])
+    expected = [SMALL.k - int(np.unpackbits(discrete.ldca.union_register(int(p))).sum())
+                for p in probes]
+    assert det.zero_counts(probes).tolist() == expected
+    for _ in range(4):
+        det.advance_slice()
+    assert det.zero_counts(probes).tolist() == [SMALL.k] * len(probes)  # all expired
+
+
+def test_detect_memory_stays_small_at_default_geometry():
+    det = SlidingDetector(DetectorParams(), window_slices=300)
+    assert det.pool.memory_bytes() > 128 << 20  # counter slots alone: 64Mi uint16
+    rng = np.random.default_rng(9)
+    heavy = rng.integers(0, 2**32, size=20, dtype=np.uint64)
+    hips = np.concatenate([np.repeat(heavy, 2048),
+                           rng.integers(0, 2**32, size=50_000, dtype=np.uint64)])
+    det.observe_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        reports = det.detect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {r.ip for r in reports} >= {int(h) for h in heavy}
+    assert peak < 32 << 20
 
 
 def test_boundary_straddling_host_found_only_by_sliding():
