@@ -46,6 +46,14 @@ def ldc_estimate(z0: int, k: int) -> tuple[float, bool]:
     return -k * math.log(z0 / k), False
 
 
+def ldc_estimates(z0s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ldc_estimate`` of each zero count, as an array of estimates and
+    an array of saturated flags."""
+    out = np.fromiter((ldc_estimate(z0, k) for z0 in map(int, z0s)), count=len(z0s),
+                      dtype=[("estimate", np.float64), ("saturated", np.bool_)])
+    return out["estimate"], out["saturated"]
+
+
 class Ldc:
     """A single k-bit register (scalar reference implementation)."""
 
@@ -166,9 +174,14 @@ class LdcaSketch:
             out[start:start + len(chunk)] = cfg.k - np.bitwise_count(union).sum(axis=1)
         return out
 
-    def estimate(self, hip: int) -> tuple[float, bool]:
-        z0 = int(self.zero_counts(np.array([hip], dtype=np.uint64))[0])
-        return ldc_estimate(z0, self.config.k)
+    def estimate(self, hips):
+        """(estimate, saturated) of one host's AND-union register; for an
+        array of hosts, an array of estimates and an array of saturated
+        flags, from one ``zero_counts`` call."""
+        if np.ndim(hips) == 0:
+            z0 = int(self.zero_counts(np.array([hips], dtype=np.uint64))[0])
+            return ldc_estimate(z0, self.config.k)
+        return ldc_estimates(self.zero_counts(hips), self.config.k)
 
     def merge(self, other: "LdcaSketch"):
         if other.config != self.config or other.seeds != self.seeds:

@@ -350,35 +350,37 @@ class SeavSketch:
         are carried as arrays of their assembled left part and register
         AND.  Every partial tuple at row i has fixed the same left-part
         bits, so row i's hot columns join them by equality on the bits the
-        row shares with those, found by sort and binary search.  Each row
-        builds its extensions about ``RESTORE_BLOCK`` at a time and hands
-        them on depth first, which bounds memory when most registers are
-        hot.  Output order is lexicographic in the columns.  Raises SeaOverflowError, before
+        row shares with those, found by binary search in the row's keys,
+        sorted once per row.  Each row builds its extensions about
+        ``RESTORE_BLOCK`` at a time and hands them on depth first, which
+        bounds memory when most registers are hot.  Output order is
+        lexicographic in the columns.  Raises SeaOverflowError, before
         building them, once more than ``restore_cap`` consistent full
         tuples exist; tuples count whatever their AND weight.
         """
         cfg = self.config
-        hot = []  # per row: lp fragments and registers of the hot columns
+        # Per row: lp fragments and registers of the hot columns, the bits
+        # the row shares with the rows before it, and its join keys sorted.
+        hot = []
+        fixed = 0  # left-part bits fixed by the rows before row i
         for i in range(cfg.sr):
             regs = self.rows[i][rp]
             cols = np.flatnonzero(np.bitwise_count(regs) >= 3)
             if len(cols) == 0:
                 return []
-            hot.append((self._scatter[i][0][cols], regs[cols]))
-        fixed = [0]  # left-part bits fixed by rows before row i
-        for _, mask in self._scatter[:-1]:
-            fixed.append(fixed[-1] | mask)
+            frags, mask = self._scatter[i][0][cols], self._scatter[i][1]
+            overlap = np.uint64(fixed & mask)
+            keys = frags & overlap
+            order = np.argsort(keys, kind="stable")
+            hot.append((frags, regs[cols], overlap, keys[order], order))
+            fixed |= mask
         found_lp: list[np.ndarray] = []
         found_and: list[np.ndarray] = []
         n_found = 0
 
         def join(i: int, acc_lp: np.ndarray, acc_and: np.ndarray):
             nonlocal n_found
-            row_lp, row_regs = hot[i]
-            overlap = np.uint64(fixed[i] & self._scatter[i][1])
-            row_keys = row_lp & overlap
-            order = np.argsort(row_keys, kind="stable")
-            row_keys = row_keys[order]
+            row_lp, row_regs, overlap, row_keys, order = hot[i]
             left_keys = acc_lp & overlap
             lo = np.searchsorted(row_keys, left_keys, side="left")
             counts = np.searchsorted(row_keys, left_keys, side="right") - lo
@@ -406,7 +408,7 @@ class SeavSketch:
                     join(i + 1, next_lp, next_and)
                 start = stop
 
-        join(1, *hot[0])
+        join(1, hot[0][0], hot[0][1])
         if not found_lp:
             return []
         acc_lp = np.concatenate(found_lp)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hashing import SeedFamily, hash_full_array, hash_range_array, lsb_at_least
+from .long_sketch import ldc_estimates
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
 
@@ -221,12 +222,16 @@ class SlidingDetector:
             sketch.rows[i] = regs.astype(sketch.rows[i].dtype)
         return sketch
 
-    def materialize_ldca_cell(self, row: int, cols: np.ndarray) -> np.ndarray:
-        """Active bits of the counter cells (row, cols[j]), one row of k
-        booleans per column."""
+    def materialize_ldca_cell(self, hips: np.ndarray) -> np.ndarray:
+        """Active bits of each host's AND-union counter register, one row
+        of k booleans per host: one cell gather per counter row."""
         lcfg = self.ldca_config
-        return self.pool.active_cells(self.layout.ldca_base, lcfg.k,
-                                      row * lcfg.lc + np.asarray(cols, dtype=np.int64))
+        union = None
+        for i in range(lcfg.lr):
+            cols = hash_range_array(hips, self.seeds.lh(i), lcfg.lc).astype(np.int64)
+            cells = self.pool.active_cells(self.layout.ldca_base, lcfg.k, i * lcfg.lc + cols)
+            union = cells if union is None else np.logical_and(union, cells, out=union)
+        return union
 
     def materialize_ldca(self) -> np.ndarray:
         """Full active-bit view of the counter array as packed bytes."""
@@ -237,23 +242,23 @@ class SlidingDetector:
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
         """Zero-bit count of each host's active AND-union counter register,
         ``ZERO_COUNT_CHUNK`` hosts at a time."""
-        lcfg = self.ldca_config
+        k = self.ldca_config.k
         hips = np.asarray(hips, dtype=np.uint64)
         out = np.empty(len(hips), dtype=np.int64)
         for start in range(0, len(hips), ZERO_COUNT_CHUNK):
-            chunk = hips[start:start + ZERO_COUNT_CHUNK]
-            cols = hash_range_array(chunk, self.seeds.lh(0), lcfg.lc)
-            union = self.materialize_ldca_cell(0, cols)
-            for i in range(1, lcfg.lr):
-                cols = hash_range_array(chunk, self.seeds.lh(i), lcfg.lc)
-                np.logical_and(union, self.materialize_ldca_cell(i, cols), out=union)
-            out[start:start + len(chunk)] = lcfg.k - np.count_nonzero(union, axis=1)
+            union = self.materialize_ldca_cell(hips[start:start + ZERO_COUNT_CHUNK])
+            out[start:start + len(union)] = k - np.count_nonzero(union, axis=1)
         return out
+
+    def estimate(self, hips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates and saturated flags of each host's active AND-union
+        register."""
+        return ldc_estimates(self.zero_counts(hips), self.ldca_config.k)
 
     def detect(self, beta: float | None = None) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
         beta = self.params.beta if beta is None else beta
-        return report_candidates(self.materialize_seav(), self.zero_counts, self.ldca_config.k,
+        return report_candidates(self.materialize_seav(), self.estimate,
                                  beta * self.params.theta, self.now, "sliding")
 
 

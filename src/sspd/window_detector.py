@@ -19,7 +19,6 @@ from .long_sketch import (
     LdcaConfig,
     LdcaSketch,
     check_noise,
-    ldc_estimate,
     plan_rows,
 )
 from .short_sketch import DEFAULT_RESTORE_CAP, SeavConfig, SeavSketch
@@ -38,27 +37,23 @@ class DetectionReport:
     source: str = "discrete"
 
 
-def report_candidates(seav: SeavSketch, zero_counts: Callable[[np.ndarray], np.ndarray],
-                      k: int, cutoff: float, window_id: int,
-                      source: str) -> list[DetectionReport]:
+def report_candidates(seav: SeavSketch,
+                      estimate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                      cutoff: float, window_id: int, source: str) -> list[DetectionReport]:
     """Restore candidates and keep those whose counter estimate clears
     ``cutoff`` (or saturates), sorted by IP.
 
-    ``zero_counts`` maps an array of host IPs to the zero-bit counts of
-    their k-bit AND-union registers; both detection modes share this loop
-    and differ only in where those registers are read from.  Per-array
-    restore overflows surface as warnings, not failures.
+    ``estimate`` maps an array of host IPs to the estimates and saturated
+    flags of their AND-union registers in one batch; both detection modes
+    share this loop and differ only in where those registers are read
+    from.  Per-array restore overflows surface as warnings, not failures.
     """
     candidates = seav.restore(on_overflow="warn")
-    z0s = zero_counts(np.array([c.ip for c in candidates], dtype=np.uint64))
-    reports = []
-    for cand, z0 in zip(candidates, map(int, z0s)):
-        est, saturated = ldc_estimate(z0, k)
-        if saturated or est >= cutoff:
-            reports.append(DetectionReport(ip=cand.ip, estimated_cardinality=est,
-                                           saturated=saturated, window_id=window_id,
-                                           source=source))
-    return reports
+    est, saturated = estimate(np.array([c.ip for c in candidates], dtype=np.uint64))
+    keep = np.flatnonzero(saturated | (est >= cutoff))
+    return [DetectionReport(ip=candidates[j].ip, estimated_cardinality=e, saturated=s,
+                            window_id=window_id, source=source)
+            for j, e, s in zip(keep.tolist(), est[keep].tolist(), saturated[keep].tolist())]
 
 
 @dataclass
@@ -135,8 +130,8 @@ class DetectorState:
         Per-array restore overflows surface as warnings, not failures.
         """
         beta = self.params.beta if beta is None else beta
-        return report_candidates(self.seav, self.ldca.zero_counts, self.ldca.config.k,
-                                 beta * self.theta, self.window_id, source)
+        return report_candidates(self.seav, self.ldca.estimate, beta * self.theta,
+                                 self.window_id, source)
 
     def reset(self):
         """Zero all registers for the next window; config and seeds stay."""

@@ -213,10 +213,14 @@ def test_zero_counts_match_scalar_union(k, monkeypatch):
     expected = [k - int(np.unpackbits(sk.union_register(int(p))).sum()) for p in probes]
     assert z0.tolist() == expected
     assert [sk.estimate(int(p)) for p in probes] == [ldc_estimate(z, k) for z in expected]
+    est, saturated = sk.estimate(probes)  # one batch
+    assert list(zip(est.tolist(), saturated.tolist())) == \
+           [ldc_estimate(z, k) for z in expected]
     assert 0 in expected and k in expected  # a saturated and an untouched host
     cells = {(i, sk.row_column(i, int(p))) for p in probes for i in range(sk.config.lr)}
     assert len(cells) < len(probes) * sk.config.lr  # hosts share cells
     assert sk.zero_counts(np.array([], dtype=np.uint64)).tolist() == []
+    assert [a.tolist() for a in sk.estimate(np.array([], dtype=np.uint64))] == [[], []]
 
 
 def test_memory_accounting():

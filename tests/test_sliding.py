@@ -5,6 +5,7 @@ import pytest
 
 from sspd import sliding
 from sspd.errors import ConfigError
+from sspd.long_sketch import ldc_estimate
 from sspd.sliding import SlidingDetector, TimestampPool, advance_slice, timestamp_dtype, touch
 from sspd.window_detector import DetectorParams, DetectorState
 
@@ -179,6 +180,9 @@ def test_sliding_zero_counts_match_discrete_union(monkeypatch):
     expected = [SMALL.k - int(np.unpackbits(discrete.ldca.union_register(int(p))).sum())
                 for p in probes]
     assert det.zero_counts(probes).tolist() == expected
+    est, saturated = det.estimate(probes)
+    assert list(zip(est.tolist(), saturated.tolist())) == \
+           [ldc_estimate(z, SMALL.k) for z in expected]
     for _ in range(4):
         det.advance_slice()
     assert det.zero_counts(probes).tolist() == [SMALL.k] * len(probes)  # all expired
