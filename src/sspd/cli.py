@@ -30,32 +30,33 @@ from .evaluation import (
     truth_path,
     write_trace,
 )
-from .hashing import DEFAULT_MASTER_SEED
-from .long_sketch import DEFAULT_DESIGN_N, DEFAULT_K, DEFAULT_V, noise_factor, plan_rows
-from .short_sketch import DEFAULT_RESTORE_CAP
+from .long_sketch import DEFAULT_MAX_ROWS, noise_factor, plan_rows
 from .sliding import SlidingDetector
-from .window_detector import DEFAULT_BETA, DetectionReport, DetectorParams, DetectorState
+from .window_detector import DetectionReport, DetectorParams, DetectorState, split_windows
 
 REPORT_COLUMNS = "window_id,ip,estimated_cardinality,saturated"
 METRIC_COLUMNS = "window_id,FPR,FNR,FTR,detected,truth"
+
+# Sketch knob defaults: DetectorParams holds them, flags and RunConfig read them.
+DEFAULTS = DetectorParams()
 
 
 @dataclass
 class RunConfig:
     """Resolved flags for one invocation."""
 
-    seed: int = DEFAULT_MASTER_SEED
-    theta: int = 1024
-    beta: float = DEFAULT_BETA
-    r: int = 4
-    sr: int = 4
-    a: int = 2
-    g: int = 8
-    k: int = DEFAULT_K
-    v: int = DEFAULT_V
+    seed: int = DEFAULTS.master_seed
+    theta: int = DEFAULTS.theta
+    beta: float = DEFAULTS.beta
+    r: int = DEFAULTS.r
+    sr: int = DEFAULTS.sr
+    a: int = DEFAULTS.a
+    g: int = DEFAULTS.g
+    k: int = DEFAULTS.k
+    v: int = DEFAULTS.v
     lr: int | None = None
     lc: int | None = None
-    design_n: float = DEFAULT_DESIGN_N
+    design_n: float = DEFAULTS.design_n
     window_seconds: float = 300.0
     slice_seconds: float = 1.0
     window_slices: int = 300
@@ -63,7 +64,7 @@ class RunConfig:
     n_wp: int = 4
     route: str = "hash"
     buffer_pairs: int = DEFAULT_BUFFER_PAIRS
-    restore_cap: int = DEFAULT_RESTORE_CAP
+    restore_cap: int = DEFAULTS.restore_cap
     threads: int = 1
 
     def detector_params(self) -> DetectorParams:
@@ -140,20 +141,20 @@ def write_reports(path: Path, report_kind: str, fields: dict[str, object],
 
 
 def _add_sketch_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_MASTER_SEED,
+    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULTS.master_seed,
                    help="master seed (all hash roles derive from it)")
-    p.add_argument("--theta", type=int, default=1024, help="super-point threshold")
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA,
+    p.add_argument("--theta", type=int, default=DEFAULTS.theta, help="super-point threshold")
+    p.add_argument("--beta", type=float, default=DEFAULTS.beta,
                    help="filter slack: keep candidates with estimate >= beta*theta")
-    p.add_argument("--r", type=int, default=4, help="register-array selector bits")
-    p.add_argument("--sr", type=int, default=4, help="rows per register array")
-    p.add_argument("--a", type=int, default=2, help="index overlap bits between rows")
-    p.add_argument("--g", type=int, default=8, help="short register width in bits")
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="long register width in bits")
-    p.add_argument("--v", type=int, default=DEFAULT_V, help="total long-register budget")
+    p.add_argument("--r", type=int, default=DEFAULTS.r, help="register-array selector bits")
+    p.add_argument("--sr", type=int, default=DEFAULTS.sr, help="rows per register array")
+    p.add_argument("--a", type=int, default=DEFAULTS.a, help="index overlap bits between rows")
+    p.add_argument("--g", type=int, default=DEFAULTS.g, help="short register width in bits")
+    p.add_argument("--k", type=int, default=DEFAULTS.k, help="long register width in bits")
+    p.add_argument("--v", type=int, default=DEFAULTS.v, help="total long-register budget")
     p.add_argument("--lr", type=int, default=None, help="long rows (default: planned)")
     p.add_argument("--lc", type=int, default=None, help="long columns (default: v // lr)")
-    p.add_argument("--design-n", type=float, default=DEFAULT_DESIGN_N,
+    p.add_argument("--design-n", type=float, default=DEFAULTS.design_n,
                    help="expected distinct pairs per window, for the planner")
     p.add_argument("--memory-budget", type=int, default=None,
                    help="counter-array byte budget; overrides --v via v = 8*budget/k")
@@ -161,7 +162,7 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
     p.add_argument("--slice-seconds", type=float, default=1.0)
     p.add_argument("--window-slices", type=int, default=None,
                    help="window length in slices (default: window-seconds/slice-seconds)")
-    p.add_argument("--restore-cap", type=int, default=DEFAULT_RESTORE_CAP,
+    p.add_argument("--restore-cap", type=int, default=DEFAULTS.restore_cap,
                    help="max surviving candidate tuples per register array")
     p.add_argument("--threads", type=int, default=1, help="scanner thread cap")
 
@@ -206,18 +207,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _detect_windows(cfg: RunConfig, trace) -> tuple[list[DetectionReport], list[int]]:
     params = cfg.detector_params()
     state = DetectorState.create(params)
-    window_ids = (trace.slices.astype(np.int64) // cfg.window_slices)
     reports: list[DetectionReport] = []
     windows: list[int] = []
-    for wid in np.unique(window_ids):
-        sel = window_ids == wid
+    for wid, sel in split_windows(trace.slices, cfg.window_slices):
         hips, oips = trace.hips[sel], trace.oips[sel]
         for start in range(0, len(hips), cfg.buffer_pairs):
             state.process_batch(hips[start:start + cfg.buffer_pairs],
                                 oips[start:start + cfg.buffer_pairs])
-        state.window_id = int(wid)
+        state.window_id = wid
         reports += state.finalize_window()
-        windows.append(int(wid))
+        windows.append(wid)
         state.reset()
     return reports, windows
 
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a report CSV against a truth sidecar")
     p.add_argument("--reports", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--theta", type=int, default=1024)
+    p.add_argument("--theta", type=int, default=DEFAULTS.theta)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-rows", type=int, default=8)
+    p.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     p.set_defaults(func=cmd_plan)
     return parser
 

@@ -43,7 +43,7 @@ from .errors import (
 from .hashing import SeedFamily, hash_range_array
 from .long_sketch import LdcaConfig, LdcaSketch
 from .short_sketch import SeavConfig, SeavSketch
-from .window_detector import DetectionReport, DetectorParams, DetectorState
+from .window_detector import DetectionReport, DetectorParams, DetectorState, split_windows
 
 MAGIC = b"SSPD"
 VERSION = 1
@@ -183,11 +183,11 @@ def merge_timestamp_pools(pools: list) -> "object":
     for p in pools[1:]:
         if (p.n_slots, p.window_slices, p.now) != (first.n_slots, first.window_slices, first.now):
             raise MergeError("timestamp pools differ in layout, window, or current slice")
-    out_ages = first.ages()
+    ages = first.ages()
     for p in pools[1:]:
-        np.minimum(out_ages, p.ages(), out=out_ages)
-    merged = copy.deepcopy(first)
-    merged.ts = first.ts.dtype.type(first._wrapped_now()) - out_ages
+        np.minimum(ages, p.ages(), out=ages)
+    merged = copy.copy(first)  # shares first.ts until it is replaced below
+    merged.ts = np.subtract(first.ts.dtype.type(first._wrapped_now()), ages, out=ages)
     return merged
 
 
@@ -281,12 +281,7 @@ def simulate_topology(params: DetectorParams, slices: np.ndarray,
                       frames_dir: Path | str | None = None) -> list[WindowResult]:
     """Partition a whole trace into discrete windows and run each through
     the simulated topology."""
-    window_ids = (slices // np.uint32(window_slices)).astype(np.int64)
-    results = []
-    for wid in np.unique(window_ids):
-        sel = window_ids == wid
-        results.append(simulate_window(
-            params, int(wid), hips[sel], oips[sel], n_wp, route=route,
-            buffer_pairs=buffer_pairs, beta=beta, threads=threads,
-            frames_dir=frames_dir))
-    return results
+    return [simulate_window(params, wid, hips[sel], oips[sel], n_wp, route=route,
+                            buffer_pairs=buffer_pairs, beta=beta, threads=threads,
+                            frames_dir=frames_dir)
+            for wid, sel in split_windows(slices, window_slices)]

@@ -73,11 +73,6 @@ class Ldc:
         return ldc_estimate(self.zero_count(), self.k)
 
 
-def ldc_update(ldc: Ldc, oip: int, seeds: SeedFamily) -> Ldc:
-    ldc.update(oip, seeds)
-    return ldc
-
-
 @dataclass(frozen=True)
 class LdcaConfig:
     lr: int = 8
@@ -98,6 +93,24 @@ class LdcaConfig:
 
     def memory_bytes(self) -> int:
         return self.lr * self.lc * self.k // 8
+
+    def registers(self, seeds: SeedFamily, hips: np.ndarray):
+        """Flat register number ``row * lc + column`` of each host, one row
+        at a time; the column is the row's hash of the host IP.  Each row
+        is a new array, which callers may change in place."""
+        hips = hips.astype(np.uint64, copy=False)
+        for i in range(self.lr):
+            reg = hash_range_array(hips, seeds.lh(i), self.lc).view(np.int64)
+            reg += i * self.lc
+            yield reg
+
+    def addresses(self, seeds: SeedFamily, hips: np.ndarray, oips: np.ndarray):
+        """The bits a batch of IP pairs sets, as ``(bit, registers)``: each
+        pair sets bit H3(oip) of its host's register in every row.  ``bit``
+        holds one bit position per pair and ``registers`` yields the flat
+        register numbers row by row (see ``registers``)."""
+        bit = hash_range_array(oips, seeds.h3, self.k).view(np.int64)
+        return bit, self.registers(seeds, hips)
 
 
 class LdcaSketch:
@@ -124,25 +137,19 @@ class LdcaSketch:
         return hash_range(hip, self.seeds.lh(row), self.config.lc)
 
     def update(self, hip: int, oip: int):
-        """Record one IP pair (scalar path, integer arithmetic only)."""
-        cfg = self.config
-        bit = hash_range(oip, self.seeds.h3, cfg.k)
-        byte = bit >> 3
-        mask = 1 << (bit & 7)
-        for i in range(cfg.lr):
-            self.data[i, self.row_column(i, hip), byte] |= mask
+        """Record one IP pair: a batch of one."""
+        self.update_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
 
     def update_batch(self, hips: np.ndarray, oips: np.ndarray):
         """Record a batch of IP pairs (vectorized, integer arithmetic only)."""
-        cfg = self.config
-        hips = hips.astype(np.uint64, copy=False)
-        oips = oips.astype(np.uint64, copy=False)
-        bit = hash_range_array(oips, self.seeds.h3, cfg.k)
-        byte = (bit >> np.uint64(3)).astype(np.int64)
-        mask = np.left_shift(np.uint64(1), bit & np.uint64(7)).astype(np.uint8)
-        for i in range(cfg.lr):
-            col = (hash_range_array(hips, self.seeds.lh(i), cfg.lc)).astype(np.int64)
-            np.bitwise_or.at(self.data[i], (col, byte), mask)
+        bit, registers = self.config.addresses(self.seeds, hips, oips)
+        byte = bit >> 3
+        mask = np.left_shift(1, bit & 7).astype(np.uint8)
+        flat = self.data.reshape(-1)
+        for reg in registers:
+            reg *= self.bytes_per_ldc
+            reg += byte
+            np.bitwise_or.at(flat, reg, mask)
 
     def union_register(self, hip: int) -> np.ndarray:
         """AND of the host's LR row registers, as packed bytes."""
@@ -162,16 +169,14 @@ class LdcaSketch:
         hips = np.asarray(hips, dtype=np.uint64)
         word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
                     if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
-        words = self.data.view(word)
+        words = self.data.reshape(cfg.v, -1).view(word)
         out = np.empty(len(hips), dtype=np.int64)
         for start in range(0, len(hips), ZERO_COUNT_CHUNK):
-            chunk = hips[start:start + ZERO_COUNT_CHUNK]
-            cols = hash_range_array(chunk, self.seeds.lh(0), cfg.lc).astype(np.int64)
-            union = words[0, cols]
-            for i in range(1, cfg.lr):
-                cols = hash_range_array(chunk, self.seeds.lh(i), cfg.lc).astype(np.int64)
-                np.bitwise_and(union, words[i, cols], out=union)
-            out[start:start + len(chunk)] = cfg.k - np.bitwise_count(union).sum(axis=1)
+            registers = cfg.registers(self.seeds, hips[start:start + ZERO_COUNT_CHUNK])
+            union = words[next(registers)]
+            for reg in registers:
+                np.bitwise_and(union, words[reg], out=union)
+            out[start:start + len(union)] = cfg.k - np.bitwise_count(union).sum(axis=1)
         return out
 
     def estimate(self, hips):
@@ -195,11 +200,6 @@ class LdcaSketch:
         if len(payload) != self.data.nbytes:
             raise ConfigError(f"payload is {len(payload)} bytes, config requires {self.data.nbytes}")
         self.data = np.frombuffer(payload, dtype=np.uint8).reshape(self.data.shape).copy()
-
-
-def ldca_update(sketch: LdcaSketch, hip: int, oip: int) -> LdcaSketch:
-    sketch.update(hip, oip)
-    return sketch
 
 
 def psu(k: int, n_pairs: float, lc: float, lr: int) -> float:

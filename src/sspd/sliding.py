@@ -10,12 +10,10 @@ wrapped age could alias as fresh; advancing a slice is O(1) otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import SeedFamily, hash_full_array, hash_range_array, lsb_at_least
+from .hashing import SeedFamily
 from .long_sketch import ldc_estimates
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
@@ -23,6 +21,9 @@ from .window_detector import DetectionReport, DetectorParams, report_candidates
 # Hosts per gather in SlidingDetector.zero_counts: a host holds k stamps
 # and two k-byte masks per row, 4 MiB per row at the default k and window.
 ZERO_COUNT_CHUNK = 128
+# Slots per block in TimestampPool._sweep: 2 MiB of uint16 ages and a
+# 1 MiB mask at a time.
+SWEEP_BLOCK = 1 << 20
 
 
 def timestamp_dtype(window_slices: int):
@@ -91,8 +92,10 @@ class TimestampPool:
 
     def _sweep(self):
         """Clamp every expired slot to age == window so wrapped ages never alias."""
-        stale = self.ages() >= self.window_slices
-        self.ts[stale] = (self.now - self.window_slices) & self._mask
+        expired = (self.now - self.window_slices) & self._mask
+        for start in range(0, self.n_slots, SWEEP_BLOCK):
+            stale = self.ages(start, start + SWEEP_BLOCK) >= self.window_slices
+            self.ts[start:start + SWEEP_BLOCK][stale] = expired
         self._since_sweep = 0
         self.sweep_count += 1
 
@@ -134,15 +137,6 @@ def advance_slice(pool: TimestampPool) -> TimestampPool:
     return pool
 
 
-@dataclass(frozen=True)
-class _SlotLayout:
-    """Flat slot numbering: candidate-sketch bits first, then counter bits."""
-
-    seav_row_base: tuple[int, ...]
-    ldca_base: int
-    total: int
-
-
 class SlidingDetector:
     """Sliding-window pipeline over a single shared timestamp pool."""
 
@@ -152,16 +146,10 @@ class SlidingDetector:
         self.seeds = SeedFamily(self.params.master_seed)
         self.seav_config = self.params.seav_config()
         self.ldca_config = self.params.ldca_config()
-        bases = []
-        offset = 0
-        cfg = self.seav_config
-        for i in range(cfg.sr):
-            bases.append(offset)
-            offset += (1 << cfg.r) * cfg.sc[i] * cfg.g
-        lcfg = self.ldca_config
-        self.layout = _SlotLayout(tuple(bases), offset,
-                                  offset + lcfg.lr * lcfg.lc * lcfg.k)
-        self.pool = TimestampPool(self.layout.total, window_slices, slice_seconds)
+        # Flat slot numbering: candidate-sketch bits first, then counter bits.
+        cfg, lcfg = self.seav_config, self.ldca_config
+        self.ldca_base = cfg.n_registers * cfg.g
+        self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices, slice_seconds)
         self.pair_count = 0
 
     @property
@@ -172,34 +160,17 @@ class SlidingDetector:
         self.pool.advance_slice()
 
     def observe_batch(self, hips: np.ndarray, oips: np.ndarray):
-        """Stamp the slots both sketches would set for these pairs."""
-        cfg = self.seav_config
-        lcfg = self.ldca_config
-        hips = hips.astype(np.uint64, copy=False)
-        oips = oips.astype(np.uint64, copy=False)
-
-        h1 = hash_full_array(oips, self.seeds.h1)
-        keep = lsb_at_least(h1, cfg.tau)
-        if keep.any():
-            s_hips = hips[keep]
-            s_oips = oips[keep]
-            bitpos = hash_range_array(s_oips, self.seeds.h2, cfg.g)
-            rp = s_hips & np.uint64((1 << cfg.r) - 1)
-            lp = (s_hips >> np.uint64(cfg.r)) & np.uint64((1 << cfg.lp_bits) - 1)
-            for i in range(cfg.sr):
-                col = cfg.index_of_array(i, lp)
-                slots = (np.uint64(self.layout.seav_row_base[i])
-                         + (rp * np.uint64(cfg.sc[i]) + col) * np.uint64(cfg.g)
-                         + bitpos)
-                self.pool.touch_batch(slots.astype(np.int64))
-
-        bit = hash_range_array(oips, self.seeds.h3, lcfg.k)
-        for i in range(lcfg.lr):
-            col = hash_range_array(hips, self.seeds.lh(i), lcfg.lc)
-            slots = (np.uint64(self.layout.ldca_base)
-                     + (np.uint64(i * lcfg.lc) + col) * np.uint64(lcfg.k)
-                     + bit)
-            self.pool.touch_batch(slots.astype(np.int64))
+        """Stamp the bits both sketches would set for these pairs: bit b of
+        register n of a sketch laid out from slot base is slot
+        base + n * width + b."""
+        for base, width, cfg in ((0, self.seav_config.g, self.seav_config),
+                                 (self.ldca_base, self.ldca_config.k, self.ldca_config)):
+            bit, registers = cfg.addresses(self.seeds, hips, oips)
+            bit += base
+            for reg in registers:
+                reg *= width
+                reg += bit
+                self.pool.touch_batch(reg)
         self.pair_count += len(hips)
 
     def observe(self, hip: int, oip: int):
@@ -212,31 +183,24 @@ class SlidingDetector:
         Reads only the candidate-sketch prefix of the pool."""
         cfg = self.seav_config
         sketch = SeavSketch(cfg, self.seeds, restore_cap=self.params.restore_cap)
-        active = self.pool.active(0, self.layout.ldca_base)
+        bits = self.pool.active(0, self.ldca_base).reshape(cfg.n_registers, cfg.g)
         weights = np.left_shift(np.uint64(1), np.arange(cfg.g, dtype=np.uint64))
-        for i in range(cfg.sr):
-            base = self.layout.seav_row_base[i]
-            size = (1 << cfg.r) * cfg.sc[i] * cfg.g
-            bits = active[base:base + size].reshape((1 << cfg.r), cfg.sc[i], cfg.g)
-            regs = (bits.astype(np.uint64) * weights).sum(axis=-1)
-            sketch.rows[i] = regs.astype(sketch.rows[i].dtype)
+        sketch.flat[:] = (bits.astype(np.uint64) * weights).sum(axis=-1)
         return sketch
 
     def materialize_ldca_cell(self, hips: np.ndarray) -> np.ndarray:
         """Active bits of each host's AND-union counter register, one row
         of k booleans per host: one cell gather per counter row."""
-        lcfg = self.ldca_config
         union = None
-        for i in range(lcfg.lr):
-            cols = hash_range_array(hips, self.seeds.lh(i), lcfg.lc).astype(np.int64)
-            cells = self.pool.active_cells(self.layout.ldca_base, lcfg.k, i * lcfg.lc + cols)
+        for reg in self.ldca_config.registers(self.seeds, hips):
+            cells = self.pool.active_cells(self.ldca_base, self.ldca_config.k, reg)
             union = cells if union is None else np.logical_and(union, cells, out=union)
         return union
 
     def materialize_ldca(self) -> np.ndarray:
         """Full active-bit view of the counter array as packed bytes."""
         lcfg = self.ldca_config
-        bits = self.pool.active(self.layout.ldca_base).reshape(lcfg.lr, lcfg.lc, lcfg.k)
+        bits = self.pool.active(self.ldca_base).reshape(lcfg.lr, lcfg.lc, lcfg.k)
         return np.packbits(bits, axis=-1, bitorder="little")
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:

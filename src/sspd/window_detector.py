@@ -15,6 +15,7 @@ import numpy as np
 from .hashing import DEFAULT_MASTER_SEED, SeedFamily
 from .long_sketch import (
     DEFAULT_DESIGN_N,
+    DEFAULT_K,
     DEFAULT_V,
     LdcaConfig,
     LdcaSketch,
@@ -56,6 +57,19 @@ def report_candidates(seav: SeavSketch,
             for j, e, s in zip(keep.tolist(), est[keep].tolist(), saturated[keep].tolist())]
 
 
+def split_windows(slices: np.ndarray, window_slices: int):
+    """Pair indexes of each discrete window, as (window id, indexes) in
+    window order.  One stable sort on the window id keeps each window's
+    pairs in stream order."""
+    window_ids = slices.astype(np.int64) // window_slices
+    order = np.argsort(window_ids, kind="stable")
+    window_ids = window_ids[order]
+    wids = np.unique(window_ids)
+    bounds = np.append(np.searchsorted(window_ids, wids), len(order))
+    for j, wid in enumerate(wids.tolist()):
+        yield wid, order[bounds[j]:bounds[j + 1]]
+
+
 @dataclass
 class DetectorParams:
     """Everything needed to build a detector; both sketches share theta."""
@@ -65,7 +79,7 @@ class DetectorParams:
     sr: int = 4
     a: int = 2
     g: int = 8
-    k: int = 8192
+    k: int = DEFAULT_K
     lr: int | None = None       # None: planned from (v, design_n, k)
     lc: int | None = None
     v: int = DEFAULT_V
@@ -113,9 +127,7 @@ class DetectorState:
         return self.seav.memory_bytes(), self.ldca.memory_bytes()
 
     def process_pair(self, hip: int, oip: int):
-        self.seav.update(hip, oip)
-        self.ldca.update(hip, oip)
-        self.pair_count += 1
+        self.process_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
 
     def process_batch(self, hips: np.ndarray, oips: np.ndarray):
         self.seav.update_batch(hips, oips)

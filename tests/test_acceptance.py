@@ -244,9 +244,13 @@ SCAN_PATH = [
     (sspd.short_sketch, "ShortEstimator.update"),
     (sspd.short_sketch, "SeavConfig.index_of"),
     (sspd.short_sketch, "SeavConfig.index_of_array"),
+    (sspd.short_sketch, "SeavConfig.registers"),
+    (sspd.short_sketch, "SeavConfig.addresses"),
     (sspd.short_sketch, "SeavSketch.update"),
     (sspd.short_sketch, "SeavSketch.update_batch"),
     (sspd.long_sketch, "Ldc.update"),
+    (sspd.long_sketch, "LdcaConfig.registers"),
+    (sspd.long_sketch, "LdcaConfig.addresses"),
     (sspd.long_sketch, "LdcaSketch.row_column"),
     (sspd.long_sketch, "LdcaSketch.update"),
     (sspd.long_sketch, "LdcaSketch.update_batch"),

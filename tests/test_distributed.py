@@ -295,11 +295,14 @@ def test_timestamp_pool_merge_takes_newest():
     pools[0].touch(0, now=1)
     pools[1].touch(0, now=3)
     pools[2].touch(1, now=2)
+    before = [p.ts.copy() for p in pools]
     merged = merge_timestamp_pools(pools)
     assert merged.is_active(0) and merged.is_active(1)
     ages = merged.ages()
     assert ages[0] == 1  # newest stamp (slice 3, now 4) wins
     assert ages[1] == 2
+    assert all((p.ts == b).all() for p, b in zip(pools, before))
+    assert not any(np.shares_memory(merged.ts, p.ts) for p in pools)
 
 
 def test_timestamp_pool_merge_rejects_mismatch():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sspd import long_sketch
 from sspd.errors import ConfigError
-from sspd.hashing import SeedFamily
+from sspd.hashing import SeedFamily, hash_range
 from sspd.long_sketch import (
     Ldc,
     LdcaConfig,
@@ -121,16 +121,27 @@ def test_pair_idempotent():
     assert (sk.data == snap).all()
 
 
+def reference_update(sk: LdcaSketch, hip: int, oip: int):
+    """Scalar reimplementation: set bit H3(oip) of the host's cell in every row."""
+    cfg = sk.config
+    bit = hash_range(oip, sk.seeds.h3, cfg.k)
+    for i in range(cfg.lr):
+        sk.data[i, sk.row_column(i, hip), bit >> 3] |= 1 << (bit & 7)
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(13)
     hips = rng.integers(0, 2**32, size=1500, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=1500, dtype=np.uint64)
     a = small_sketch(lr=3, lc=32, k=256)
     b = small_sketch(lr=3, lc=32, k=256)
+    c = small_sketch(lr=3, lc=32, k=256)
     a.update_batch(hips, oips)
     for hip, oip in zip(hips.tolist(), oips.tolist()):
-        b.update(hip, oip)
+        reference_update(b, hip, oip)
+        c.update(hip, oip)
     assert (a.data == b.data).all()
+    assert (c.data == b.data).all()
 
 
 def test_shard_merge_equals_single_stream():

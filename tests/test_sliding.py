@@ -97,6 +97,22 @@ def test_wraparound_never_resurrects_stale_slots():
     assert not pool.is_active(1)  # last touched near 900, window long gone
 
 
+def test_blocked_sweep_equals_whole_pool_sweep(monkeypatch):
+    monkeypatch.setattr(sliding, "SWEEP_BLOCK", 5)  # 23 slots: four full blocks and a short one
+    pool = TimestampPool(23, window_slices=10)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        pool.touch_batch(rng.integers(0, 23, size=3))
+        pool.advance_slice()
+    assert pool.sweep_count == 0
+    ages = pool.ages()
+    assert (ages < 10).any() and (ages >= 10).any()
+    expected = pool.ts.copy()
+    expected[ages >= 10] = (pool.now - 10) & 0xFF
+    pool._sweep()
+    assert pool.ts.tolist() == expected.tolist()
+
+
 def test_memory_constant_while_running():
     pool = TimestampPool(1024, window_slices=50)
     before = pool.memory_bytes()
