@@ -20,30 +20,12 @@ from .errors import (
     SspdError,
     UndefinedMetricError,
 )
-from .hashing import DEFAULT_MASTER_SEED, HashSeed, SeedFamily, Tag, hash_full, hash_range, lsb
-from .long_sketch import (
-    Ldc,
-    LdcaConfig,
-    LdcaSketch,
-    ldc_estimate,
-    noise_factor,
-    plan_rows,
-    psu,
-)
-from .short_sketch import (
-    CandidateHost,
-    SeavConfig,
-    SeavSketch,
-    ShortEstimator,
-    index_of,
-    lp_from_indexes,
-    make_config,
-    tau_from_theta,
-)
+from .hashing import DEFAULT_MASTER_SEED, HashSeed, SeedFamily, Tag
+from .long_sketch import LdcaConfig, LdcaSketch, ldc_estimate, noise_factor, plan_rows, psu
+from .short_sketch import CandidateHost, SeavConfig, SeavSketch, tau_from_theta
 from .sliding import SlidingDetector, TimestampPool
 from .distributed import (
     SketchFrame,
-    deserialize,
     merge_frames,
     parse_frame,
     serialize,
@@ -67,7 +49,6 @@ __all__ = [
     "FrameTruncatedError",
     "FrameVersionError",
     "HashSeed",
-    "Ldc",
     "LdcaConfig",
     "LdcaSketch",
     "MergeError",
@@ -75,7 +56,6 @@ __all__ = [
     "SeavConfig",
     "SeavSketch",
     "SeedFamily",
-    "ShortEstimator",
     "SketchFrame",
     "SlidingDetector",
     "SspdError",
@@ -84,15 +64,8 @@ __all__ = [
     "Trace",
     "TraceSpec",
     "UndefinedMetricError",
-    "deserialize",
     "generate_trace",
-    "hash_full",
-    "hash_range",
-    "index_of",
-    "lp_from_indexes",
     "ldc_estimate",
-    "lsb",
-    "make_config",
     "merge_frames",
     "metrics",
     "metrics_report",

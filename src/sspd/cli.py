@@ -168,6 +168,13 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    detect_every = getattr(args, "detect_every", 1)
+    buffer_pairs = getattr(args, "buffer_pairs", DEFAULT_BUFFER_PAIRS)
+    if not args.slice_seconds > 0:  # also refuses NaN
+        raise ConfigError(f"--slice-seconds must be > 0, got {args.slice_seconds:g}")
+    for flag, value in (("--detect-every", detect_every), ("--buffer-pairs", buffer_pairs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     v = args.v
     if args.memory_budget is not None:
         v = max(1, 8 * args.memory_budget // args.k)
@@ -179,9 +186,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         a=args.a, g=args.g, k=args.k, v=v, lr=args.lr, lc=args.lc,
         design_n=args.design_n, window_seconds=args.window_seconds,
         slice_seconds=args.slice_seconds, window_slices=window_slices,
-        detect_every=getattr(args, "detect_every", 1),
+        detect_every=detect_every,
         n_wp=getattr(args, "n_wp", 4), route=getattr(args, "route", "hash"),
-        buffer_pairs=getattr(args, "buffer_pairs", DEFAULT_BUFFER_PAIRS),
+        buffer_pairs=buffer_pairs,
         restore_cap=args.restore_cap, threads=args.threads,
     )
     return cfg
@@ -233,9 +240,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_slide(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
-    detector = SlidingDetector(cfg.detector_params(),
-                               window_slices=cfg.window_slices,
-                               slice_seconds=cfg.slice_seconds)
+    detector = SlidingDetector(cfg.detector_params(), window_slices=cfg.window_slices)
     order = np.argsort(trace.slices, kind="stable")
     slices = trace.slices[order].astype(np.int64)
     hips, oips = trace.hips[order], trace.oips[order]

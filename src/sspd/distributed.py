@@ -67,10 +67,6 @@ class SketchFrame:
     window_id: int
     payload: bytes
 
-    @property
-    def kind_name(self) -> str:
-        return KIND_NAMES[self.kind]
-
 
 def _config_block(params: DetectorParams, ldca: LdcaConfig) -> bytes:
     return _CONFIG.pack(params.r, params.sr, params.a, params.g,
@@ -136,10 +132,6 @@ def _sketch_from_frame(frame: SketchFrame) -> SeavSketch | LdcaSketch:
         sketch = LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k), seeds)
     sketch.load_payload(frame.payload)
     return sketch
-
-
-def deserialize(data: bytes) -> SeavSketch | LdcaSketch:
-    return _sketch_from_frame(parse_frame(data))
 
 
 def merge_frames(frames: list[SketchFrame]) -> tuple[SeavSketch, LdcaSketch]:

@@ -58,18 +58,6 @@ class ExactOracle:
         return [int(ip) for ip in self.hosts[self.counts >= theta]]
 
 
-def exact_cardinalities_dict(hips: np.ndarray, oips: np.ndarray) -> dict[int, int]:
-    """Independent oracle implementation: hash sets, one per host."""
-    seen: dict[int, set[int]] = {}
-    for hip, oip in zip(hips.tolist(), oips.tolist()):
-        seen.setdefault(hip, set()).add(oip)
-    return {hip: len(s) for hip, s in seen.items()}
-
-
-def oracle_superpoints(oracle: ExactOracle, theta: int) -> list[int]:
-    return oracle.superpoints(theta)
-
-
 def metrics(detected: list[int], truth: list[int]) -> tuple[float, float, float]:
     """(FPR, FNR, FTR), all normalized by the true super-point count."""
     truth_set = set(truth)

@@ -1,11 +1,12 @@
 """Seeded hash family and bit utilities shared by every sketch.
 
 Primitives:
-    mix64        -- SplitMix64-style avalanche finalizer (scalar ints)
-    mix64_array  -- the same finalizer on numpy uint64 arrays, bit-identical
-    hash_full    -- 32-bit IP -> uniform 32-bit value
-    hash_range   -- 32-bit IP -> uniform value in [0, m)
-    lsb          -- index of the lowest set bit (32 for input 0)
+    mix64             -- SplitMix64-style avalanche finalizer (scalar ints)
+    mix64_array       -- the same finalizer on numpy uint64 arrays, bit-identical
+    hash_full_array   -- 32-bit IPs -> uniform 32-bit values
+    hash_range_array  -- 32-bit IPs -> uniform values in [0, m)
+    lsb_at_least      -- whether the lowest set bit is at index >= tau
+                         (an all-zero value counts as index 32)
 
 Every mapping is keyed by a (master seed, domain tag) pair.  Distinct tags
 give statistically independent mappings of the same key, which is what the
@@ -99,46 +100,18 @@ class SeedFamily:
         return f"SeedFamily(0x{self.master_seed:X})"
 
 
-def hash64(key: int, seed: HashSeed) -> int:
-    """Full-width 64-bit hash of an integer key."""
-    return mix64((key & MASK64) ^ seed.value)
-
-
 def hash64_array(keys: np.ndarray, seed: HashSeed) -> np.ndarray:
     return mix64_array(keys.astype(np.uint64, copy=False) ^ np.uint64(seed.value))
-
-
-def hash_full(key: int, seed: HashSeed) -> int:
-    """Map a 32-bit key to a uniform 32-bit value (H1 contract)."""
-    return hash64(key, seed) & MASK32
 
 
 def hash_full_array(keys: np.ndarray, seed: HashSeed) -> np.ndarray:
     return hash64_array(keys, seed) & np.uint64(MASK32)
 
 
-def hash_range(key: int, seed: HashSeed, m: int) -> int:
-    """Map a key to a near-uniform value in [0, m)."""
-    if m < 1:
-        raise ConfigError(f"hash_range modulus must be >= 1, got {m}")
-    return hash64(key, seed) % m
-
-
 def hash_range_array(keys: np.ndarray, seed: HashSeed, m: int) -> np.ndarray:
     if m < 1:
         raise ConfigError(f"hash_range modulus must be >= 1, got {m}")
     return hash64_array(keys, seed) % np.uint64(m)
-
-
-def lsb(x: int) -> int:
-    """Index of the lowest set bit of a 32-bit value; 32 for input 0.
-
-    The all-zero value is treated as maximally rare so that it passes every
-    sampling threshold tau <= 32.
-    """
-    if x == 0:
-        return 32
-    return ((x & -x).bit_length()) - 1
 
 
 def lsb_at_least(x: np.ndarray, tau: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import SeedFamily, hash_range, hash_range_array
+from .hashing import SeedFamily, hash_range_array
 
 DEFAULT_K = 8192
 DEFAULT_V = 8192
@@ -52,25 +52,6 @@ def ldc_estimates(z0s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     out = np.fromiter((ldc_estimate(z0, k) for z0 in map(int, z0s)), count=len(z0s),
                       dtype=[("estimate", np.float64), ("saturated", np.bool_)])
     return out["estimate"], out["saturated"]
-
-
-class Ldc:
-    """A single k-bit register (scalar reference implementation)."""
-
-    def __init__(self, k: int = DEFAULT_K):
-        if k < 8 or k % 8:
-            raise ConfigError(f"k must be a positive multiple of 8, got {k}")
-        self.k = k
-        self.bits = 0
-
-    def update(self, oip: int, seeds: SeedFamily):
-        self.bits |= 1 << hash_range(oip, seeds.h3, self.k)
-
-    def zero_count(self) -> int:
-        return self.k - bin(self.bits).count("1")
-
-    def estimate(self) -> tuple[float, bool]:
-        return ldc_estimate(self.zero_count(), self.k)
 
 
 @dataclass(frozen=True)
@@ -125,16 +106,12 @@ class LdcaSketch:
         self.seeds = seeds
         self.bytes_per_ldc = config.k // 8
         self.data = np.zeros((config.lr, config.lc, self.bytes_per_ldc), dtype=np.uint8)
-        self._row_seed_values = [seeds.lh(i).value for i in range(config.lr)]
 
     def memory_bytes(self) -> int:
         return self.config.memory_bytes()
 
     def clear(self):
         self.data.fill(0)
-
-    def row_column(self, row: int, hip: int) -> int:
-        return hash_range(hip, self.seeds.lh(row), self.config.lc)
 
     def update(self, hip: int, oip: int):
         """Record one IP pair: a batch of one."""
@@ -150,14 +127,6 @@ class LdcaSketch:
             reg *= self.bytes_per_ldc
             reg += byte
             np.bitwise_or.at(flat, reg, mask)
-
-    def union_register(self, hip: int) -> np.ndarray:
-        """AND of the host's LR row registers, as packed bytes."""
-        cfg = self.config
-        out = self.data[0, self.row_column(0, hip)].copy()
-        for i in range(1, cfg.lr):
-            np.bitwise_and(out, self.data[i, self.row_column(i, hip)], out=out)
-        return out
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
         """Zero-bit count of each host's AND-union register.
@@ -179,13 +148,9 @@ class LdcaSketch:
             out[start:start + len(union)] = cfg.k - np.bitwise_count(union).sum(axis=1)
         return out
 
-    def estimate(self, hips):
-        """(estimate, saturated) of one host's AND-union register; for an
-        array of hosts, an array of estimates and an array of saturated
-        flags, from one ``zero_counts`` call."""
-        if np.ndim(hips) == 0:
-            z0 = int(self.zero_counts(np.array([hips], dtype=np.uint64))[0])
-            return ldc_estimate(z0, self.config.k)
+    def estimate(self, hips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates and saturated flags of each host's AND-union register,
+        from one ``zero_counts`` call."""
         return ldc_estimates(self.zero_counts(hips), self.config.k)
 
     def merge(self, other: "LdcaSketch"):

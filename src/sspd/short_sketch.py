@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SeaOverflowError
-from .hashing import (
-    SeedFamily,
-    hash_full,
-    hash_full_array,
-    hash_range,
-    hash_range_array,
-    lsb,
-    lsb_at_least,
-)
+from .hashing import SeedFamily, hash_full_array, hash_range_array, lsb_at_least
 
 DEFAULT_RESTORE_CAP = 1 << 20
 # Partial tuples built at once per row in the restore join (a few MiB).
@@ -55,50 +47,6 @@ def _register_dtype(g: int):
         if g <= np.dtype(dt).itemsize * 8:
             return dt
     raise ConfigError(f"register width g must be <= 64, got {g}")
-
-
-@dataclass(frozen=True)
-class ShortEstimator:
-    """One g-bit register.  Bits only ever transition 0 -> 1 in a window."""
-
-    bits: int = 0
-    g: int = 8
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.g):
-            raise ConfigError(f"register value {self.bits} out of range for g={self.g}")
-
-    def update(self, oip: int, tau: int, seeds: SeedFamily) -> "ShortEstimator":
-        """Record one opposite IP; a bit is set only if the sampling test passes."""
-        if lsb(hash_full(oip, seeds.h1)) >= tau:
-            return ShortEstimator(self.bits | (1 << hash_range(oip, seeds.h2, self.g)), self.g)
-        return self
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
-    def is_hot(self) -> bool:
-        return self.weight() >= 3
-
-    def _check_width(self, other: "ShortEstimator"):
-        if other.g != self.g:
-            raise ConfigError(f"register width mismatch: {self.g} vs {other.g}")
-
-    def __and__(self, other: "ShortEstimator") -> "ShortEstimator":
-        self._check_width(other)
-        return ShortEstimator(self.bits & other.bits, self.g)
-
-    def __or__(self, other: "ShortEstimator") -> "ShortEstimator":
-        self._check_width(other)
-        return ShortEstimator(self.bits | other.bits, self.g)
-
-
-def se_and(x: ShortEstimator, y: ShortEstimator) -> ShortEstimator:
-    return x & y
-
-
-def se_or(x: ShortEstimator, y: ShortEstimator) -> ShortEstimator:
-    return x | y
 
 
 @dataclass(frozen=True)
@@ -171,20 +119,9 @@ class SeavConfig:
                     f"{len(overlap)} bit positions, expected {self.a}"
                 )
 
-    def index_of(self, row: int, lp: int) -> int:
-        """Column of the register holding ``lp`` in ``row``.
-
-        Bit j of the index is bit (ISB[row]+j) mod lp_bits of lp.
-        """
-        if not 0 <= row < self.sr:
-            raise ConfigError(f"row {row} out of range [0, {self.sr})")
-        w = self.lp_bits
-        idx = 0
-        for j in range(self.ibn[row]):
-            idx |= ((lp >> ((self.isb[row] + j) % w)) & 1) << j
-        return idx
-
     def index_of_array(self, row: int, lp: np.ndarray) -> np.ndarray:
+        """Column of the register holding each left part in ``row``: bit j
+        of the index is bit (ISB[row]+j) mod lp_bits of the left part."""
         if not 0 <= row < self.sr:
             raise ConfigError(f"row {row} out of range [0, {self.sr})")
         w = self.lp_bits
@@ -195,18 +132,6 @@ class SeavConfig:
             idx |= ((lp >> src) & one) << np.uint64(j)
         return idx
 
-    def lp_from_indexes(self, indexes: list[int] | tuple[int, ...]) -> int:
-        """Reassemble a left part from one column index per row (inverse of index_of)."""
-        if len(indexes) != self.sr:
-            raise ConfigError(f"need {self.sr} indexes, got {len(indexes)}")
-        w = self.lp_bits
-        lp = 0
-        for i, idx in enumerate(indexes):
-            for j in range(self.ibn[i]):
-                if (idx >> j) & 1:
-                    lp |= 1 << ((self.isb[i] + j) % w)
-        return lp
-
     @property
     def n_registers(self) -> int:
         return (1 << self.r) * sum(self.sc)
@@ -215,7 +140,7 @@ class SeavConfig:
         """Flat register number of each host, one row at a time.
 
         Rows lie back to back, each array by array, so a host's register
-        in row i is ``row_base[i] + rp * sc[i] + index_of(i, lp)``.  Each
+        in row i is ``row_base[i] + rp * sc[i] + index_of_array(i, lp)``.  Each
         row is a new array, which callers may change in place.
         """
         hips = hips.astype(np.uint64, copy=False)
@@ -254,19 +179,6 @@ class SeavConfig:
             vals |= ((cols >> np.uint64(j)) & one) << np.uint64(pos)
             mask |= 1 << pos
         return vals, mask
-
-
-def make_config(r: int = 4, sr: int = 4, a: int = 2, theta: int = 1024, g: int = 8,
-                addr_bits: int = 32) -> SeavConfig:
-    return SeavConfig(r=r, sr=sr, a=a, theta=theta, g=g, addr_bits=addr_bits)
-
-
-def index_of(config: SeavConfig, row: int, lp: int) -> int:
-    return config.index_of(row, lp)
-
-
-def lp_from_indexes(config: SeavConfig, indexes: list[int] | tuple[int, ...]) -> int:
-    return config.lp_from_indexes(indexes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,9 +224,6 @@ class SeavSketch:
         mask = np.left_shift(1, bit).astype(self.flat.dtype)
         for reg in registers:
             np.bitwise_or.at(self.flat, reg, mask)
-
-    def total_set_bits(self) -> int:
-        return int(np.bitwise_count(self.flat).sum())
 
     def merge(self, other: "SeavSketch"):
         """OR another sketch into this one (cross-watch-point merge)."""

@@ -42,14 +42,13 @@ class TimestampPool:
     fixed at construction and never changes while running.
     """
 
-    def __init__(self, n_slots: int, window_slices: int, slice_seconds: float = 1.0):
+    def __init__(self, n_slots: int, window_slices: int):
         if n_slots < 1:
             raise ConfigError(f"slot count must be >= 1, got {n_slots}")
         if window_slices < 1:
             raise ConfigError(f"window must span >= 1 slice, got {window_slices}")
         self.n_slots = n_slots
         self.window_slices = window_slices
-        self.slice_seconds = slice_seconds
         self.now = 0
         dt = timestamp_dtype(window_slices)
         self._modulus = 1 << (8 * np.dtype(dt).itemsize)
@@ -66,18 +65,6 @@ class TimestampPool:
 
     def _wrapped_now(self) -> int:
         return self.now & self._mask
-
-    def touch(self, slot_index: int, now: int | None = None):
-        """Stamp one slot; out-of-order stamps keep the newest value."""
-        if not 0 <= slot_index < self.n_slots:
-            raise ConfigError(f"slot {slot_index} out of range [0, {self.n_slots})")
-        now = self.now if now is None else now
-        candidate_age = self.now - now
-        if candidate_age < 0:
-            raise ConfigError(f"cannot stamp future slice {now} (pool is at {self.now})")
-        existing_age = (self._wrapped_now() - int(self.ts[slot_index])) & self._mask
-        if candidate_age < existing_age:
-            self.ts[slot_index] = now & self._mask
 
     def touch_batch(self, slot_indexes: np.ndarray):
         """Stamp many slots with the current slice (newest always wins)."""
@@ -122,26 +109,11 @@ class TimestampPool:
         np.subtract(stamps.dtype.type(self._wrapped_now()), stamps, out=stamps)
         return stamps < self.window_slices
 
-    def is_active(self, slot_index: int) -> bool:
-        existing_age = (self._wrapped_now() - int(self.ts[slot_index])) & self._mask
-        return existing_age < self.window_slices
-
-
-def touch(pool: TimestampPool, slot_index: int, now: int) -> TimestampPool:
-    pool.touch(slot_index, now)
-    return pool
-
-
-def advance_slice(pool: TimestampPool) -> TimestampPool:
-    pool.advance_slice()
-    return pool
-
 
 class SlidingDetector:
     """Sliding-window pipeline over a single shared timestamp pool."""
 
-    def __init__(self, params: DetectorParams | None = None,
-                 window_slices: int = 300, slice_seconds: float = 1.0):
+    def __init__(self, params: DetectorParams | None = None, window_slices: int = 300):
         self.params = params or DetectorParams()
         self.seeds = SeedFamily(self.params.master_seed)
         self.seav_config = self.params.seav_config()
@@ -149,7 +121,7 @@ class SlidingDetector:
         # Flat slot numbering: candidate-sketch bits first, then counter bits.
         cfg, lcfg = self.seav_config, self.ldca_config
         self.ldca_base = cfg.n_registers * cfg.g
-        self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices, slice_seconds)
+        self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices)
         self.pair_count = 0
 
     @property
@@ -184,8 +156,10 @@ class SlidingDetector:
         cfg = self.seav_config
         sketch = SeavSketch(cfg, self.seeds, restore_cap=self.params.restore_cap)
         bits = self.pool.active(0, self.ldca_base).reshape(cfg.n_registers, cfg.g)
-        weights = np.left_shift(np.uint64(1), np.arange(cfg.g, dtype=np.uint64))
-        sketch.flat[:] = (bits.astype(np.uint64) * weights).sum(axis=-1)
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        width = sketch.flat.dtype.itemsize
+        packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
+        sketch.flat[:] = packed.view(f"<u{width}").reshape(-1)
         return sketch
 
     def materialize_ldca_cell(self, hips: np.ndarray) -> np.ndarray:
@@ -196,12 +170,6 @@ class SlidingDetector:
             cells = self.pool.active_cells(self.ldca_base, self.ldca_config.k, reg)
             union = cells if union is None else np.logical_and(union, cells, out=union)
         return union
-
-    def materialize_ldca(self) -> np.ndarray:
-        """Full active-bit view of the counter array as packed bytes."""
-        lcfg = self.ldca_config
-        bits = self.pool.active(self.ldca_base).reshape(lcfg.lr, lcfg.lc, lcfg.k)
-        return np.packbits(bits, axis=-1, bitorder="little")
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
         """Zero-bit count of each host's active AND-union counter register,
@@ -224,11 +192,3 @@ class SlidingDetector:
         beta = self.params.beta if beta is None else beta
         return report_candidates(self.materialize_seav(), self.estimate,
                                  beta * self.params.theta, self.now, "sliding")
-
-
-def detect_sliding(detector: SlidingDetector, theta: int | None = None,
-                   beta: float | None = None) -> list[DetectionReport]:
-    if theta is not None and theta != detector.params.theta:
-        raise ValueError(
-            f"detector was configured with theta={detector.params.theta}, got {theta}")
-    return detector.detect(beta=beta)

@@ -151,20 +151,3 @@ class DetectorState:
         self.ldca.clear()
         self.window_id += 1
         self.pair_count = 0
-
-
-def process_pair(state: DetectorState, hip: int, oip: int) -> DetectorState:
-    state.process_pair(hip, oip)
-    return state
-
-
-def finalize_window(state: DetectorState, theta: int | None = None,
-                    beta: float = DEFAULT_BETA) -> list[DetectionReport]:
-    if theta is not None and theta != state.theta:
-        raise ValueError(f"detector was configured with theta={state.theta}, got {theta}")
-    return state.finalize_window(beta=beta)
-
-
-def reset(state: DetectorState) -> DetectorState:
-    state.reset()
-    return state

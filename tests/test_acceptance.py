@@ -24,9 +24,12 @@ from sspd.distributed import simulate_window
 from sspd.evaluation import ExactOracle, TraceSpec, generate_trace, metrics
 from sspd.hashing import SeedFamily
 from sspd.long_sketch import LdcaConfig, LdcaSketch, plan_rows, psu
-from sspd.short_sketch import SeavConfig, make_config
+from sspd.short_sketch import SeavConfig
 from sspd.sliding import SlidingDetector
 from sspd.window_detector import DetectorParams, DetectorState
+
+import oracles
+from oracles import lp_from_indexes, materialize_ldca, union_register
 
 
 @contextmanager
@@ -49,13 +52,13 @@ def accuracy_trace():
 
 def test_criterion_01_index_round_trip():
     with criterion(1, "index round trip exact for 1e5 random left parts"):
-        cfg = make_config()  # defaults: r=4, SR=4, a=2
+        cfg = SeavConfig()  # defaults: r=4, SR=4, a=2
         rng = np.random.default_rng(101)
         lps = rng.integers(0, 1 << cfg.lp_bits, size=100_000, dtype=np.uint64)
         per_row = [cfg.index_of_array(i, lps).tolist() for i in range(cfg.sr)]
         lps_list = lps.tolist()
         exact = sum(
-            cfg.lp_from_indexes([per_row[i][j] for i in range(cfg.sr)]) == lps_list[j]
+            lp_from_indexes(cfg, [per_row[i][j] for i in range(cfg.sr)]) == lps_list[j]
             for j in range(len(lps_list)))
         assert exact == len(lps_list)
 
@@ -113,7 +116,7 @@ def test_criterion_04_estimator_error():
             sk = LdcaSketch(LdcaConfig(lr=1, lc=1, k=k), SeedFamily(master_seed=9000 + t))
             oips = np.unique(rng.integers(0, 2**32, size=n + 64, dtype=np.uint64))[:n]
             sk.update_batch(np.zeros(n, dtype=np.uint64), oips)
-            est, saturated = sk.estimate(0)
+            (est,), (saturated,) = sk.estimate(np.zeros(1, dtype=np.uint64))
             assert not saturated
             rel.append(abs(est - n) / n)
             signed.append((est - n) / n)
@@ -133,7 +136,7 @@ def test_criterion_05_union_fill_probability():
             sk.update_batch(hips, oips)
             probes = rng.integers(0, 2**32, size=512, dtype=np.uint64)
             fill = float(np.mean([
-                np.unpackbits(sk.union_register(int(p))).sum() / k for p in probes]))
+                np.unpackbits(union_register(sk, int(p))).sum() / k for p in probes]))
             predicted = psu(k, n, lc, lr)
             assert abs(fill - predicted) <= 0.01, (lr, fill, predicted)
 
@@ -211,7 +214,7 @@ def test_criterion_08_sliding_discrete_equivalence():
                 det.advance_slice()
         view = det.materialize_seav()
         assert all((x == y).all() for x, y in zip(view.rows, discrete.seav.rows))
-        assert (det.materialize_ldca() == discrete.ldca.data).all()
+        assert (materialize_ldca(det) == discrete.ldca.data).all()
         sliding_reports = det.detect()
         assert ([(r.ip, r.estimated_cardinality, r.saturated) for r in sliding_reports]
                 == [(r.ip, r.estimated_cardinality, r.saturated) for r in discrete_reports])
@@ -236,30 +239,27 @@ def test_criterion_09_memory_accounting():
 
 SCAN_PATH = [
     (sspd.hashing, "mix64"), (sspd.hashing, "mix64_array"),
-    (sspd.hashing, "derive_seed"), (sspd.hashing, "hash64"),
-    (sspd.hashing, "hash64_array"), (sspd.hashing, "hash_full"),
-    (sspd.hashing, "hash_full_array"), (sspd.hashing, "hash_range"),
-    (sspd.hashing, "hash_range_array"), (sspd.hashing, "lsb"),
+    (sspd.hashing, "derive_seed"), (sspd.hashing, "hash64_array"),
+    (sspd.hashing, "hash_full_array"), (sspd.hashing, "hash_range_array"),
     (sspd.hashing, "lsb_at_least"),
-    (sspd.short_sketch, "ShortEstimator.update"),
-    (sspd.short_sketch, "SeavConfig.index_of"),
     (sspd.short_sketch, "SeavConfig.index_of_array"),
     (sspd.short_sketch, "SeavConfig.registers"),
     (sspd.short_sketch, "SeavConfig.addresses"),
     (sspd.short_sketch, "SeavSketch.update"),
     (sspd.short_sketch, "SeavSketch.update_batch"),
-    (sspd.long_sketch, "Ldc.update"),
     (sspd.long_sketch, "LdcaConfig.registers"),
     (sspd.long_sketch, "LdcaConfig.addresses"),
-    (sspd.long_sketch, "LdcaSketch.row_column"),
     (sspd.long_sketch, "LdcaSketch.update"),
     (sspd.long_sketch, "LdcaSketch.update_batch"),
     (sspd.window_detector, "DetectorState.process_pair"),
     (sspd.window_detector, "DetectorState.process_batch"),
-    (sspd.sliding, "TimestampPool.touch"),
     (sspd.sliding, "TimestampPool.touch_batch"),
     (sspd.sliding, "TimestampPool.advance_slice"),
     (sspd.sliding, "SlidingDetector.observe_batch"),
+    # The scalar oracles the tests hold the scanning path to.
+    (oracles, "hash64"), (oracles, "hash_full"), (oracles, "hash_range"),
+    (oracles, "lsb"), (oracles, "ShortEstimator.update"), (oracles, "index_of"),
+    (oracles, "Ldc.update"), (oracles, "row_column"), (oracles, "touch"),
 ]
 
 FORBIDDEN_CALLS = {"log", "log2", "log10", "exp", "sqrt", "sin", "cos",

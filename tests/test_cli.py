@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sspd
 from sspd.cli import main
 from sspd.evaluation import read_trace, truth_path
 
@@ -159,6 +165,25 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     code = run(["detect", "--trace", trace_file, "--out", out, "--sr", 1] + SMALL_FLAGS)
     assert code == 2
     assert "error: config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("slide", ["--detect-every", 0]),
+    ("slide", ["--slice-seconds", 0]),
+    ("distsim", ["--buffer-pairs", 0]),
+], ids=["detect-every", "slice-seconds", "buffer-pairs"])
+def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
+    # A separate interpreter, so an uncaught exception shows as exit 1 and
+    # a traceback instead of failing inside the test process.
+    argv = [command, "--trace", trace_file, "--out", tmp_path / "x.csv", *flag, *SMALL_FLAGS]
+    if command == "distsim":
+        argv += ["--merge-log", tmp_path / "log.txt"]
+    env = {**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "sspd.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: config:")
 
 
 def test_data_error_exit_code(tmp_path, capsys):

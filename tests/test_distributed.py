@@ -4,7 +4,6 @@ import pytest
 from sspd import distributed
 from sspd.distributed import (
     SketchFrame,
-    deserialize,
     merge_frames,
     merge_timestamp_pools,
     parse_frame,
@@ -26,6 +25,8 @@ from sspd.long_sketch import LdcaSketch
 from sspd.short_sketch import SeavConfig, SeavSketch
 from sspd.sliding import TimestampPool
 from sspd.window_detector import DetectorParams, DetectorState
+
+from oracles import deserialize, is_active, touch
 
 SEEDS = SeedFamily()
 PARAMS = DetectorParams(theta=1024, k=4096, lr=2, lc=64, design_n=4e3)
@@ -292,12 +293,12 @@ def test_timestamp_pool_merge_takes_newest():
     for p in pools:
         for _ in range(4):
             p.advance_slice()
-    pools[0].touch(0, now=1)
-    pools[1].touch(0, now=3)
-    pools[2].touch(1, now=2)
+    touch(pools[0], 0, now=1)
+    touch(pools[1], 0, now=3)
+    touch(pools[2], 1, now=2)
     before = [p.ts.copy() for p in pools]
     merged = merge_timestamp_pools(pools)
-    assert merged.is_active(0) and merged.is_active(1)
+    assert is_active(merged, 0) and is_active(merged, 1)
     ages = merged.ages()
     assert ages[0] == 1  # newest stamp (slice 3, now 4) wins
     assert ages[1] == 2

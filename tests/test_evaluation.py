@@ -7,18 +7,18 @@ from sspd.errors import ConfigError, DataError, UndefinedMetricError
 from sspd.evaluation import (
     ExactOracle,
     TraceSpec,
-    exact_cardinalities_dict,
     generate_trace,
     ip_from_str,
     ip_to_str,
     metrics,
     metrics_report,
-    oracle_superpoints,
     read_trace,
     read_truth,
     truth_path,
     write_trace,
 )
+
+from oracles import exact_cardinalities_dict
 
 
 # --- oracle -------------------------------------------------------------------
@@ -43,8 +43,8 @@ def test_boundary_inclusion():
     hips = np.repeat(np.uint64(5), 10)
     oips = np.arange(10, dtype=np.uint64)
     oracle = ExactOracle(hips, oips)
-    assert oracle_superpoints(oracle, 10) == [5]  # "no less than" includes equality
-    assert oracle_superpoints(oracle, 11) == []
+    assert oracle.superpoints(10) == [5]  # "no less than" includes equality
+    assert oracle.superpoints(11) == []
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,17 +10,15 @@ from sspd.hashing import (
     HashSeed,
     SeedFamily,
     Tag,
-    hash_full,
     hash_full_array,
-    hash_range,
     hash_range_array,
-    hash64,
     hash64_array,
-    lsb,
     lsb_at_least,
     mix64,
     mix64_array,
 )
+
+from oracles import hash64, hash_full, hash_range, lsb
 
 H1 = HashSeed(DEFAULT_MASTER_SEED, Tag.H1)
 H2 = HashSeed(DEFAULT_MASTER_SEED, Tag.H2)

@@ -5,17 +5,10 @@ from hypothesis import strategies as st
 
 from sspd import short_sketch
 from sspd.errors import ConfigError, SeaOverflowError
-from sspd.hashing import SeedFamily, hash_full, hash_range, lsb
-from sspd.short_sketch import (
-    CandidateHost,
-    SeavConfig,
-    SeavSketch,
-    ShortEstimator,
-    make_config,
-    se_and,
-    se_or,
-    tau_from_theta,
-)
+from sspd.hashing import SeedFamily
+from sspd.short_sketch import CandidateHost, SeavConfig, SeavSketch, tau_from_theta
+
+from oracles import ShortEstimator, hash_full, hash_range, index_of, lp_from_indexes, lsb
 
 SEEDS = SeedFamily()
 
@@ -86,18 +79,18 @@ bits8 = st.integers(min_value=0, max_value=255)
 def test_register_algebra(x, y):
     a, b = ShortEstimator(x), ShortEstimator(y)
     empty = ShortEstimator(0)
-    assert se_and(a, a) == a
-    assert se_or(a, empty) == a
-    assert se_and(a, empty) == empty
-    assert se_and(a, b) == se_and(b, a)
-    assert se_or(a, b) == se_or(b, a)
-    assert se_and(a, b).weight() <= min(a.weight(), b.weight())
-    assert se_or(a, b).weight() >= max(a.weight(), b.weight())
+    assert a & a == a
+    assert a | empty == a
+    assert a & empty == empty
+    assert a & b == b & a
+    assert a | b == b | a
+    assert (a & b).weight() <= min(a.weight(), b.weight())
+    assert (a | b).weight() >= max(a.weight(), b.weight())
 
 
 def test_register_width_mismatch():
     with pytest.raises(ConfigError):
-        se_and(ShortEstimator(0, g=8), ShortEstimator(0, g=16))
+        ShortEstimator(0, g=8) & ShortEstimator(0, g=16)
 
 
 def register_weight_after(oips: np.ndarray, tau: int) -> int:
@@ -133,7 +126,7 @@ def test_two_theta_distinct_oips_usually_hot():
 # --- configuration ----------------------------------------------------------
 
 def test_default_config_geometry():
-    cfg = make_config(r=4, sr=4, a=2)
+    cfg = SeavConfig(r=4, sr=4, a=2)
     assert cfg.isb == (0, 7, 14, 21)
     assert cfg.ibn == (9, 9, 9, 9)
     assert cfg.sc == (512, 512, 512, 512)
@@ -142,31 +135,31 @@ def test_default_config_geometry():
 
 
 def test_r0_config_geometry():
-    cfg = make_config(r=0, sr=4, a=2)
+    cfg = SeavConfig(r=0, sr=4, a=2)
     assert cfg.isb == (0, 8, 16, 24)
     assert cfg.ibn == (10, 10, 10, 10)
 
 
 def test_sr1_invalid():
     with pytest.raises(ConfigError):
-        make_config(sr=1)
+        SeavConfig(sr=1)
 
 
 def test_constraint2_violation_is_named():
     # 28 left-part bits cannot be split into 3 rows with exact 2-bit overlap.
     with pytest.raises(ConfigError, match="constraint 2"):
-        make_config(r=4, sr=3, a=2)
+        SeavConfig(r=4, sr=3, a=2)
 
 
 def test_index_width_bound():
     with pytest.raises(ConfigError):
-        make_config(r=16, sr=2, a=16)  # 8+16 > 16 left-part bits
+        SeavConfig(r=16, sr=2, a=16)  # 8+16 > 16 left-part bits
 
 
 def test_valid_alternate_geometries():
-    make_config(r=2, sr=3, a=2)   # 30 bits / 3 rows
-    make_config(r=2, sr=5, a=1)   # 30 bits / 5 rows
-    make_config(r=0, sr=8, a=3)   # 32 bits / 8 rows
+    SeavConfig(r=2, sr=3, a=2)   # 30 bits / 3 rows
+    SeavConfig(r=2, sr=5, a=1)   # 30 bits / 5 rows
+    SeavConfig(r=0, sr=8, a=3)   # 32 bits / 8 rows
 
 
 # --- index extraction and reconstruction ------------------------------------
@@ -183,54 +176,54 @@ def naive_index(cfg: SeavConfig, row: int, lp: int) -> int:
 
 
 def test_index_of_trivial():
-    cfg = make_config()
+    cfg = SeavConfig()
     for row in range(4):
-        assert cfg.index_of(row, 0) == 0
-        assert cfg.index_of(row, (1 << cfg.lp_bits) - 1) == 2 ** cfg.ibn[row] - 1
+        assert index_of(cfg, row, 0) == 0
+        assert index_of(cfg, row, (1 << cfg.lp_bits) - 1) == 2 ** cfg.ibn[row] - 1
 
 
 def test_index_of_row1_matches_oracle():
-    cfg = make_config(r=4, sr=4, a=2)
+    cfg = SeavConfig(r=4, sr=4, a=2)
     lp = 0b1011_0110_1001_1100_0101_1010_0011
-    assert cfg.index_of(1, lp) == naive_index(cfg, 1, lp)
+    assert index_of(cfg, 1, lp) == naive_index(cfg, 1, lp)
 
 
 @given(st.integers(min_value=0, max_value=2**28 - 1))
 def test_index_of_matches_oracle(lp):
-    cfg = make_config()
+    cfg = SeavConfig()
     for row in range(cfg.sr):
-        assert cfg.index_of(row, lp) == naive_index(cfg, row, lp)
+        assert index_of(cfg, row, lp) == naive_index(cfg, row, lp)
 
 
 def test_index_of_vectorized_matches_scalar():
-    cfg = make_config()
+    cfg = SeavConfig()
     lps = np.random.default_rng(1).integers(0, 2**28, size=2000, dtype=np.uint64)
     for row in range(cfg.sr):
         vec = cfg.index_of_array(row, lps)
-        assert vec.tolist() == [cfg.index_of(row, int(lp)) for lp in lps]
+        assert vec.tolist() == [index_of(cfg, row, int(lp)) for lp in lps]
 
 
 def test_index_row_out_of_range():
-    cfg = make_config()
+    cfg = SeavConfig()
     with pytest.raises(ConfigError):
-        cfg.index_of(4, 0)
+        index_of(cfg, 4, 0)
     with pytest.raises(ConfigError):
         cfg.index_of_array(-1, np.zeros(1, dtype=np.uint64))
 
 
 @given(st.integers(min_value=0, max_value=2**28 - 1))
 def test_lp_round_trip(lp):
-    cfg = make_config()
-    indexes = [cfg.index_of(i, lp) for i in range(cfg.sr)]
-    assert cfg.lp_from_indexes(indexes) == lp
+    cfg = SeavConfig()
+    indexes = [index_of(cfg, i, lp) for i in range(cfg.sr)]
+    assert lp_from_indexes(cfg, indexes) == lp
 
 
 def test_lp_round_trip_other_geometry():
-    cfg = make_config(r=2, sr=3, a=2)
+    cfg = SeavConfig(r=2, sr=3, a=2)
     rng = np.random.default_rng(9)
     for lp in rng.integers(0, 2**30, size=500, dtype=np.uint64).tolist():
-        indexes = [cfg.index_of(i, lp) for i in range(cfg.sr)]
-        assert cfg.lp_from_indexes(indexes) == lp
+        indexes = [index_of(cfg, i, lp) for i in range(cfg.sr)]
+        assert lp_from_indexes(cfg, indexes) == lp
 
 
 # --- sketch update ----------------------------------------------------------
@@ -242,13 +235,13 @@ def reference_update(cfg: SeavConfig, pairs, seeds: SeedFamily):
         rp = hip & ((1 << cfg.r) - 1)
         lp = hip >> cfg.r
         for i in range(cfg.sr):
-            key = (i, rp, cfg.index_of(i, lp))
+            key = (i, rp, index_of(cfg, i, lp))
             regs[key] = regs.get(key, ShortEstimator(0, cfg.g)).update(oip, cfg.tau, seeds)
     return {k: v for k, v in regs.items() if v.bits}
 
 
 def test_update_idempotent():
-    sk = SeavSketch(make_config(theta=8), SEEDS)  # tau=0: every pair lands
+    sk = SeavSketch(SeavConfig(theta=8), SEEDS)  # tau=0: every pair lands
     sk.update(123456, 789)
     snapshot = [r.copy() for r in sk.rows]
     sk.update(123456, 789)
@@ -256,7 +249,7 @@ def test_update_idempotent():
 
 
 def test_rp_routing_separates_arrays():
-    sk = SeavSketch(make_config(theta=8), SEEDS)
+    sk = SeavSketch(SeavConfig(theta=8), SEEDS)
     sk.update(0x10, 5)   # rp=0
     sk.update(0x13, 5)   # rp=3
     for row in sk.rows:
@@ -265,7 +258,7 @@ def test_rp_routing_separates_arrays():
 
 
 def test_batch_matches_reference_bit_exactly():
-    cfg = make_config(theta=64)  # tau=3 keeps some sampling in play
+    cfg = SeavConfig(theta=64)  # tau=3 keeps some sampling in play
     rng = np.random.default_rng(11)
     hips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
@@ -274,13 +267,13 @@ def test_batch_matches_reference_bit_exactly():
 
     ref = reference_update(cfg, zip(hips.tolist(), oips.tolist()), SEEDS)
     expected_bits = sum(se.weight() for se in ref.values())
-    assert sk.total_set_bits() == expected_bits
+    assert np.bitwise_count(sk.flat).sum() == expected_bits
     for (i, rp, col), se in ref.items():
         assert int(sk.rows[i][rp, col]) == se.bits
 
 
 def test_scalar_matches_batch():
-    cfg = make_config(theta=64)
+    cfg = SeavConfig(theta=64)
     rng = np.random.default_rng(12)
     hips = rng.integers(0, 2**32, size=800, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=800, dtype=np.uint64)
@@ -297,7 +290,7 @@ def test_scalar_matches_batch():
                 min_size=0, max_size=60),
        st.randoms(use_true_random=False))
 def test_permutation_invariance(pairs, rnd):
-    cfg = make_config(theta=8, r=2, sr=5, a=1)
+    cfg = SeavConfig(theta=8, r=2, sr=5, a=1)
     a = SeavSketch(cfg, SEEDS)
     b = SeavSketch(cfg, SEEDS)
     for hip, oip in pairs:
@@ -314,7 +307,7 @@ def test_permutation_invariance(pairs, rnd):
                 min_size=1, max_size=80),
        st.lists(st.integers(0, 3), min_size=80, max_size=80))
 def test_shard_merge_equivalence(pairs, assignment):
-    cfg = make_config(theta=8, r=2, sr=5, a=1)
+    cfg = SeavConfig(theta=8, r=2, sr=5, a=1)
     single = SeavSketch(cfg, SEEDS)
     shards = [SeavSketch(cfg, SEEDS) for _ in range(4)]
     for (hip, oip), wp in zip(pairs, assignment):
@@ -327,8 +320,8 @@ def test_shard_merge_equivalence(pairs, assignment):
 
 
 def test_merge_rejects_mismatched_config():
-    a = SeavSketch(make_config(), SEEDS)
-    b = SeavSketch(make_config(r=2, sr=5, a=1), SEEDS)
+    a = SeavSketch(SeavConfig(), SEEDS)
+    b = SeavSketch(SeavConfig(r=2, sr=5, a=1), SEEDS)
     with pytest.raises(ConfigError):
         a.merge(b)
 
@@ -336,12 +329,12 @@ def test_merge_rejects_mismatched_config():
 # --- restore ----------------------------------------------------------------
 
 def test_restore_empty():
-    sk = SeavSketch(make_config(), SEEDS)
+    sk = SeavSketch(SeavConfig(), SEEDS)
     assert sk.restore() == []
 
 
 def test_restore_single_heavy_host():
-    sk = SeavSketch(make_config(theta=1024), SEEDS)
+    sk = SeavSketch(SeavConfig(theta=1024), SEEDS)
     rng = np.random.default_rng(21)
     hip = 0xC0A80101
     oips = rng.integers(0, 2**32, size=4096, dtype=np.uint64)
@@ -358,7 +351,7 @@ def all_hot_left_parts(sk: SeavSketch, rp: int) -> list[int]:
     row: one per consistent tuple of hot columns."""
     cfg = sk.config
     return [lp for lp in range(1 << cfg.lp_bits)
-            if all(bin(int(sk.rows[i][rp, cfg.index_of(i, lp)])).count("1") >= 3
+            if all(bin(int(sk.rows[i][rp, index_of(cfg, i, lp)])).count("1") >= 3
                    for i in range(cfg.sr))]
 
 
@@ -369,14 +362,14 @@ def brute_force_restore(sk: SeavSketch, rp: int) -> set[int]:
     for lp in all_hot_left_parts(sk, rp):
         union = (1 << cfg.g) - 1
         for i in range(cfg.sr):
-            union &= int(sk.rows[i][rp, cfg.index_of(i, lp)])
+            union &= int(sk.rows[i][rp, index_of(cfg, i, lp)])
         if bin(union).count("1") >= 3:
             out.add((lp << cfg.r) | rp)
     return out
 
 
 def test_restore_matches_brute_force_on_small_address_space():
-    cfg = make_config(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(33)
     # 12-bit host space: plant heavy hosts and background chatter.
@@ -399,7 +392,7 @@ def test_restore_matches_brute_force_on_small_address_space():
 def test_restore_brute_force_planted_scenario():
     # Planted supers (2*theta peers) among light hosts (<= 8 peers), full
     # enumeration of the shrunken space as the completeness oracle.
-    cfg = make_config(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(52)
     hosts = rng.permutation(1 << 12)[: 20 + 1500].astype(np.uint64)
@@ -426,7 +419,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
     # The cap counts every consistent full tuple, light AND or not; small
     # join blocks must neither change the output nor the overflow point.
     monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
-    cfg = make_config(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(81)
     hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
@@ -446,7 +439,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
 
 
 def test_restore_output_sorted_and_unique():
-    sk = SeavSketch(make_config(theta=8), SEEDS)
+    sk = SeavSketch(SeavConfig(theta=8), SEEDS)
     rng = np.random.default_rng(4)
     for hip in rng.integers(0, 2**32, size=5, dtype=np.uint64).tolist():
         oips = rng.integers(0, 2**32, size=64, dtype=np.uint64)
@@ -457,7 +450,7 @@ def test_restore_output_sorted_and_unique():
 
 
 def test_restore_overflow_names_the_array():
-    sk = SeavSketch(make_config(), SEEDS, restore_cap=64)
+    sk = SeavSketch(SeavConfig(), SEEDS, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF  # every register of array rp=3 is hot
     with pytest.raises(SeaOverflowError) as err:
@@ -467,7 +460,7 @@ def test_restore_overflow_names_the_array():
 
 
 def test_restore_overflow_warns_and_continues():
-    sk = SeavSketch(make_config(), SEEDS, restore_cap=64)
+    sk = SeavSketch(SeavConfig(), SEEDS, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF
     rng = np.random.default_rng(5)
@@ -487,7 +480,7 @@ def test_candidate_type_fields():
 def test_wide_registers_work_end_to_end():
     # g=16 stores registers in uint16; update, weight, and restore all
     # have to survive the wider dtype.
-    cfg = make_config(theta=16, g=16)
+    cfg = SeavConfig(theta=16, g=16)
     assert cfg.memory_bytes() == 16 * 4 * 512 * 2
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(61)
@@ -498,11 +491,3 @@ def test_wide_registers_work_end_to_end():
     found = {c.ip for c in sk.restore()}
     assert hip in found
 
-
-def test_module_level_index_wrappers():
-    from sspd.short_sketch import index_of, lp_from_indexes
-
-    cfg = make_config()
-    lp = 0x0ABCDEF
-    idx = [index_of(cfg, i, lp) for i in range(cfg.sr)]
-    assert lp_from_indexes(cfg, idx) == lp

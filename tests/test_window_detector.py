@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from sspd.window_detector import (
-    DetectorParams,
-    DetectorState,
-    finalize_window,
-    process_pair,
-    reset,
-)
+from sspd.window_detector import DetectorParams, DetectorState
 
 PARAMS = DetectorParams(design_n=2e5)
 
@@ -23,7 +17,7 @@ def test_one_pair_touches_both_sketches():
     ldca_bits = int(np.unpackbits(st.ldca.data).sum())
     assert 1 <= ldca_bits <= st.ldca.config.lr
     # short-register touches happen only for sampled opposite IPs
-    assert st.seav.total_set_bits() in (0, st.seav.config.sr)
+    assert np.bitwise_count(st.seav.flat).sum() in (0, st.seav.config.sr)
 
 
 def test_stream_permutation_same_state():
@@ -144,7 +138,7 @@ def test_reset_clears_and_advances_window():
     assert st.pair_count == 0
     assert st.finalize_window() == []
     assert st.memory_bytes() == mem_before
-    assert st.seav.total_set_bits() == 0
+    assert np.bitwise_count(st.seav.flat).sum() == 0
     assert int(np.unpackbits(st.ldca.data).sum()) == 0
 
 
@@ -174,13 +168,3 @@ def test_end_to_end_determinism():
         runs.append(st.finalize_window())
     assert runs[0] == runs[1]
 
-
-def test_functional_wrappers():
-    st = fresh()
-    process_pair(st, 1, 2)
-    assert st.pair_count == 1
-    assert finalize_window(st) == []
-    with pytest.raises(ValueError):
-        finalize_window(st, theta=999)
-    reset(st)
-    assert st.window_id == 1
