@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Digest of the reports of one benchmark round per workload.
+
+Replays one round of each perfbench workload (the same inputs, windows and
+checks as ``perfbench/run.py`` at that seed, untimed) and prints the sha256
+of every window's ``report_key`` list, in window order.  Two checkouts
+whose digests match gave byte-identical reports.
+
+    python3 scripts/report_digests.py --seed 1
+    python3 scripts/report_digests.py --seed 1 --workload steady --workload flood
+
+Run from the repository root; sspd is imported from src/.
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import sspd  # noqa: E402
+import workloads  # noqa: E402
+from checks import report_key  # noqa: E402
+
+
+def round_reports(name: str, seed: int) -> tuple[list, int]:
+    """report_key of each window of one round, and the failed-check count."""
+    keys: dict[int, list] = {}
+    check = workloads.Loop.check
+
+    def keep_first(loop, position, reports, truth):
+        keys.setdefault(position, report_key(reports))
+        check(loop, position, reports, truth)
+
+    workloads.Loop.check = keep_first
+    try:
+        spec = workloads.SPECS[name]
+        # seconds=0: a run always finishes its first round, and stops there.
+        result = workloads.run(name, sspd, spec.build(sspd), seed, 0.0, None)
+    finally:
+        workloads.Loop.check = check
+    return [keys[p] for p in sorted(keys)], result.failed
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.SPECS),
+                    help="workload to replay (repeatable; default: all four)")
+    args = ap.parse_args()
+
+    for name in args.workload or list(workloads.SPECS):
+        keys, failed = round_reports(name, args.seed)
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+        print(f"{name:8} {digest}  windows={len(keys)} reports={sum(map(len, keys))} "
+              f"failed_checks={failed}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

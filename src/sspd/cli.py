@@ -175,12 +175,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for flag, value in (("--detect-every", detect_every), ("--buffer-pairs", buffer_pairs)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.k < 8 or args.k % 8:
+        raise ConfigError(f"--k must be a positive multiple of 8, got {args.k}")
     v = args.v
     if args.memory_budget is not None:
         v = max(1, 8 * args.memory_budget // args.k)
     window_slices = args.window_slices
     if window_slices is None:
         window_slices = max(1, round(args.window_seconds / args.slice_seconds))
+    elif window_slices < 1:
+        raise ConfigError(f"--window-slices must be >= 1, got {window_slices}")
     cfg = RunConfig(
         seed=args.seed, theta=args.theta, beta=args.beta, r=args.r, sr=args.sr,
         a=args.a, g=args.g, k=args.k, v=v, lr=args.lr, lc=args.lc,

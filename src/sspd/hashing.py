@@ -55,11 +55,27 @@ def mix64(x: int) -> int:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64; bit-identical to the scalar path."""
-    z = (x + np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized mix64; bit-identical to the scalar path.  ``x`` is not
+    written: the mixing runs in place on a uint64 copy of it."""
+    return _mix64_in_place(x.astype(np.uint64))
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """mix64 of every element of the uint64 array ``z``, written into ``z``.
+
+    Each step reuses one scratch array for its shift, so a call allocates
+    one array, not one per step.
+    """
+    z += np.uint64(_GOLDEN)
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(_MIX_A)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MIX_B)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 @lru_cache(maxsize=None)
@@ -101,17 +117,29 @@ class SeedFamily:
 
 
 def hash64_array(keys: np.ndarray, seed: HashSeed) -> np.ndarray:
-    return mix64_array(keys.astype(np.uint64, copy=False) ^ np.uint64(seed.value))
+    """Seeded 64-bit hash of each key, as a new array (``keys`` is not written)."""
+    z = keys.astype(np.uint64)
+    z ^= np.uint64(seed.value)
+    return _mix64_in_place(z)
 
 
 def hash_full_array(keys: np.ndarray, seed: HashSeed) -> np.ndarray:
-    return hash64_array(keys, seed) & np.uint64(MASK32)
+    h = hash64_array(keys, seed)
+    h &= np.uint64(MASK32)
+    return h
 
 
 def hash_range_array(keys: np.ndarray, seed: HashSeed, m: int) -> np.ndarray:
+    """Hash of each key reduced mod ``m``; a power-of-two ``m`` takes the
+    mask ``m - 1``, which gives the same values as the remainder."""
     if m < 1:
         raise ConfigError(f"hash_range modulus must be >= 1, got {m}")
-    return hash64_array(keys, seed) % np.uint64(m)
+    h = hash64_array(keys, seed)
+    if m & (m - 1):
+        h %= np.uint64(m)
+    else:
+        h &= np.uint64(m - 1)
+    return h
 
 
 def lsb_at_least(x: np.ndarray, tau: int) -> np.ndarray:

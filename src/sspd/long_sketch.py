@@ -79,7 +79,6 @@ class LdcaConfig:
         """Flat register number ``row * lc + column`` of each host, one row
         at a time; the column is the row's hash of the host IP.  Each row
         is a new array, which callers may change in place."""
-        hips = hips.astype(np.uint64, copy=False)
         for i in range(self.lr):
             reg = hash_range_array(hips, seeds.lh(i), self.lc).view(np.int64)
             reg += i * self.lc
@@ -118,15 +117,23 @@ class LdcaSketch:
         self.update_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
 
     def update_batch(self, hips: np.ndarray, oips: np.ndarray):
-        """Record a batch of IP pairs (vectorized, integer arithmetic only)."""
+        """Record a batch of IP pairs (vectorized, integer arithmetic only).
+
+        The pairs are grouped once by bit-in-byte ``bit & 7``; each row then
+        ORs one mask into each group's bytes with a plain gather and
+        scatter.  That is exact even where a byte repeats in a group, since
+        every copy of it writes the same value.
+        """
         bit, registers = self.config.addresses(self.seeds, hips, oips)
         byte = bit >> 3
-        mask = np.left_shift(1, bit & 7).astype(np.uint8)
+        bit &= 7
+        groups = [(np.flatnonzero(bit == j), np.uint8(1 << j)) for j in range(8)]
         flat = self.data.reshape(-1)
         for reg in registers:
             reg *= self.bytes_per_ldc
             reg += byte
-            np.bitwise_or.at(flat, reg, mask)
+            for pos, mask in groups:
+                flat[reg[pos]] |= mask
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
         """Zero-bit count of each host's AND-union register.
@@ -187,6 +194,8 @@ def plan_rows(v: int, n_pairs: float, k: int,
     """
     if v < 1 or n_pairs <= 0 or k < 2:
         raise ConfigError("plan_rows arguments must be positive (k >= 2)")
+    if max_rows is not None and max_rows < 1:
+        raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
     raw = -v * math.log(2.0) / (n_pairs * math.log(1.0 - 1.0 / k))
     lr = max(1, round(raw))
     if max_rows is not None:

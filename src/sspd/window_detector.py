@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .hashing import DEFAULT_MASTER_SEED, SeedFamily
 from .long_sketch import (
     DEFAULT_DESIGN_N,
@@ -61,6 +62,8 @@ def split_windows(slices: np.ndarray, window_slices: int):
     """Pair indexes of each discrete window, as (window id, indexes) in
     window order.  One stable sort on the window id keeps each window's
     pairs in stream order."""
+    if window_slices < 1:
+        raise ConfigError(f"window must span >= 1 slice, got {window_slices}")
     window_ids = slices.astype(np.int64) // window_slices
     order = np.argsort(window_ids, kind="stable")
     window_ids = window_ids[order]

@@ -239,6 +239,7 @@ def test_criterion_09_memory_accounting():
 
 SCAN_PATH = [
     (sspd.hashing, "mix64"), (sspd.hashing, "mix64_array"),
+    (sspd.hashing, "_mix64_in_place"),
     (sspd.hashing, "derive_seed"), (sspd.hashing, "hash64_array"),
     (sspd.hashing, "hash_full_array"), (sspd.hashing, "hash_range_array"),
     (sspd.hashing, "lsb_at_least"),

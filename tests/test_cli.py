@@ -152,6 +152,12 @@ def test_plan_unclamped(capsys):
     assert "LR=47" in capsys.readouterr().out
 
 
+def test_plan_zero_max_rows_is_config_error(capsys):
+    code = run(["plan", "--v", 8192, "--n", 1e6, "--k", 8192, "--max-rows", 0])
+    assert code == 2
+    assert "error: config" in capsys.readouterr().err
+
+
 def test_memory_budget_maps_to_v(tmp_path, trace_file):
     out = tmp_path / "budget.csv"
     run(["detect", "--trace", trace_file, "--out", out,
@@ -171,11 +177,15 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("slide", ["--detect-every", 0]),
     ("slide", ["--slice-seconds", 0]),
     ("distsim", ["--buffer-pairs", 0]),
-], ids=["detect-every", "slice-seconds", "buffer-pairs"])
+    ("detect", ["--k", 0, "--memory-budget", 5]),
+    ("detect", ["--window-slices", 0]),
+], ids=["detect-every", "slice-seconds", "buffer-pairs", "k-with-memory-budget",
+        "window-slices"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
-    # a traceback instead of failing inside the test process.
-    argv = [command, "--trace", trace_file, "--out", tmp_path / "x.csv", *flag, *SMALL_FLAGS]
+    # a traceback instead of failing inside the test process.  The flag
+    # comes last, so it overrides the same flag in SMALL_FLAGS.
+    argv = [command, "--trace", trace_file, "--out", tmp_path / "x.csv", *SMALL_FLAGS, *flag]
     if command == "distsim":
         argv += ["--merge-log", tmp_path / "log.txt"]
     env = {**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])}

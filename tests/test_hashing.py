@@ -89,6 +89,26 @@ def test_hash_range_buckets_near_uniform():
     assert np.all(np.abs(freqs - 1 / 8) < 0.01 * (1 / 8))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 1000, 1024, 8192, 2**31, 2**32 + 3, 2**40])
+def test_hash_range_array_matches_scalar(m):
+    # Powers of two take the mask, the others the remainder; both must
+    # give the scalar oracle's values.
+    keys = KEYS_1M[:512]
+    expected = [hash_range(k, H2, m) for k in keys.tolist()]
+    assert hash_range_array(keys, H2, m).tolist() == expected
+    assert hash_range_array(keys.astype(np.uint32), H2, m).tolist() == expected
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint32])
+def test_array_hashes_leave_input_unchanged(dtype):
+    keys = KEYS_1M[:4096].astype(dtype)
+    before = keys.copy()
+    for out in (mix64_array(keys), hash64_array(keys, H1), hash_full_array(keys, H1),
+                hash_range_array(keys, H2, 1024), hash_range_array(keys, H2, 1000)):
+        assert out.dtype == np.uint64 and not np.shares_memory(out, keys)
+        assert np.array_equal(keys, before)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=1, max_value=10_000))
 def test_hash_range_pure(key, m):

@@ -145,6 +145,32 @@ def test_batch_matches_scalar():
     assert (c.data == b.data).all()
 
 
+@pytest.mark.parametrize("lc, k", [(32, 256), (30, 264)], ids=["power-of-two", "other"])
+def test_batch_with_repeated_bytes_matches_scalar(lc, k):
+    # Few hosts, each pair sent ~20 times in shuffled order: every row hits
+    # the same bytes again and again, within and across bit-in-byte groups.
+    rng = np.random.default_rng(15)
+    hosts = rng.integers(0, 2**32, size=4, dtype=np.uint64)
+    hips = np.repeat(hosts, 40)
+    oips = rng.integers(0, 2**32, size=len(hips), dtype=np.uint64)
+    order = rng.permutation(np.repeat(np.arange(len(hips)), 20))
+    hips, oips = hips[order], oips[order]
+    assert {hash_range(o, SEEDS.h3, k) & 7 for o in oips.tolist()} == set(range(8))
+    a = small_sketch(lr=3, lc=lc, k=k)
+    b = small_sketch(lr=3, lc=lc, k=k)
+    a.update_batch(hips, oips)
+    for hip, oip in set(zip(hips.tolist(), oips.tolist())):
+        reference_update(b, hip, oip)
+    assert (a.data == b.data).all()
+
+    empty = np.zeros(0, dtype=np.uint64)
+    a.update_batch(empty, empty)
+    assert (a.data == b.data).all()
+    a.update_batch(np.array([7], dtype=np.uint32), np.array([9], dtype=np.uint32))
+    reference_update(b, 7, 9)
+    assert (a.data == b.data).all()
+
+
 def test_shard_merge_equals_single_stream():
     rng = np.random.default_rng(14)
     hips = rng.integers(0, 2**32, size=4000, dtype=np.uint64)
@@ -287,6 +313,10 @@ def test_plan_rows_clamps_to_one():
 def test_plan_rows_rejects_bad_args():
     with pytest.raises(ConfigError):
         plan_rows(0, 1e6, 8192)
+    with pytest.raises(ConfigError):
+        plan_rows(8192, 1e6, 8192, max_rows=0)
+    with pytest.raises(ConfigError):
+        plan_rows(8192, 1e6, 8192, max_rows=-3)
     with pytest.raises(ConfigError):
         plan_rows(8192, 0, 8192)
     with pytest.raises(ConfigError):

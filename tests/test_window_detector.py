@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sspd.window_detector import DetectorParams, DetectorState
+from sspd.errors import ConfigError
+from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
 PARAMS = DetectorParams(design_n=2e5)
 
@@ -168,3 +169,11 @@ def test_end_to_end_determinism():
         runs.append(st.finalize_window())
     assert runs[0] == runs[1]
 
+
+
+def test_split_windows_keeps_stream_order():
+    slices = np.array([5, 0, 3, 9, 1, 4, 0], dtype=np.uint32)
+    windows = [(wid, sel.tolist()) for wid, sel in split_windows(slices, 3)]
+    assert windows == [(0, [1, 4, 6]), (1, [0, 2, 5]), (3, [3])]
+    with pytest.raises(ConfigError):
+        next(split_windows(slices, 0))
