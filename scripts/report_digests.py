@@ -4,7 +4,8 @@
 Replays one round of each perfbench workload (the same inputs, windows and
 checks as ``perfbench/run.py`` at that seed, untimed) and prints the sha256
 of every window's ``report_key`` list, in window order.  Two checkouts
-whose digests match gave byte-identical reports.
+whose digests match gave byte-identical reports.  Exits 1 when any
+workload fails a check.
 
     python3 scripts/report_digests.py --seed 1
     python3 scripts/report_digests.py --seed 1 --workload steady --workload flood
@@ -51,12 +52,14 @@ def main() -> int:
                     help="workload to replay (repeatable; default: all four)")
     args = ap.parse_args()
 
+    any_failed = False
     for name in args.workload or list(workloads.SPECS):
         keys, failed = round_reports(name, args.seed)
         digest = hashlib.sha256(repr(keys).encode()).hexdigest()
         print(f"{name:8} {digest}  windows={len(keys)} reports={sum(map(len, keys))} "
               f"failed_checks={failed}")
-    return 0
+        any_failed |= failed > 0
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,76 +37,47 @@ from .window_detector import DetectionReport, DetectorParams, DetectorState, spl
 REPORT_COLUMNS = "window_id,ip,estimated_cardinality,saturated"
 METRIC_COLUMNS = "window_id,FPR,FNR,FTR,detected,truth"
 
-# Sketch knob defaults: DetectorParams holds them, flags and RunConfig read them.
+# Sketch knob defaults: DetectorParams holds them, the flags read them.
 DEFAULTS = DetectorParams()
 
 
 @dataclass
 class RunConfig:
-    """Resolved flags for one invocation."""
+    """Resolved flags for one invocation: the detector's knobs plus the
+    knobs of the run that drives it."""
 
-    seed: int = DEFAULTS.master_seed
-    theta: int = DEFAULTS.theta
-    beta: float = DEFAULTS.beta
-    r: int = DEFAULTS.r
-    sr: int = DEFAULTS.sr
-    a: int = DEFAULTS.a
-    g: int = DEFAULTS.g
-    k: int = DEFAULTS.k
-    v: int = DEFAULTS.v
-    lr: int | None = None
-    lc: int | None = None
-    design_n: float = DEFAULTS.design_n
-    window_seconds: float = 300.0
+    params: DetectorParams = field(default_factory=DetectorParams)
     slice_seconds: float = 1.0
     window_slices: int = 300
     detect_every: int = 1
     n_wp: int = 4
     route: str = "hash"
     buffer_pairs: int = DEFAULT_BUFFER_PAIRS
-    restore_cap: int = DEFAULTS.restore_cap
     threads: int = 1
-
-    def detector_params(self) -> DetectorParams:
-        return DetectorParams(
-            theta=self.theta, r=self.r, sr=self.sr, a=self.a, g=self.g,
-            k=self.k, lr=self.lr, lc=self.lc, v=self.v,
-            design_n=self.design_n, beta=self.beta, master_seed=self.seed,
-            restore_cap=self.restore_cap,
-        )
-
-    def resolved(self) -> "RunConfig":
-        """Fill in planner-chosen row geometry so headers are complete."""
-        if self.lr is None:
-            lr, lc = plan_rows(self.v, self.design_n, self.k)
-        else:
-            lr = self.lr
-            lc = self.lc if self.lc is not None else self.v // self.lr
-        return replace(self, lr=lr, lc=lc)
 
     def detection_fields(self) -> dict[str, object]:
         """Fields that determine detection output (topology knobs excluded,
         so sharded and single-node runs of the same trace emit identical
         report files)."""
-        c = self.resolved()
-        params = c.detector_params()
+        p = self.params
+        ldca = p.ldca_config()
         return {
-            "seed": f"0x{c.seed:X}",
-            "theta": c.theta,
-            "beta": c.beta,
-            "r": c.r,
-            "sr": c.sr,
-            "a": c.a,
-            "g": c.g,
-            "k": c.k,
-            "lr": c.lr,
-            "lc": c.lc,
-            "design_n": f"{c.design_n:g}",
-            "window_slices": c.window_slices,
-            "slice_seconds": f"{c.slice_seconds:g}",
-            "restore_cap": c.restore_cap,
-            "seav_bytes": params.seav_config().memory_bytes(),
-            "ldca_bytes": params.ldca_config().memory_bytes(),
+            "seed": f"0x{p.master_seed:X}",
+            "theta": p.theta,
+            "beta": p.beta,
+            "r": p.r,
+            "sr": p.sr,
+            "a": p.a,
+            "g": p.g,
+            "k": p.k,
+            "lr": ldca.lr,
+            "lc": ldca.lc,
+            "design_n": f"{p.design_n:g}",
+            "window_slices": self.window_slices,
+            "slice_seconds": f"{self.slice_seconds:g}",
+            "restore_cap": p.restore_cap,
+            "seav_bytes": p.seav_config().memory_bytes(),
+            "ldca_bytes": ldca.memory_bytes(),
         }
 
     def topology_fields(self) -> dict[str, object]:
@@ -164,38 +135,36 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
                    help="window length in slices (default: window-seconds/slice-seconds)")
     p.add_argument("--restore-cap", type=int, default=DEFAULTS.restore_cap,
                    help="max surviving candidate tuples per register array")
-    p.add_argument("--threads", type=int, default=1, help="scanner thread cap")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     detect_every = getattr(args, "detect_every", 1)
     buffer_pairs = getattr(args, "buffer_pairs", DEFAULT_BUFFER_PAIRS)
+    threads = getattr(args, "threads", 1)
     if not args.slice_seconds > 0:  # also refuses NaN
         raise ConfigError(f"--slice-seconds must be > 0, got {args.slice_seconds:g}")
-    for flag, value in (("--detect-every", detect_every), ("--buffer-pairs", buffer_pairs)):
+    for flag, value in (("--detect-every", detect_every), ("--buffer-pairs", buffer_pairs),
+                        ("--threads", threads)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.k < 8 or args.k % 8:
         raise ConfigError(f"--k must be a positive multiple of 8, got {args.k}")
     v = args.v
     if args.memory_budget is not None:
-        v = max(1, 8 * args.memory_budget // args.k)
+        v = 8 * args.memory_budget // args.k
     window_slices = args.window_slices
     if window_slices is None:
         window_slices = max(1, round(args.window_seconds / args.slice_seconds))
     elif window_slices < 1:
         raise ConfigError(f"--window-slices must be >= 1, got {window_slices}")
-    cfg = RunConfig(
-        seed=args.seed, theta=args.theta, beta=args.beta, r=args.r, sr=args.sr,
-        a=args.a, g=args.g, k=args.k, v=v, lr=args.lr, lc=args.lc,
-        design_n=args.design_n, window_seconds=args.window_seconds,
-        slice_seconds=args.slice_seconds, window_slices=window_slices,
-        detect_every=detect_every,
-        n_wp=getattr(args, "n_wp", 4), route=getattr(args, "route", "hash"),
-        buffer_pairs=buffer_pairs,
-        restore_cap=args.restore_cap, threads=args.threads,
-    )
-    return cfg
+    params = DetectorParams(
+        theta=args.theta, r=args.r, sr=args.sr, a=args.a, g=args.g, k=args.k,
+        lr=args.lr, lc=args.lc, v=v, design_n=args.design_n, beta=args.beta,
+        master_seed=args.seed, restore_cap=args.restore_cap)
+    return RunConfig(
+        params=params, slice_seconds=args.slice_seconds, window_slices=window_slices,
+        detect_every=detect_every, n_wp=getattr(args, "n_wp", 4),
+        route=getattr(args, "route", "hash"), buffer_pairs=buffer_pairs, threads=threads)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -216,8 +185,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _detect_windows(cfg: RunConfig, trace) -> tuple[list[DetectionReport], list[int]]:
-    params = cfg.detector_params()
-    state = DetectorState.create(params)
+    state = DetectorState.create(cfg.params)
     reports: list[DetectionReport] = []
     windows: list[int] = []
     for wid, sel in split_windows(trace.slices, cfg.window_slices):
@@ -244,7 +212,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_slide(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
-    detector = SlidingDetector(cfg.detector_params(), window_slices=cfg.window_slices)
+    detector = SlidingDetector(cfg.params, window_slices=cfg.window_slices)
     order = np.argsort(trace.slices, kind="stable")
     slices = trace.slices[order].astype(np.int64)
     hips, oips = trace.hips[order], trace.oips[order]
@@ -268,13 +236,12 @@ def cmd_slide(args: argparse.Namespace) -> int:
 def cmd_distsim(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
-    params = cfg.detector_params()
     frames_dir = args.frames_dir
     if frames_dir is None:
         out = Path(args.out)
         frames_dir = out.with_name(out.stem + "_frames")
     results = simulate_topology(
-        params, trace.slices, trace.hips, trace.oips, cfg.n_wp,
+        cfg.params, trace.slices, trace.hips, trace.oips, cfg.n_wp,
         route=cfg.route, window_slices=cfg.window_slices,
         buffer_pairs=cfg.buffer_pairs, threads=cfg.threads,
         frames_dir=frames_dir)
@@ -287,7 +254,7 @@ def cmd_distsim(args: argparse.Namespace) -> int:
     log_lines = header_lines("distsim", {**cfg.detection_fields(),
                                          **cfg.topology_fields()})
     ok = True
-    shadow = simulate_topology(params, trace.slices, trace.hips, trace.oips,
+    shadow = simulate_topology(cfg.params, trace.slices, trace.hips, trace.oips,
                                1, route="round-robin",
                                window_slices=cfg.window_slices,
                                buffer_pairs=cfg.buffer_pairs)
@@ -399,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames-dir", default=None)
     p.add_argument("--merge-log", default="merge_log.txt")
     _add_sketch_flags(p)
+    p.add_argument("--threads", type=int, default=1, help="scanner thread cap")
     p.set_defaults(func=cmd_distsim)
 
     p = sub.add_parser("eval", help="score a report CSV against a truth sidecar")

@@ -18,7 +18,8 @@ Frame wire format (little-endian, fixed width):
     40      n     payload (raw register bytes)
     40+n    4     CRC-32 of everything before it
 
-Frames merge only when their config blocks are byte-identical.
+Frames of one kind merge only when their config blocks are byte-identical,
+and the two kinds only when they carry the same master seed.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ class SketchFrame:
     config_block: bytes
     window_id: int
     payload: bytes
-
-
-def _config_block(params: DetectorParams, ldca: LdcaConfig) -> bytes:
-    return _CONFIG.pack(params.r, params.sr, params.a, params.g,
-                        params.theta, ldca.k, ldca.lr, ldca.lc,
-                        params.master_seed)
 
 
 def serialize(sketch: SeavSketch | LdcaSketch, window_id: int) -> bytes:
@@ -147,6 +142,9 @@ def merge_frames(frames: list[SketchFrame]) -> tuple[SeavSketch, LdcaSketch]:
     window_ids = {f.window_id for f in frames}
     if len(window_ids) != 1:
         raise MergeError(f"frames span windows {sorted(window_ids)}")
+    # Both kinds' config blocks end in the master seed (u64).
+    if len({f.config_block[-8:] for f in frames}) != 1:
+        raise MergeError("frames carry different master seeds")
     merged: list[SeavSketch | LdcaSketch] = []
     for kind in (KIND_SEAV, KIND_LDCA):
         group = by_kind[kind]
@@ -223,7 +221,6 @@ def simulate_window(params: DetectorParams, window_id: int,
                     hips: np.ndarray, oips: np.ndarray, n_wp: int,
                     route: str = "hash",
                     buffer_pairs: int = DEFAULT_BUFFER_PAIRS,
-                    beta: float | None = None,
                     threads: int = 1,
                     frames_dir: Path | str | None = None) -> WindowResult:
     """Scan one window's pairs on n_wp simulated watch points and merge.
@@ -257,7 +254,7 @@ def simulate_window(params: DetectorParams, window_id: int,
     global_seav, global_ldca = merge_frames(frames)
     global_state = DetectorState(seav=global_seav, ldca=global_ldca,
                                  window_id=window_id, params=params)
-    reports = global_state.finalize_window(beta=beta)
+    reports = global_state.finalize_window()
     return WindowResult(window_id=window_id, reports=reports,
                         global_seav=global_seav, global_ldca=global_ldca,
                         frames=frames)
@@ -268,12 +265,11 @@ def simulate_topology(params: DetectorParams, slices: np.ndarray,
                       n_wp: int, route: str = "hash",
                       window_slices: int = 300,
                       buffer_pairs: int = DEFAULT_BUFFER_PAIRS,
-                      beta: float | None = None,
                       threads: int = 1,
                       frames_dir: Path | str | None = None) -> list[WindowResult]:
     """Partition a whole trace into discrete windows and run each through
     the simulated topology."""
     return [simulate_window(params, wid, hips[sel], oips[sel], n_wp, route=route,
-                            buffer_pairs=buffer_pairs, beta=beta, threads=threads,
+                            buffer_pairs=buffer_pairs, threads=threads,
                             frames_dir=frames_dir)
             for wid, sel in split_windows(slices, window_slices)]

@@ -187,8 +187,7 @@ class SlidingDetector:
         register."""
         return ldc_estimates(self.zero_counts(hips), self.ldca_config.k)
 
-    def detect(self, beta: float | None = None) -> list[DetectionReport]:
+    def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
-        beta = self.params.beta if beta is None else beta
         return report_candidates(self.materialize_seav(), self.estimate,
-                                 beta * self.params.theta, self.now, "sliding")
+                                 self.params.beta * self.params.theta, self.now, "sliding")

@@ -73,9 +73,13 @@ def split_windows(slices: np.ndarray, window_slices: int):
         yield wid, order[bounds[j]:bounds[j + 1]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorParams:
-    """Everything needed to build a detector; both sketches share theta."""
+    """Every detector knob; both sketches share theta.
+
+    Construction validates the knobs and builds both sketch geometries
+    once, so a bad value fails here rather than mid-run.
+    """
 
     theta: int = 1024
     r: int = 4
@@ -84,26 +88,43 @@ class DetectorParams:
     g: int = 8
     k: int = DEFAULT_K
     lr: int | None = None       # None: planned from (v, design_n, k)
-    lc: int | None = None
+    lc: int | None = None       # None: v // lr
     v: int = DEFAULT_V
     design_n: float = DEFAULT_DESIGN_N
     beta: float = DEFAULT_BETA
     master_seed: int = DEFAULT_MASTER_SEED
     restore_cap: int = DEFAULT_RESTORE_CAP
-    addr_bits: int = 32
+    _seav: SeavConfig = field(init=False, repr=False, compare=False)
+    _ldca: LdcaConfig = field(init=False, repr=False, compare=False)
 
-    def seav_config(self) -> SeavConfig:
-        return SeavConfig(r=self.r, sr=self.sr, a=self.a, theta=self.theta,
-                          g=self.g, addr_bits=self.addr_bits)
-
-    def ldca_config(self) -> LdcaConfig:
+    def __post_init__(self):
+        if not self.beta > 0:  # also refuses NaN
+            raise ConfigError(f"beta must be > 0, got {self.beta:g}")
+        if self.v < 1:
+            raise ConfigError(f"v must be >= 1, got {self.v}")
+        if not self.design_n > 0:
+            raise ConfigError(f"design_n must be > 0, got {self.design_n:g}")
+        if self.restore_cap < 1:
+            raise ConfigError(f"restore_cap must be >= 1, got {self.restore_cap}")
+        if self.lc is not None and self.lr is None:
+            raise ConfigError("lc needs lr: set both, or lr alone for lc = v // lr")
+        if self.lr is not None and self.lr < 1:
+            raise ConfigError(f"lr must be >= 1, got {self.lr}")
+        object.__setattr__(self, "_seav", SeavConfig(
+            r=self.r, sr=self.sr, a=self.a, theta=self.theta, g=self.g))
         lr, lc = self.lr, self.lc
         if lr is None:
             lr, lc = plan_rows(self.v, self.design_n, self.k)
         elif lc is None:
             lc = self.v // lr
+        object.__setattr__(self, "_ldca", LdcaConfig(lr=lr, lc=lc, k=self.k))
         check_noise(self.k, self.design_n, lc, lr)
-        return LdcaConfig(lr=lr, lc=lc, k=self.k)
+
+    def seav_config(self) -> SeavConfig:
+        return self._seav
+
+    def ldca_config(self) -> LdcaConfig:
+        return self._ldca
 
 
 @dataclass
@@ -137,16 +158,14 @@ class DetectorState:
         self.ldca.update_batch(hips, oips)
         self.pair_count += len(hips)
 
-    def finalize_window(self, beta: float | None = None,
-                        source: str = "discrete") -> list[DetectionReport]:
+    def finalize_window(self) -> list[DetectionReport]:
         """Restore candidates, keep those whose counter estimate clears
         beta * theta (or saturates), sorted by IP.
 
         Per-array restore overflows surface as warnings, not failures.
         """
-        beta = self.params.beta if beta is None else beta
-        return report_candidates(self.seav, self.ldca.estimate, beta * self.theta,
-                                 self.window_id, source)
+        return report_candidates(self.seav, self.ldca.estimate,
+                                 self.params.beta * self.theta, self.window_id, "discrete")
 
     def reset(self):
         """Zero all registers for the next window; config and seeds stay."""

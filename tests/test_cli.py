@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import sspd
-from sspd.cli import main
+from sspd.cli import RunConfig, main
 from sspd.evaluation import read_trace, truth_path
 
 
@@ -179,13 +179,23 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("distsim", ["--buffer-pairs", 0]),
     ("detect", ["--k", 0, "--memory-budget", 5]),
     ("detect", ["--window-slices", 0]),
+    ("detect", ["--beta", -1]),
+    ("detect", ["--beta", "nan"]),
+    ("detect", ["--memory-budget", 0]),
+    ("detect", ["--restore-cap", 0]),
+    ("detect", ["--lr", 0]),
+    ("detect", ["--lc", 64]),
+    ("distsim", ["--threads", 0]),
 ], ids=["detect-every", "slice-seconds", "buffer-pairs", "k-with-memory-budget",
-        "window-slices"])
+        "window-slices", "negative-beta", "nan-beta", "zero-memory-budget",
+        "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
     # a traceback instead of failing inside the test process.  The flag
-    # comes last, so it overrides the same flag in SMALL_FLAGS.
-    argv = [command, "--trace", trace_file, "--out", tmp_path / "x.csv", *SMALL_FLAGS, *flag]
+    # comes last, so it overrides the same flag before it; no --lr or --lc
+    # comes before it, so that "--lc without --lr" can be tried.
+    argv = [command, "--trace", trace_file, "--out", tmp_path / "x.csv",
+            "--k", 4096, "--design-n", 4000, *flag]
     if command == "distsim":
         argv += ["--merge-log", tmp_path / "log.txt"]
     env = {**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])}
@@ -194,6 +204,48 @@ def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: config:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "slide"])
+def test_threads_is_a_distsim_flag_only(tmp_path, trace_file, command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--trace", trace_file, "--out", tmp_path / "x.csv", "--threads", 2])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_default_detection_fields():
+    assert RunConfig().detection_fields() == {
+        "seed": "0x5EED", "theta": 1024, "beta": 0.8, "r": 4, "sr": 4, "a": 2, "g": 8,
+        "k": 8192, "lr": 8, "lc": 1024, "design_n": "1e+06", "window_slices": 300,
+        "slice_seconds": "1", "restore_cap": 1 << 20, "seav_bytes": 32768,
+        "ldca_bytes": 8388608,
+    }
+
+
+def test_readme_walkthrough_scaled_down(tmp_path, monkeypatch):
+    # README steps 1-6 in order, with smaller traces and sketches.
+    monkeypatch.chdir(tmp_path)
+    steps = [
+        ["generate", "--out", "demo.bin", "--n-super", 5, "--super-card", 2048, 2048,
+         "--n-background", 500, "--n-pairs", 20000],
+        ["detect", "--trace", "demo.bin", "--out", "reports.csv", *SMALL_FLAGS],
+        ["eval", "--reports", "reports.csv", "--truth", "demo.bin.truth", "--theta", 1024,
+         "--out", "metrics.csv"],
+        ["distsim", "--trace", "demo.bin", "--out", "dist.csv", "--n-wp", 4,
+         "--route", "hash", "--frames-dir", "frames/", "--merge-log", "merge_log.txt",
+         *SMALL_FLAGS],
+        ["generate", "--out", "sliding.bin", "--slices", 6, "--n-pairs", 5000,
+         "--n-super", 1, "--super-card", 4096, 4096, "--n-background", 50],
+        ["slide", "--trace", "sliding.bin", "--out", "slide.csv", "--window-slices", 3,
+         *SMALL_FLAGS],
+        ["plan", "--v", 8192, "--n", 1e6, "--k", 8192],
+    ]
+    for argv in steps:
+        assert run(argv) == 0, argv
+    assert Path("reports.csv").read_bytes() == Path("dist.csv").read_bytes()
+    assert len(list(Path("frames").iterdir())) == 8
 
 
 def test_data_error_exit_code(tmp_path, capsys):

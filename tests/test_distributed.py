@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,15 @@ def test_merge_rejects_config_mismatch():
                                                 design_n=4e3))
     with pytest.raises(MergeError, match="config"):
         merge_frames(frames_for(st) + frames_for(other))
+
+
+def test_merge_rejects_seed_mismatch_across_kinds():
+    st, hips, oips = random_states()
+    other = DetectorState.create(replace(PARAMS, master_seed=PARAMS.master_seed + 1))
+    other.process_batch(hips, oips)
+    frames = [parse_frame(serialize(st.seav, 0)), parse_frame(serialize(other.ldca, 0))]
+    with pytest.raises(MergeError, match="seed"):
+        merge_frames(frames)
 
 
 def test_merge_config_block_compares_bytes():

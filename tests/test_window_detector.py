@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,31 @@ def test_register_sharing_candidate_filtered_by_counter_stage():
 
 
 def test_lower_beta_never_removes_reports():
-    st = fresh()
+    st = fresh(replace(PARAMS, beta=1.0))
     rng = np.random.default_rng(30)
     for hip in rng.integers(0, 2**32, size=6, dtype=np.uint64).tolist():
         heavy_host(st, hip, int(rng.integers(700, 3000)), rng)
-    strict = {r.ip for r in st.finalize_window(beta=1.0)}
-    loose = {r.ip for r in st.finalize_window(beta=0.5)}
-    assert strict <= loose
+    loose = DetectorState(seav=st.seav, ldca=st.ldca, params=replace(PARAMS, beta=0.5))
+    strict = {r.ip for r in st.finalize_window()}
+    assert strict <= {r.ip for r in loose.finalize_window()}
+
+
+@pytest.mark.parametrize("knobs", [
+    {"beta": 0}, {"beta": -1}, {"beta": float("nan")}, {"v": 0}, {"design_n": 0},
+    {"design_n": float("nan")}, {"restore_cap": 0}, {"lr": 0}, {"lr": -2},
+    {"lr": 2, "lc": 0}, {"lc": 64}, {"lr": 9000}, {"sr": 1}, {"k": 12, "lr": 2},
+], ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()))
+def test_params_refuse_bad_knobs_at_construction(knobs):
+    with pytest.raises(ConfigError):
+        DetectorParams(**knobs)
+
+
+def test_params_plan_rows_once():
+    params = DetectorParams()
+    assert (params.ldca_config().lr, params.ldca_config().lc) == (8, 1024)
+    assert params.ldca_config() is params.ldca_config()
+    assert params.seav_config() is params.seav_config()
+    assert DetectorParams(lr=4).ldca_config().lc == 8192 // 4
 
 
 def test_reports_come_from_restore_only():
