@@ -122,7 +122,7 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
     p.add_argument("--a", type=int, default=DEFAULTS.a, help="index overlap bits between rows")
     p.add_argument("--g", type=int, default=DEFAULTS.g, help="short register width in bits")
     p.add_argument("--k", type=int, default=DEFAULTS.k, help="long register width in bits")
-    p.add_argument("--v", type=int, default=DEFAULTS.v, help="total long-register budget")
+    p.add_argument("--v", type=int, default=None, help="total long-register budget")
     p.add_argument("--lr", type=int, default=None, help="long rows (default: planned)")
     p.add_argument("--lc", type=int, default=None, help="long columns (default: v // lr)")
     p.add_argument("--design-n", type=float, default=DEFAULTS.design_n,
@@ -149,7 +149,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.k < 8 or args.k % 8:
         raise ConfigError(f"--k must be a positive multiple of 8, got {args.k}")
-    v = args.v
+    if None not in (args.lr, args.lc) and (args.v, args.memory_budget) != (None, None):
+        raise ConfigError("--v and --memory-budget have no effect once --lr and --lc are set")
+    v = DEFAULTS.v if args.v is None else args.v
     if args.memory_budget is not None:
         v = 8 * args.memory_budget // args.k
     window_slices = args.window_slices

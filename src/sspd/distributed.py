@@ -18,8 +18,9 @@ Frame wire format (little-endian, fixed width):
     40      n     payload (raw register bytes)
     40+n    4     CRC-32 of everything before it
 
-Frames of one kind merge only when their config blocks are byte-identical,
-and the two kinds only when they carry the same master seed.
+The global server merges a frame only when its config block equals, byte
+for byte, the block the server's own sketch of that kind encodes: the
+receiver, not the frames, says which detector a window belongs to.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .errors import (
     MergeError,
 )
 from .hashing import SeedFamily, hash_range_array
-from .long_sketch import LdcaConfig, LdcaSketch
-from .short_sketch import SeavConfig, SeavSketch
+from .long_sketch import LdcaSketch
+from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, DetectorState, split_windows
 
 MAGIC = b"SSPD"
@@ -54,7 +55,12 @@ KIND_NAMES = {KIND_SEAV: "seav", KIND_LDCA: "ldca"}
 
 _HEADER = struct.Struct("<4sBB")          # magic, version, kind
 _CONFIG = struct.Struct("<BBBBIIHIQ")     # r, SR, a, g, theta, k, LR, LC, seed
+_CONFIG_FIELDS = (("r", 8), ("SR", 8), ("a", 8), ("g", 8), ("theta", 32),
+                  ("k", 32), ("LR", 16), ("LC", 32))  # not the seed: always u64
 _TRAILER = struct.Struct("<II")           # window id, payload length
+_BLOCK = slice(_HEADER.size, _HEADER.size + _CONFIG.size)
+_PAYLOAD = _BLOCK.stop + _TRAILER.size
+_CRC = struct.Struct("<I")
 
 DEFAULT_BUFFER_PAIRS = 64 * 1024
 
@@ -66,34 +72,46 @@ class SketchFrame:
     kind: int
     config_block: bytes
     window_id: int
-    payload: bytes
+    payload: bytes | memoryview
 
 
-def serialize(sketch: SeavSketch | LdcaSketch, window_id: int) -> bytes:
-    """Encode one sketch as a frame; round-trips bit-exactly."""
+def _config_block(sketch: SeavSketch | LdcaSketch) -> tuple[int, bytes]:
+    """The frame kind and v1 config block of a sketch: the only encoder of the block."""
+    cfg = sketch.config
     if isinstance(sketch, SeavSketch):
-        kind = KIND_SEAV
-        cfg = sketch.config
         if cfg.addr_bits != 32:
             raise ConfigError("frames carry 32-bit-address sketches only")
-        config = _CONFIG.pack(cfg.r, cfg.sr, cfg.a, cfg.g, cfg.theta,
-                              0, 0, 0, sketch.seeds.master_seed)
+        kind, values = KIND_SEAV, (cfg.r, cfg.sr, cfg.a, cfg.g, cfg.theta, 0, 0, 0)
     elif isinstance(sketch, LdcaSketch):
-        kind = KIND_LDCA
-        cfg = sketch.config
-        config = _CONFIG.pack(0, 0, 0, 0, 0, cfg.k, cfg.lr, cfg.lc,
-                              sketch.seeds.master_seed)
+        kind, values = KIND_LDCA, (0, 0, 0, 0, 0, cfg.k, cfg.lr, cfg.lc)
     else:
         raise ConfigError(f"cannot serialize {type(sketch).__name__}")
-    payload = sketch.payload_bytes()
-    body = (_HEADER.pack(MAGIC, VERSION, kind) + config
-            + _TRAILER.pack(window_id, len(payload)) + payload)
-    return body + struct.pack("<I", zlib.crc32(body))
+    for (name, bits), value in zip(_CONFIG_FIELDS, values):
+        if not 0 <= value < 1 << bits:
+            raise ConfigError(f"a v1 frame holds {name} in {bits} bits, got {value}")
+    return kind, _CONFIG.pack(*values, sketch.seeds.master_seed)
 
 
-def parse_frame(data: bytes) -> SketchFrame:
-    """Validate and split a frame without materializing the sketch."""
-    if len(data) < _HEADER.size + _CONFIG.size + _TRAILER.size + 4:
+def serialize(sketch: SeavSketch | LdcaSketch, window_id: int) -> bytearray:
+    """Encode one sketch as a frame, built in one buffer."""
+    kind, block = _config_block(sketch)
+    if not 0 <= window_id < 1 << 32:
+        raise ConfigError(f"a v1 frame holds the window id in 32 bits, got {window_id}")
+    regs = sketch.flat
+    end = _PAYLOAD + regs.nbytes
+    frame = bytearray(end + _CRC.size)
+    _HEADER.pack_into(frame, 0, MAGIC, VERSION, kind)
+    frame[_BLOCK] = block
+    _TRAILER.pack_into(frame, _BLOCK.stop, window_id, regs.nbytes)
+    with memoryview(frame) as view:
+        view[_PAYLOAD:end] = regs.data.cast("B")
+        _CRC.pack_into(frame, end, zlib.crc32(view[:end]))
+    return frame
+
+
+def parse_frame(data: bytes | bytearray) -> SketchFrame:
+    """Validate and split a frame; the payload is a read-only view into ``data``."""
+    if len(data) < _PAYLOAD + _CRC.size:
         raise FrameTruncatedError(f"frame is {len(data)} bytes, shorter than any valid frame")
     magic, version, kind = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
@@ -102,65 +120,51 @@ def parse_frame(data: bytes) -> SketchFrame:
         raise FrameVersionError(f"unsupported frame version {version}")
     if kind not in KIND_NAMES:
         raise FrameVersionError(f"unknown sketch kind {kind}")
-    config_block = data[_HEADER.size:_HEADER.size + _CONFIG.size]
-    window_id, payload_len = _TRAILER.unpack_from(data, _HEADER.size + _CONFIG.size)
-    total = _HEADER.size + _CONFIG.size + _TRAILER.size + payload_len + 4
+    window_id, payload_len = _TRAILER.unpack_from(data, _BLOCK.stop)
+    end = _PAYLOAD + payload_len
+    total = end + _CRC.size
     if len(data) < total:
         raise FrameTruncatedError(f"frame is {len(data)} bytes, header promises {total}")
     if len(data) > total:
         raise FrameTruncatedError(f"{len(data) - total} trailing bytes after frame")
-    (crc,) = struct.unpack_from("<I", data, total - 4)
-    if crc != zlib.crc32(data[:total - 4]):
+    view = memoryview(data).toreadonly()
+    (crc,) = _CRC.unpack_from(view, end)
+    if crc != zlib.crc32(view[:end]):
         raise FrameChecksumError("checksum mismatch")
-    payload = data[_HEADER.size + _CONFIG.size + _TRAILER.size:total - 4]
-    return SketchFrame(kind=kind, config_block=bytes(config_block),
-                       window_id=window_id, payload=bytes(payload))
+    return SketchFrame(kind=kind, config_block=bytes(view[_BLOCK]), window_id=window_id,
+                       payload=view[_PAYLOAD:end])
 
 
-def _sketch_from_frame(frame: SketchFrame) -> SeavSketch | LdcaSketch:
-    r, sr, a, g, theta, k, lr, lc, seed = _CONFIG.unpack(frame.config_block)
-    seeds = SeedFamily(seed)
-    if frame.kind == KIND_SEAV:
-        sketch: SeavSketch | LdcaSketch = SeavSketch(
-            SeavConfig(r=r, sr=sr, a=a, theta=theta, g=g), seeds)
-    else:
-        sketch = LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k), seeds)
-    sketch.load_payload(frame.payload)
-    return sketch
-
-
-def merge_frames(frames: list[SketchFrame]) -> tuple[SeavSketch, LdcaSketch]:
-    """OR-merge one window's frames from all watch points into global sketches."""
+def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> DetectorState:
+    """OR one window's frames into the receiver's registers and return the
+    receiver, its window id set from the frames.  Each frame is checked
+    first: its config block must be the one the receiver's own sketch of
+    that kind encodes, byte for byte, and its payload must fill that
+    sketch's registers."""
     if not frames:
         raise MergeError("no frames to merge")
-    by_kind: dict[int, list[SketchFrame]] = {KIND_SEAV: [], KIND_LDCA: []}
-    for f in frames:
-        by_kind[f.kind].append(f)
-    for kind, name in KIND_NAMES.items():
-        if not by_kind[kind]:
-            raise MergeError(f"no {name} frame present")
-    window_ids = {f.window_id for f in frames}
+    window_ids = sorted({f.window_id for f in frames})
     if len(window_ids) != 1:
-        raise MergeError(f"frames span windows {sorted(window_ids)}")
-    # Both kinds' config blocks end in the master seed (u64).
-    if len({f.config_block[-8:] for f in frames}) != 1:
-        raise MergeError("frames carry different master seeds")
-    merged: list[SeavSketch | LdcaSketch] = []
-    for kind in (KIND_SEAV, KIND_LDCA):
-        group = by_kind[kind]
-        blocks = {f.config_block for f in group}
-        if len(blocks) != 1:
-            raise MergeError(f"{KIND_NAMES[kind]} frames have mismatched config blocks")
-        lengths = {len(f.payload) for f in group}
-        if len(lengths) != 1:
-            raise MergeError(f"{KIND_NAMES[kind]} frames have mismatched payload sizes")
-        acc = np.frombuffer(group[0].payload, dtype=np.uint8).copy()
-        for f in group[1:]:
-            acc |= np.frombuffer(f.payload, dtype=np.uint8)
-        merged.append(_sketch_from_frame(SketchFrame(
-            kind=kind, config_block=group[0].config_block,
-            window_id=group[0].window_id, payload=acc.tobytes())))
-    return merged[0], merged[1]  # type: ignore[return-value]
+        raise MergeError(f"frames span windows {window_ids}")
+    own = {}
+    for sketch in (receiver.seav, receiver.ldca):
+        kind, block = _config_block(sketch)
+        own[kind] = block, sketch.flat
+    for kind, name in KIND_NAMES.items():
+        if all(f.kind != kind for f in frames):
+            raise MergeError(f"no {name} frame present")
+    for f in frames:
+        block, regs = own[f.kind]
+        if f.config_block != block:
+            raise MergeError(f"{KIND_NAMES[f.kind]} frame config block is not the receiver's")
+        if len(f.payload) != regs.nbytes:
+            raise MergeError(f"{KIND_NAMES[f.kind]} frame payload is {len(f.payload)} bytes, "
+                             f"not {regs.nbytes}")
+    for f in frames:
+        regs = own[f.kind][1]
+        np.bitwise_or(regs, np.frombuffer(f.payload, regs.dtype), out=regs)
+    receiver.window_id = window_ids[0]
+    return receiver
 
 
 def merge_timestamp_pools(pools: list) -> "object":
@@ -228,8 +232,10 @@ def simulate_window(params: DetectorParams, window_id: int,
     Watch points hold no shared state, so they may scan concurrently;
     the merge runs after all of them finished their shard.
     """
-    seeds = SeedFamily(params.master_seed)
-    assignment = route_pairs(hips, oips, n_wp, route, seeds)
+    receiver = DetectorState.create(params)
+    for sketch in (receiver.seav, receiver.ldca):
+        _config_block(sketch)  # a detector no v1 frame can carry fails before any scan
+    assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
     states = [DetectorState.create(params) for _ in range(n_wp)]
     shards = [(states[w], hips[assignment == w], oips[assignment == w])
               for w in range(n_wp)]
@@ -249,14 +255,10 @@ def simulate_window(params: DetectorParams, window_id: int,
             frames.append(parse_frame(data))
             if frames_dir is not None:
                 (Path(frames_dir) / f"wp{w}_win{window_id}_{name}.sspd").write_bytes(data)
-            del data  # a whole sketch: free it before the next serialize and the merge
 
-    global_seav, global_ldca = merge_frames(frames)
-    global_state = DetectorState(seav=global_seav, ldca=global_ldca,
-                                 window_id=window_id, params=params)
-    reports = global_state.finalize_window()
-    return WindowResult(window_id=window_id, reports=reports,
-                        global_seav=global_seav, global_ldca=global_ldca,
+    merged = merge_frames(receiver, frames)
+    return WindowResult(window_id=window_id, reports=merged.finalize_window(),
+                        global_seav=merged.seav, global_ldca=merged.ldca,
                         frames=frames)
 
 

@@ -105,6 +105,7 @@ class LdcaSketch:
         self.seeds = seeds
         self.bytes_per_ldc = config.k // 8
         self.data = np.zeros((config.lr, config.lc, self.bytes_per_ldc), dtype=np.uint8)
+        self.flat = self.data.reshape(-1)  # every register byte, as one view
 
     def memory_bytes(self) -> int:
         return self.config.memory_bytes()
@@ -128,12 +129,11 @@ class LdcaSketch:
         byte = bit >> 3
         bit &= 7
         groups = [(np.flatnonzero(bit == j), np.uint8(1 << j)) for j in range(8)]
-        flat = self.data.reshape(-1)
         for reg in registers:
             reg *= self.bytes_per_ldc
             reg += byte
             for pos, mask in groups:
-                flat[reg[pos]] |= mask
+                self.flat[reg[pos]] |= mask
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
         """Zero-bit count of each host's AND-union register.
@@ -167,11 +167,6 @@ class LdcaSketch:
 
     def payload_bytes(self) -> bytes:
         return self.data.tobytes()
-
-    def load_payload(self, payload: bytes):
-        if len(payload) != self.data.nbytes:
-            raise ConfigError(f"payload is {len(payload)} bytes, config requires {self.data.nbytes}")
-        self.data = np.frombuffer(payload, dtype=np.uint8).reshape(self.data.shape).copy()
 
 
 def psu(k: int, n_pairs: float, lc: float, lr: int) -> float:

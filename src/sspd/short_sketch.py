@@ -232,15 +232,7 @@ class SeavSketch:
         np.bitwise_or(self.flat, other.flat, out=self.flat)
 
     def payload_bytes(self) -> bytes:
-        # Joined row by row: a single flat.tobytes() raised the peak RSS of
-        # the 16-watch-point distsim benchmark by 8 MB (glibc heap layout, not data).
-        return b"".join(arr.tobytes() for arr in self.rows)
-
-    def load_payload(self, payload: bytes):
-        if len(payload) != self.flat.nbytes:
-            raise ConfigError(
-                f"payload is {len(payload)} bytes, config requires {self.flat.nbytes}")
-        self.flat[:] = np.frombuffer(payload, dtype=self.flat.dtype)
+        return self.flat.tobytes()
 
     def restore_sea(self, rp: int) -> list[CandidateHost]:
         """Reconstruct candidates for one register array.

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sspd.distributed import _sketch_from_frame, parse_frame
 from sspd.errors import ConfigError
 from sspd.hashing import MASK32, MASK64, HashSeed, SeedFamily, mix64
 from sspd.long_sketch import DEFAULT_K, LdcaSketch
-from sspd.short_sketch import SeavConfig, SeavSketch
+from sspd.short_sketch import SeavConfig
 from sspd.sliding import SlidingDetector, TimestampPool
 
 # --- hashes -------------------------------------------------------------------
@@ -171,7 +170,7 @@ def materialize_ldca(detector: SlidingDetector) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little")
 
 
-# --- evaluation and frames ----------------------------------------------------
+# --- evaluation ---------------------------------------------------------------
 
 
 def exact_cardinalities_dict(hips: np.ndarray, oips: np.ndarray) -> dict[int, int]:
@@ -180,8 +179,3 @@ def exact_cardinalities_dict(hips: np.ndarray, oips: np.ndarray) -> dict[int, in
     for hip, oip in zip(hips.tolist(), oips.tolist()):
         seen.setdefault(hip, set()).add(oip)
     return {hip: len(s) for hip, s in seen.items()}
-
-
-def deserialize(data: bytes) -> SeavSketch | LdcaSketch:
-    """The sketch a frame carries."""
-    return _sketch_from_frame(parse_frame(data))

@@ -186,9 +186,13 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("detect", ["--lr", 0]),
     ("detect", ["--lc", 64]),
     ("distsim", ["--threads", 0]),
+    ("distsim", ["--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1]),
+    ("detect", ["--lr", 2, "--lc", 64, "--v", 128]),
+    ("detect", ["--lr", 2, "--lc", 64, "--memory-budget", 65536]),
 ], ids=["detect-every", "slice-seconds", "buffer-pairs", "k-with-memory-budget",
         "window-slices", "negative-beta", "nan-beta", "zero-memory-budget",
-        "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads"])
+        "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads",
+        "lr-beyond-v1-frame", "v-with-lr-and-lc", "memory-budget-with-lr-and-lc"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
     # a traceback instead of failing inside the test process.  The flag

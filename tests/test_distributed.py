@@ -1,3 +1,4 @@
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -23,12 +24,11 @@ from sspd.errors import (
     MergeError,
 )
 from sspd.hashing import SeedFamily
-from sspd.long_sketch import LdcaSketch
 from sspd.short_sketch import SeavConfig, SeavSketch
 from sspd.sliding import TimestampPool
 from sspd.window_detector import DetectorParams, DetectorState
 
-from oracles import deserialize, is_active, touch
+from oracles import is_active, touch
 
 SEEDS = SeedFamily()
 PARAMS = DetectorParams(theta=1024, k=4096, lr=2, lc=64, design_n=4e3)
@@ -48,13 +48,20 @@ def random_states(n_pairs=8000, seed=1):
 
 def test_round_trip_both_kinds():
     st, _, _ = random_states()
-    for sketch in (st.seav, st.ldca):
-        blob = serialize(sketch, window_id=7)
-        back = deserialize(blob)
-        assert back.payload_bytes() == sketch.payload_bytes()
-        assert parse_frame(blob).window_id == 7
-    assert isinstance(deserialize(serialize(st.seav, 0)), SeavSketch)
-    assert isinstance(deserialize(serialize(st.ldca, 0)), LdcaSketch)
+    back = merge(frames_for(st, window_id=7))
+    assert back.window_id == 7
+    assert back.seav.payload_bytes() == st.seav.payload_bytes()
+    assert back.ldca.payload_bytes() == st.ldca.payload_bytes()
+
+
+def test_frame_bytes_are_pinned():
+    # The CRC each frame ends with.  zlib.crc32 over a whole frame, its
+    # CRC included, is the CRC-32 residue 0x2144DF1C for every valid frame.
+    empty = DetectorState.create(PARAMS)
+    busy, _, _ = random_states()
+    frames = [serialize(s, 3) for s in (empty.seav, empty.ldca, busy.seav, busy.ldca)]
+    assert [(len(f), zlib.crc32(f[:-4])) for f in frames] == [
+        (32812, 0x3D4D1E09), (65580, 0x70A6DFE1), (32812, 0xACF46A71), (65580, 0xE03272CB)]
 
 
 def test_frame_size_is_traffic_independent():
@@ -105,6 +112,21 @@ def test_serialize_rejects_non_ipv4_geometry():
         serialize(sk, 0)
 
 
+def test_serialize_refuses_what_a_v1_frame_cannot_carry(monkeypatch):
+    wide = DetectorState.create(DetectorParams(k=64, lr=70_000, lc=1, design_n=1))
+    with pytest.raises(ConfigError, match="LR in 16 bits"):
+        serialize(wide.ldca, 0)
+    # simulate_window refuses such a detector before it scans a pair.
+    monkeypatch.setattr(distributed, "_scan_shard", lambda *args: pytest.fail("scanned"))
+    _, hips, oips = random_states(n_pairs=100)
+    with pytest.raises(ConfigError, match="LR in 16 bits"):
+        simulate_window(wide.params, 0, hips, oips, 2)
+    st = DetectorState.create(PARAMS)
+    for window_id in (-1, 1 << 32):
+        with pytest.raises(ConfigError, match="window id in 32 bits"):
+            serialize(st.seav, window_id)
+
+
 # --- merging ------------------------------------------------------------------
 
 def frames_for(state, window_id=0):
@@ -112,45 +134,52 @@ def frames_for(state, window_id=0):
             parse_frame(serialize(state.ldca, window_id))]
 
 
+def merge(frames, params=PARAMS):
+    """Frames merged at a fresh global server running ``params``."""
+    return merge_frames(DetectorState.create(params), frames)
+
+
 def test_single_point_merge_is_identity():
     st, _, _ = random_states()
-    seav, ldca = merge_frames(frames_for(st))
-    assert seav.payload_bytes() == st.seav.payload_bytes()
-    assert ldca.payload_bytes() == st.ldca.payload_bytes()
+    receiver = DetectorState.create(PARAMS)
+    assert merge_frames(receiver, frames_for(st)) is receiver
+    assert np.array_equal(receiver.seav.flat, st.seav.flat)
+    assert np.array_equal(receiver.ldca.data, st.ldca.data)
 
 
 def test_merge_order_invariant():
     a, _, _ = random_states(seed=2)
     b, _, _ = random_states(seed=3)
-    f_ab = frames_for(a) + frames_for(b)
-    f_ba = frames_for(b) + frames_for(a)
-    seav1, ldca1 = merge_frames(f_ab)
-    seav2, ldca2 = merge_frames(f_ba)
-    assert seav1.payload_bytes() == seav2.payload_bytes()
-    assert ldca1.payload_bytes() == ldca2.payload_bytes()
+    ab = merge(frames_for(a) + frames_for(b))
+    ba = merge(frames_for(b) + frames_for(a))
+    assert ab.seav.payload_bytes() == ba.seav.payload_bytes()
+    assert ab.ldca.payload_bytes() == ba.ldca.payload_bytes()
 
 
 def test_merge_requires_both_kinds():
     st, _, _ = random_states()
     with pytest.raises(MergeError, match="ldca"):
-        merge_frames([parse_frame(serialize(st.seav, 0))])
+        merge([parse_frame(serialize(st.seav, 0))])
     with pytest.raises(MergeError):
-        merge_frames([])
+        merge([])
 
 
 def test_merge_rejects_window_mismatch():
     st, _, _ = random_states()
     frames = frames_for(st, window_id=0) + frames_for(st, window_id=1)
     with pytest.raises(MergeError, match="window"):
-        merge_frames(frames)
+        merge(frames)
 
 
 def test_merge_rejects_config_mismatch():
     st, _, _ = random_states()
     other = DetectorState.create(DetectorParams(theta=2048, k=4096, lr=2, lc=64,
                                                 design_n=4e3))
+    receiver = DetectorState.create(PARAMS)
     with pytest.raises(MergeError, match="config"):
-        merge_frames(frames_for(st) + frames_for(other))
+        merge_frames(receiver, frames_for(st) + frames_for(other))
+    # Every frame is checked before any is merged.
+    assert not receiver.seav.flat.any() and not receiver.ldca.flat.any()
 
 
 def test_merge_rejects_seed_mismatch_across_kinds():
@@ -158,8 +187,18 @@ def test_merge_rejects_seed_mismatch_across_kinds():
     other = DetectorState.create(replace(PARAMS, master_seed=PARAMS.master_seed + 1))
     other.process_batch(hips, oips)
     frames = [parse_frame(serialize(st.seav, 0)), parse_frame(serialize(other.ldca, 0))]
-    with pytest.raises(MergeError, match="seed"):
-        merge_frames(frames)
+    with pytest.raises(MergeError, match="config"):
+        merge(frames)
+
+
+def test_merge_rejects_cross_kind_geometry():
+    # Both detectors share the seed and the candidate geometry; only the
+    # counter frame, from the second one, differs from the receiver.
+    st = DetectorState.create(PARAMS)
+    other = DetectorState.create(replace(PARAMS, k=8192, lr=4, lc=32))
+    frames = [parse_frame(serialize(st.seav, 0)), parse_frame(serialize(other.ldca, 0))]
+    with pytest.raises(MergeError, match="ldca frame config"):
+        merge(frames)
 
 
 def test_merge_config_block_compares_bytes():
@@ -169,7 +208,15 @@ def test_merge_config_block_compares_bytes():
                           config_block=b"\x00" * len(frames[0].config_block),
                           window_id=0, payload=frames[0].payload)
     with pytest.raises(MergeError):
-        merge_frames([tweaked] + frames)
+        merge([tweaked] + frames)
+
+
+def test_merge_rejects_payload_of_another_size():
+    st, _, _ = random_states()
+    frames = frames_for(st)
+    short = replace(frames[1], payload=frames[1].payload[:-1])
+    with pytest.raises(MergeError, match="payload"):
+        merge(frames[:1] + [short])
 
 
 # --- routing and topology -------------------------------------------------------
@@ -215,14 +262,12 @@ def test_merge_is_idempotent_and_associative():
     a.ldca.merge(a.ldca)
     assert (a.ldca.data == snap).all()
     # (a|b)|c == a|(b|c), built via frames both ways
-    left = merge_frames(frames_for(a) + frames_for(b))
-    left_frames = [parse_frame(serialize(left[0], 0)), parse_frame(serialize(left[1], 0))]
-    right = merge_frames(frames_for(b) + frames_for(c))
-    right_frames = [parse_frame(serialize(right[0], 0)), parse_frame(serialize(right[1], 0))]
-    lhs = merge_frames(left_frames + frames_for(c))
-    rhs = merge_frames(frames_for(a) + right_frames)
-    assert lhs[0].payload_bytes() == rhs[0].payload_bytes()
-    assert lhs[1].payload_bytes() == rhs[1].payload_bytes()
+    left = merge(frames_for(a) + frames_for(b))
+    right = merge(frames_for(b) + frames_for(c))
+    lhs = merge(frames_for(left) + frames_for(c))
+    rhs = merge(frames_for(a) + frames_for(right))
+    assert lhs.seav.payload_bytes() == rhs.seav.payload_bytes()
+    assert lhs.ldca.payload_bytes() == rhs.ldca.payload_bytes()
 
 
 @pytest.mark.parametrize("route", ["hash", "round-robin"])
