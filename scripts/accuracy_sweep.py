@@ -12,14 +12,11 @@ array absorbs the budget.
 import argparse
 
 from sspd.evaluation import ExactOracle, TraceSpec, generate_trace, metrics
-from sspd.long_sketch import plan_rows
 from sspd.window_detector import DetectorParams, DetectorState
 
 
 def run_once(trace, theta, k, v, design_n, seed):
-    lr, lc = plan_rows(v, design_n, k)
-    params = DetectorParams(theta=theta, k=k, lr=lr, lc=lc,
-                            design_n=design_n, master_seed=seed)
+    params = DetectorParams(theta=theta, k=k, v=v, design_n=design_n, master_seed=seed)
     state = DetectorState.create(params)
     for lo in range(0, len(trace.hips), 1 << 16):
         state.process_batch(trace.hips[lo:lo + (1 << 16)],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,7 +130,7 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
                    help="expected distinct pairs per window, for the planner")
     p.add_argument("--memory-budget", type=int, default=None,
                    help="counter-array byte budget; overrides --v via v = 8*budget/k")
-    p.add_argument("--window-seconds", type=float, default=300.0)
+    p.add_argument("--window-seconds", type=float, default=None)
     p.add_argument("--slice-seconds", type=float, default=1.0)
     p.add_argument("--window-slices", type=int, default=None,
                    help="window length in slices (default: window-seconds/slice-seconds)")
@@ -156,9 +157,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         v = 8 * args.memory_budget // args.k
     window_slices = args.window_slices
     if window_slices is None:
-        window_slices = max(1, round(args.window_seconds / args.slice_seconds))
-    elif window_slices < 1:
-        raise ConfigError(f"--window-slices must be >= 1, got {window_slices}")
+        seconds = 300.0 if args.window_seconds is None else args.window_seconds
+        slices = seconds / args.slice_seconds
+        if not 0.5 < slices < 1 << 63:  # also refuses NaN and infinities
+            raise ConfigError(f"--window-seconds {seconds:g} over --slice-seconds "
+                              f"{args.slice_seconds:g} must round to 1 to 2^63 - 1 slices")
+        window_slices = round(slices)
+    elif args.window_seconds is not None:
+        raise ConfigError("--window-seconds has no effect once --window-slices is set")
+    elif not 1 <= window_slices < 1 << 63:
+        raise ConfigError(f"--window-slices must be 1 to 2^63 - 1, got {window_slices}")
     params = DetectorParams(
         theta=args.theta, r=args.r, sr=args.sr, a=args.a, g=args.g, k=args.k,
         lr=args.lr, lc=args.lc, v=v, design_n=args.design_n, beta=args.beta,
@@ -186,26 +194,28 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect_windows(cfg: RunConfig, trace) -> tuple[list[DetectionReport], list[int]]:
+def _detect_windows(cfg: RunConfig, trace) -> Iterator[DetectorState]:
+    """The single scanner's state at the end of each discrete window, in
+    window order; it is reset for the next window once the caller is done."""
     state = DetectorState.create(cfg.params)
-    reports: list[DetectionReport] = []
-    windows: list[int] = []
     for wid, sel in split_windows(trace.slices, cfg.window_slices):
         hips, oips = trace.hips[sel], trace.oips[sel]
         for start in range(0, len(hips), cfg.buffer_pairs):
             state.process_batch(hips[start:start + cfg.buffer_pairs],
                                 oips[start:start + cfg.buffer_pairs])
         state.window_id = wid
-        reports += state.finalize_window()
-        windows.append(wid)
+        yield state
         state.reset()
-    return reports, windows
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
-    reports, windows = _detect_windows(cfg, trace)
+    reports: list[DetectionReport] = []
+    windows: list[int] = []
+    for state in _detect_windows(cfg, trace):
+        reports += state.finalize_window()
+        windows.append(state.window_id)
     write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
     print(f"{len(reports)} detections across {len(windows)} window(s) -> {args.out}")
     return 0
@@ -251,20 +261,15 @@ def cmd_distsim(args: argparse.Namespace) -> int:
     windows = [res.window_id for res in results]
     write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
 
-    # Merge-equivalence assertion: a single-scanner shadow run must be
-    # bit-identical to the merged global sketches.
+    # Merge-equivalence assertion: the merged global sketches and reports
+    # must equal those of the plain single scanner that `detect` runs.
     log_lines = header_lines("distsim", {**cfg.detection_fields(),
                                          **cfg.topology_fields()})
     ok = True
-    shadow = simulate_topology(cfg.params, trace.slices, trace.hips, trace.oips,
-                               1, route="round-robin",
-                               window_slices=cfg.window_slices,
-                               buffer_pairs=cfg.buffer_pairs)
-    for res, ref in zip(results, shadow):
-        seav_same = all((x == y).all() for x, y in
-                        zip(res.global_seav.rows, ref.global_seav.rows))
-        ldca_same = (res.global_ldca.data == ref.global_ldca.data).all()
-        reports_same = res.reports == ref.reports
+    for res, single in zip(results, _detect_windows(cfg, trace), strict=True):
+        seav_same = np.array_equal(res.global_seav.flat, single.seav.flat)
+        ldca_same = np.array_equal(res.global_ldca.flat, single.ldca.flat)
+        reports_same = res.reports == single.finalize_window()
         ok &= seav_same and ldca_same and reports_same
         log_lines.append(
             f"window {res.window_id}: seav_identical={seav_same} "

@@ -212,13 +212,13 @@ class WindowResult:
     frames: list[SketchFrame]
 
 
-def _scan_shard(state: DetectorState, hips: np.ndarray, oips: np.ndarray,
-                buffer_pairs: int):
-    # Bounded buffer per watch point: batch, scan, clear, repeat.
-    for start in range(0, len(hips), buffer_pairs):
-        state.process_batch(hips[start:start + buffer_pairs],
-                            oips[start:start + buffer_pairs])
-    return state
+def _receiver(params: DetectorParams) -> DetectorState:
+    """A fresh global-server state; a detector no v1 frame can carry fails
+    here, before any window is scanned."""
+    receiver = DetectorState.create(params)
+    for sketch in (receiver.seav, receiver.ldca):
+        _config_block(sketch)
+    return receiver
 
 
 def simulate_window(params: DetectorParams, window_id: int,
@@ -229,33 +229,36 @@ def simulate_window(params: DetectorParams, window_id: int,
                     frames_dir: Path | str | None = None) -> WindowResult:
     """Scan one window's pairs on n_wp simulated watch points and merge.
 
-    Watch points hold no shared state, so they may scan concurrently;
-    the merge runs after all of them finished their shard.
+    One call takes a watch point from its shard to its two frames: it
+    builds the point's state, scans the shard in ``buffer_pairs`` batches
+    and serializes the candidate sketch, then the counter sketch.  The
+    state lives only until its frames are built, so at most ``threads``
+    watch-point states exist at once.  Watch points share no state, so
+    they may scan concurrently; the merge runs after all of them shipped.
     """
-    receiver = DetectorState.create(params)
-    for sketch in (receiver.seav, receiver.ldca):
-        _config_block(sketch)  # a detector no v1 frame can carry fails before any scan
+    receiver = _receiver(params)
     assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
-    states = [DetectorState.create(params) for _ in range(n_wp)]
-    shards = [(states[w], hips[assignment == w], oips[assignment == w])
-              for w in range(n_wp)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: _scan_shard(s[0], s[1], s[2], buffer_pairs), shards))
-    else:
-        for shard in shards:
-            _scan_shard(shard[0], shard[1], shard[2], buffer_pairs)
-
     if frames_dir is not None:
         Path(frames_dir).mkdir(parents=True, exist_ok=True)
-    frames = []
-    for w, state in enumerate(states):
+
+    def watch_point(w: int) -> list[SketchFrame]:
+        state = DetectorState.create(params)
+        shard = assignment == w
+        shard_hips, shard_oips = hips[shard], oips[shard]
+        # Bounded buffer per watch point: batch, scan, clear, repeat.
+        for start in range(0, len(shard_hips), buffer_pairs):
+            state.process_batch(shard_hips[start:start + buffer_pairs],
+                                shard_oips[start:start + buffer_pairs])
+        frames = []
         for name, sketch in (("seav", state.seav), ("ldca", state.ldca)):
             data = serialize(sketch, window_id)
             frames.append(parse_frame(data))
             if frames_dir is not None:
                 (Path(frames_dir) / f"wp{w}_win{window_id}_{name}.sspd").write_bytes(data)
+        return frames
 
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        frames = [f for point in pool.map(watch_point, range(n_wp)) for f in point]
     merged = merge_frames(receiver, frames)
     return WindowResult(window_id=window_id, reports=merged.finalize_window(),
                         global_seav=merged.seav, global_ldca=merged.ldca,
@@ -271,6 +274,7 @@ def simulate_topology(params: DetectorParams, slices: np.ndarray,
                       frames_dir: Path | str | None = None) -> list[WindowResult]:
     """Partition a whole trace into discrete windows and run each through
     the simulated topology."""
+    _receiver(params)  # refuses before the first window, and on a trace with none
     return [simulate_window(params, wid, hips[sel], oips[sel], n_wp, route=route,
                             buffer_pairs=buffer_pairs, threads=threads,
                             frames_dir=frames_dir)

@@ -160,11 +160,6 @@ class LdcaSketch:
         from one ``zero_counts`` call."""
         return ldc_estimates(self.zero_counts(hips), self.config.k)
 
-    def merge(self, other: "LdcaSketch"):
-        if other.config != self.config or other.seeds != self.seeds:
-            raise ConfigError("cannot merge counter sketches with different config or seeds")
-        np.bitwise_or(self.data, other.data, out=self.data)
-
     def payload_bytes(self) -> bytes:
         return self.data.tobytes()
 

@@ -225,12 +225,6 @@ class SeavSketch:
         for reg in registers:
             np.bitwise_or.at(self.flat, reg, mask)
 
-    def merge(self, other: "SeavSketch"):
-        """OR another sketch into this one (cross-watch-point merge)."""
-        if other.config != self.config or other.seeds != self.seeds:
-            raise ConfigError("cannot merge register sketches with different config or seeds")
-        np.bitwise_or(self.flat, other.flat, out=self.flat)
-
     def payload_bytes(self) -> bytes:
         return self.flat.tobytes()
 

@@ -1,13 +1,21 @@
+import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sspd
-from sspd.cli import RunConfig, main
+from sspd import distributed
+from sspd.cli import RunConfig, _config_from_args, build_parser, main
+from sspd.errors import ConfigError
 from sspd.evaluation import read_trace, truth_path
+from sspd.long_sketch import LdcaSketch
 
 
 SMALL_FLAGS = ["--k", "4096", "--lr", "2", "--lc", "64", "--design-n", "4000"]
@@ -189,10 +197,19 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("distsim", ["--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1]),
     ("detect", ["--lr", 2, "--lc", 64, "--v", 128]),
     ("detect", ["--lr", 2, "--lc", 64, "--memory-budget", 65536]),
+    ("detect", ["--window-seconds", "nan"]),
+    ("detect", ["--window-seconds", "inf"]),
+    ("detect", ["--window-seconds", -5]),
+    ("slide", ["--window-seconds", 0.4]),
+    ("distsim", ["--window-seconds", 1e300, "--slice-seconds", 1e-300]),
+    ("detect", ["--window-seconds", 60, "--window-slices", 300]),
 ], ids=["detect-every", "slice-seconds", "buffer-pairs", "k-with-memory-budget",
         "window-slices", "negative-beta", "nan-beta", "zero-memory-budget",
         "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads",
-        "lr-beyond-v1-frame", "v-with-lr-and-lc", "memory-budget-with-lr-and-lc"])
+        "lr-beyond-v1-frame", "v-with-lr-and-lc", "memory-budget-with-lr-and-lc",
+        "nan-window-seconds", "inf-window-seconds", "negative-window-seconds",
+        "window-seconds-below-a-slice", "window-seconds-beyond-int64-slices",
+        "window-seconds-with-window-slices"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
     # a traceback instead of failing inside the test process.  The flag
@@ -209,6 +226,41 @@ def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: config:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_distsim_refuses_a_v1_overflow_on_an_empty_trace(tmp_path, capsys):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    code = run(["distsim", "--trace", empty, "--out", tmp_path / "x.csv",
+                "--merge-log", tmp_path / "log.txt",
+                "--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and len(err.splitlines()) == 1
+
+
+def test_distsim_merge_check_can_fail(tmp_path, trace_file, monkeypatch, capsys):
+    # One watch point ships a counter frame one bit short.  The check must
+    # compare the merge with an independent single scanner to see it.
+    serialize = distributed.serialize
+    dropped = []
+
+    def lossy_serialize(sketch, window_id):
+        if not dropped and isinstance(sketch, LdcaSketch):
+            i = int(np.flatnonzero(sketch.flat)[0])
+            dropped.append(i)
+            sketch.flat[i] &= sketch.flat[i] - 1  # clear its lowest set bit
+        return serialize(sketch, window_id)
+
+    monkeypatch.setattr(distributed, "serialize", lossy_serialize)
+    log = tmp_path / "log.txt"
+    code = run(["distsim", "--trace", trace_file, "--out", tmp_path / "x.csv",
+                "--n-wp", 4, "--frames-dir", tmp_path / "frames", "--merge-log", log]
+               + SMALL_FLAGS)
+    assert dropped
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: internal")
+    assert "window 0: seav_identical=True ldca_identical=False" in log.read_text()
 
 
 @pytest.mark.parametrize("command", ["detect", "slide"])
@@ -276,3 +328,105 @@ def test_internal_assertion_exit_code(monkeypatch, capsys):
     code = run(["plan", "--v", 8192, "--n", 1e6, "--k", 8192])
     assert code == 4
     assert "error: internal" in capsys.readouterr().err
+
+
+# --- bounded fuzz of the numeric flags ------------------------------------------
+
+# Edge values per numeric flag: zero, negatives, one, the v1 frame limits
+# (LR in 16 bits, theta in 32, r/SR/a/g in 8), NaN, infinity and a
+# non-number.  Geometry values stay small enough that no combination
+# builds much (see test_fuzz_lists_build_at_most_64_mib).
+FUZZ_BASE = ["--k", 64, "--design-n", 4000]
+FUZZ_SLICES = 3  # of the fuzz trace, so at most 3 windows
+FUZZ_SKETCH_FLAGS = {
+    "--seed": [0, -1, 1, 2**64, "x"],
+    "--theta": [0, -1, 1, 2**32, "x"],
+    "--beta": [0, -1, 1, "nan", "inf", "x"],
+    "--r": [0, -1, 1, 256, "x"],
+    "--sr": [0, -1, 1, 256, "x"],
+    "--a": [0, -1, 1, 256, "x"],
+    "--g": [0, -1, 1, 64, 256, "x"],
+    "--k": [0, -8, 1, 64, "inf", "x"],
+    "--v": [0, -1, 1, 65536, "x"],
+    "--lr": [0, -1, 1, 65535, 65536, "x"],
+    "--lc": [0, -1, 1, "x"],
+    "--design-n": [0, -1, 1, "nan", "inf", "x"],
+    "--memory-budget": [0, -1, 1, 65536, "x"],
+    "--window-seconds": [0, -5, 1, "nan", "inf", "x"],
+    "--slice-seconds": [0, -1, 1, 1e-300, "nan", "inf", "x"],
+    "--window-slices": [0, -1, 1, 65535, 2**32, "x"],
+    "--restore-cap": [0, -1, 1, "x"],
+}
+FUZZ_COMMAND_FLAGS = {
+    "detect": {},
+    "slide": {"--detect-every": [0, -1, 1, "x"]},
+    "distsim": {"--n-wp": [0, -1, 1, 16, "x"], "--buffer-pairs": [0, -1, 1, "x"],
+                "--threads": [0, -1, 1, 4, "x"]},
+}
+
+
+def fuzz_flags(command):
+    return {**FUZZ_SKETCH_FLAGS, **FUZZ_COMMAND_FLAGS[command]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    run(["generate", "--out", folder / "tiny.bin", "--n-super", 1, "--super-card", 64, 64,
+         "--n-background", 20, "--n-pairs", 300, "--slices", FUZZ_SLICES, "--gen-seed", 4])
+    return folder
+
+
+def test_fuzz_lists_build_at_most_64_mib():
+    # Every combination of the numbers that size the registers, each flag
+    # also left at its default, resolved the way the CLI resolves them.
+    parser = build_parser()
+
+    def register_bytes(flags):
+        args = parser.parse_args(["detect", "--trace", "t", "--out", "o",
+                                  *map(str, FUZZ_BASE + flags)])
+        try:
+            params = _config_from_args(args).params
+        except ConfigError:
+            return 0
+        return params.seav_config().memory_bytes() + params.ldca_config().memory_bytes()
+
+    def worst(names):
+        choices = [[None] + [x for x in FUZZ_SKETCH_FLAGS[n] if isinstance(x, int)]
+                   for n in names]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return max(register_bytes([t for n, x in zip(names, combo) if x is not None
+                                       for t in (n, x)])
+                       for combo in itertools.product(*choices))
+
+    registers = (worst(["--r", "--sr", "--a", "--g"])
+                 + worst(["--k", "--v", "--lr", "--lc", "--memory-budget"]))
+    # Sliding keeps a stamp of up to 8 bytes per register bit; distsim holds
+    # n_wp frames per window, the receiver, `threads` scanner states and the
+    # single scanner.
+    distsim = {n: max(x for x in xs if isinstance(x, int))
+               for n, xs in FUZZ_COMMAND_FLAGS["distsim"].items()}
+    copies = max(8 * 8, FUZZ_SLICES * distsim["--n-wp"] + distsim["--threads"] + 2)
+    assert registers * copies <= 64 << 20, (registers, copies)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(sorted(FUZZ_COMMAND_FLAGS)))
+def test_fuzz_numeric_flags_exit_cleanly(fuzz_dir, data, command):
+    flags = fuzz_flags(command)
+    names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
+    argv = [command, "--trace", fuzz_dir / "tiny.bin", "--out", fuzz_dir / "out.csv",
+            *FUZZ_BASE]
+    for name in names:
+        argv += [name, data.draw(st.sampled_from(flags[name]), label=name)]
+    if command == "distsim":
+        argv += ["--merge-log", fuzz_dir / "log.txt", "--frames-dir", fuzz_dir / "frames"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refusing a value
+            code = exc.code
+    assert code in (0, 2, 3, 4)

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -117,8 +118,8 @@ def test_serialize_refuses_what_a_v1_frame_cannot_carry(monkeypatch):
     with pytest.raises(ConfigError, match="LR in 16 bits"):
         serialize(wide.ldca, 0)
     # simulate_window refuses such a detector before it scans a pair.
-    monkeypatch.setattr(distributed, "_scan_shard", lambda *args: pytest.fail("scanned"))
     _, hips, oips = random_states(n_pairs=100)
+    monkeypatch.setattr(DetectorState, "process_batch", lambda *args: pytest.fail("scanned"))
     with pytest.raises(ConfigError, match="LR in 16 bits"):
         simulate_window(wide.params, 0, hips, oips, 2)
     st = DetectorState.create(PARAMS)
@@ -258,9 +259,9 @@ def test_merge_is_idempotent_and_associative():
     b, _, _ = random_states(seed=22)
     c, _, _ = random_states(seed=23)
     # self-merge leaves state unchanged
-    snap = a.ldca.data.copy()
-    a.ldca.merge(a.ldca)
-    assert (a.ldca.data == snap).all()
+    twice = merge(frames_for(a) + frames_for(a))
+    assert twice.seav.payload_bytes() == a.seav.payload_bytes()
+    assert twice.ldca.payload_bytes() == a.ldca.payload_bytes()
     # (a|b)|c == a|(b|c), built via frames both ways
     left = merge(frames_for(a) + frames_for(b))
     right = merge(frames_for(b) + frames_for(c))
@@ -290,6 +291,25 @@ def test_threads_do_not_change_results():
     assert seq.reports == par.reports
     assert all((x == y).all() for x, y in
                zip(seq.global_seav.rows, par.global_seav.rows))
+
+
+def test_watch_point_state_lives_until_its_frames_exist():
+    # Default geometry, 8 MiB of registers per watch point.  The window's
+    # frames stay (n_wp of them) beside the receiver and the states of the
+    # points being scanned; a state kept past its frames adds one more each.
+    params = DetectorParams()
+    one_point = sum(DetectorState.create(params).memory_bytes())
+    rng = np.random.default_rng(13)
+    hips = rng.integers(0, 2**32, size=20_000, dtype=np.uint64)
+    oips = rng.integers(0, 2**32, size=20_000, dtype=np.uint64)
+    n_wp, threads = 8, 1
+    tracemalloc.start()
+    try:
+        simulate_window(params, 0, hips, oips, n_wp=n_wp, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n_wp + threads + 1.5) * one_point, peak / one_point
 
 
 def test_small_buffers_do_not_change_results():
