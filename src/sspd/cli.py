@@ -26,6 +26,7 @@ from .evaluation import (
     ip_from_str,
     ip_to_str,
     metrics_report,
+    parse_lines,
     read_trace,
     read_truth,
     truth_path,
@@ -282,17 +283,25 @@ def cmd_distsim(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_entry(line: str) -> list[int] | tuple[int, int] | None:
+    """The window ids of the `# windows=` line, (window id, IP) of a report
+    row, None for any other header line."""
+    if line.startswith("# windows="):
+        return [int(w) for w in line.split("=", 1)[1].split()]
+    if line.startswith(("#", "window_id")):
+        return None
+    wid, ip, _est, _sat = line.split(",")
+    return int(wid), ip_from_str(ip)
+
+
 def _read_report_csv(path: Path) -> tuple[dict[int, list[int]], list[int]]:
     per_window: dict[int, list[int]] = {}
     windows: list[int] = []
-    for line in path.read_text().splitlines():
-        if line.startswith("# windows="):
-            windows = [int(w) for w in line.split("=", 1)[1].split()]
-            continue
-        if not line or line.startswith("#") or line.startswith("window_id"):
-            continue
-        wid, ip, _est, _sat = line.split(",")
-        per_window.setdefault(int(wid), []).append(ip_from_str(ip))
+    for entry in parse_lines(path, _report_entry):
+        if isinstance(entry, list):
+            windows = entry
+        elif entry is not None:
+            per_window.setdefault(entry[0], []).append(entry[1])
     for wid in windows:
         per_window.setdefault(wid, [])
     return per_window, windows or sorted(per_window)

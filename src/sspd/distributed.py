@@ -25,7 +25,6 @@ receiver, not the frames, says which detector a window belongs to.
 
 from __future__ import annotations
 
-import copy
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -165,24 +164,6 @@ def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> Detector
         np.bitwise_or(regs, np.frombuffer(f.payload, regs.dtype), out=regs)
     receiver.window_id = window_ids[0]
     return receiver
-
-
-def merge_timestamp_pools(pools: list) -> "object":
-    """Sliding-mode merge: per-slot newest stamp wins.
-
-    Pools must share slot count, window and current slice; merging in
-    wrapped space is safe because every pool obeys the same age bound.
-    """
-    first = pools[0]
-    for p in pools[1:]:
-        if (p.n_slots, p.window_slices, p.now) != (first.n_slots, first.window_slices, first.now):
-            raise MergeError("timestamp pools differ in layout, window, or current slice")
-    ages = first.ages()
-    for p in pools[1:]:
-        np.minimum(ages, p.ages(), out=ages)
-    merged = copy.copy(first)  # shares first.ts until it is replaced below
-    merged.ts = np.subtract(first.ts.dtype.type(first._wrapped_now()), ages, out=ages)
-    return merged
 
 
 def route_pairs(hips: np.ndarray, oips: np.ndarray, n_wp: int, route: str,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedMetricError
-from .hashing import mix64
+from .hashing import MASK32, mix64
 
 TRACE_DTYPE = np.dtype([("slice", "<u4"), ("hip", "<u4"), ("oip", "<u4")])
 
@@ -46,12 +46,6 @@ class ExactOracle:
         oracle.hosts = np.array([ip for ip, _ in items], dtype=np.uint32)
         oracle.counts = np.array([c for _, c in items], dtype=np.int64)
         return oracle
-
-    def cardinality(self, hip: int) -> int:
-        i = np.searchsorted(self.hosts, hip)
-        if i < len(self.hosts) and self.hosts[i] == hip:
-            return int(self.counts[i])
-        return 0
 
     def superpoints(self, theta: int) -> list[int]:
         """Hosts with at least theta distinct opposite IPs, sorted."""
@@ -104,6 +98,8 @@ class TraceSpec:
                 raise ConfigError(f"bad {name} cardinality range ({lo}, {hi})")
         if self.n_super < 0 or self.n_background < 0 or self.slices < 1:
             raise ConfigError("counts must be non-negative and slices >= 1")
+        if self.slices > 1 << 32:  # slice ids are stored as <u4
+            raise ConfigError(f"slices must be <= 2^32, got {self.slices}")
 
 
 def _distinct_u32(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -210,30 +206,41 @@ def write_truth(truth: dict[int, int], path: Path | str):
             fh.write(f"{ip_to_str(ip)} {truth[ip]}\n")
 
 
+def parse_lines(path: Path, parse):
+    """``parse`` of every non-blank line of a text file, in order; a line
+    it refuses with ValueError raises DataError naming the file and line."""
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.strip():
+            try:
+                yield parse(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{number}: {exc}") from None
+
+
+def _truth_entry(line: str) -> tuple[int, int]:
+    ip, card = line.split()
+    if not 0 <= int(card) < 1 << 63:
+        raise ValueError(f"count {card} is not a non-negative 64-bit integer")
+    return ip_from_str(ip), int(card)
+
+
 def read_truth(path: Path | str) -> dict[int, int]:
-    truth = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        ip, card = line.split()
-        truth[ip_from_str(ip)] = int(card)
-    return truth
+    return dict(parse_lines(Path(path), _truth_entry))
+
+
+def _trace_record(line: str) -> tuple[int, int, int]:
+    s, h, o = line.split(",")
+    if not 0 <= int(s) <= MASK32:
+        raise ValueError(f"slice {s} is not a 32-bit unsigned integer")
+    return int(s), ip_from_str(h), ip_from_str(o)
 
 
 def read_trace(path: Path | str) -> Trace:
     path = Path(path)
     if path.suffix == ".txt":
-        slices, hips, oips = [], [], []
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            s, h, o = line.split(",")
-            slices.append(int(s))
-            hips.append(ip_from_str(h))
-            oips.append(ip_from_str(o))
-        return Trace(slices=np.array(slices, dtype=np.uint32),
-                     hips=np.array(hips, dtype=np.uint32),
-                     oips=np.array(oips, dtype=np.uint32), truth={})
+        rec = np.array(list(parse_lines(path, _trace_record)), dtype=np.uint32).reshape(-1, 3)
+        return Trace(slices=rec[:, 0].copy(), hips=rec[:, 1].copy(),
+                     oips=rec[:, 2].copy(), truth={})
     raw = path.read_bytes()
     if len(raw) % TRACE_DTYPE.itemsize:
         raise DataError(f"{path} is not a whole number of {TRACE_DTYPE.itemsize}-byte records")

@@ -2,7 +2,8 @@
 
 Primitives:
     mix64             -- SplitMix64-style avalanche finalizer (scalar ints)
-    mix64_array       -- the same finalizer on numpy uint64 arrays, bit-identical
+    hash64_array      -- keys -> seeded 64-bit values: the same finalizer on
+                         key ^ seed, over numpy uint64 arrays
     hash_full_array   -- 32-bit IPs -> uniform 32-bit values
     hash_range_array  -- 32-bit IPs -> uniform values in [0, m)
     lsb_at_least      -- whether the lowest set bit is at index >= tau
@@ -52,12 +53,6 @@ def mix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
     return z ^ (z >> 31)
-
-
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64; bit-identical to the scalar path.  ``x`` is not
-    written: the mixing runs in place on a uint64 copy of it."""
-    return _mix64_in_place(x.astype(np.uint64))
 
 
 def _mix64_in_place(z: np.ndarray) -> np.ndarray:

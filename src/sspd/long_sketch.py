@@ -113,10 +113,6 @@ class LdcaSketch:
     def clear(self):
         self.data.fill(0)
 
-    def update(self, hip: int, oip: int):
-        """Record one IP pair: a batch of one."""
-        self.update_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
-
     def update_batch(self, hips: np.ndarray, oips: np.ndarray):
         """Record a batch of IP pairs (vectorized, integer arithmetic only).
 
@@ -182,15 +178,18 @@ def plan_rows(v: int, n_pairs: float, k: int,
     grows with the row count, so a ceiling is kept by default).
     Returns (lr, lc) with lc = v // lr.
     """
-    if v < 1 or n_pairs <= 0 or k < 2:
+    if v < 1 or not n_pairs > 0 or k < 2:  # also refuses a NaN n_pairs
         raise ConfigError("plan_rows arguments must be positive (k >= 2)")
+    if max(v, k) >= 1 << 63:  # beyond this they overflow a float
+        raise ConfigError(f"plan_rows takes v and k below 2^63, got v={v}, k={k}")
     if max_rows is not None and max_rows < 1:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
-    raw = -v * math.log(2.0) / (n_pairs * math.log(1.0 - 1.0 / k))
-    lr = max(1, round(raw))
+    # log1p stays nonzero for any k, and dividing twice keeps a tiny
+    # n_pairs from flushing the divisor to zero; raw may be inf, hence min.
+    raw = -v * math.log(2.0) / n_pairs / math.log1p(-1.0 / k)
+    lr = max(1, round(min(raw, v)))
     if max_rows is not None:
         lr = min(lr, max_rows)
-    lr = min(lr, v)
     return lr, v // lr
 
 

@@ -181,15 +181,6 @@ class SeavConfig:
         return vals, mask
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateHost:
-    """A reconstructed IP whose row-register AND still has weight >= 3."""
-
-    ip: int
-    source_sea: int
-    union_weight: int
-
-
 class SeavSketch:
     """2^r register arrays of SR rows each, plus the restore join.
 
@@ -214,10 +205,6 @@ class SeavSketch:
     def clear(self):
         self.flat.fill(0)
 
-    def update(self, hip: int, oip: int):
-        """Record one IP pair: a batch of one."""
-        self.update_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
-
     def update_batch(self, hips: np.ndarray, oips: np.ndarray):
         """Record a batch of IP pairs (vectorized, integer arithmetic only)."""
         bit, registers = self.config.addresses(self.seeds, hips, oips)
@@ -228,8 +215,9 @@ class SeavSketch:
     def payload_bytes(self) -> bytes:
         return self.flat.tobytes()
 
-    def restore_sea(self, rp: int) -> list[CandidateHost]:
-        """Reconstruct candidates for one register array.
+    def restore_sea(self, rp: int) -> np.ndarray:
+        """IPs of the candidates of one register array, as uint64: those
+        whose row registers AND to weight >= 3.
 
         A join row by row: partial tuples, one hot column per row so far,
         are carried as arrays of their assembled left part and register
@@ -252,7 +240,7 @@ class SeavSketch:
             regs = self.rows[i][rp]
             cols = np.flatnonzero(np.bitwise_count(regs) >= 3)
             if len(cols) == 0:
-                return []
+                return np.empty(0, dtype=np.uint64)
             frags, mask = self._scatter[i][0][cols], self._scatter[i][1]
             overlap = np.uint64(fixed & mask)
             keys = frags & overlap
@@ -295,28 +283,25 @@ class SeavSketch:
 
         join(1, hot[0][0], hot[0][1])
         if not found_lp:
-            return []
-        acc_lp = np.concatenate(found_lp)
-        weights = np.bitwise_count(np.concatenate(found_and))
-        keep = weights >= 3
-        ips = (acc_lp[keep] << np.uint64(cfg.r)) | np.uint64(rp)
-        return [CandidateHost(ip, rp, w)
-                for ip, w in zip(ips.tolist(), weights[keep].tolist())]
+            return np.empty(0, dtype=np.uint64)
+        keep = np.bitwise_count(np.concatenate(found_and)) >= 3
+        return (np.concatenate(found_lp)[keep] << np.uint64(cfg.r)) | np.uint64(rp)
 
-    def restore(self, on_overflow: str = "raise") -> list[CandidateHost]:
-        """Reconstruct candidates across all register arrays, sorted by IP.
+    def restore(self, on_overflow: str = "raise") -> np.ndarray:
+        """IPs of the candidates across all register arrays, as a sorted
+        uint64 array.
 
         ``on_overflow`` is "raise" (propagate the first per-array overflow)
         or "warn" (skip the offending array and keep going).
         """
-        found: list[CandidateHost] = []
+        found = [np.empty(0, dtype=np.uint64)]
         for rp in range(1 << self.config.r):
             try:
-                found += self.restore_sea(rp)
+                found.append(self.restore_sea(rp))
             except SeaOverflowError as exc:
                 if on_overflow == "warn":
                     warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
                     continue
                 raise
         # IPs are unique: an IP fixes its array and its column in every row.
-        return sorted(found, key=lambda c: c.ip)
+        return np.sort(np.concatenate(found))

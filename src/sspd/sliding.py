@@ -145,10 +145,6 @@ class SlidingDetector:
                 self.pool.touch_batch(reg)
         self.pair_count += len(hips)
 
-    def observe(self, hip: int, oip: int):
-        self.observe_batch(np.array([hip], dtype=np.uint64),
-                           np.array([oip], dtype=np.uint64))
-
     def materialize_seav(self) -> SeavSketch:
         """Active-bit view of the candidate sketch as a regular sketch.
 
@@ -190,4 +186,4 @@ class SlidingDetector:
     def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
         return report_candidates(self.materialize_seav(), self.estimate,
-                                 self.params.beta * self.params.theta, self.now, "sliding")
+                                 self.params.beta * self.params.theta, self.now)

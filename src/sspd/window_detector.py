@@ -30,18 +30,17 @@ DEFAULT_BETA = 0.8
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """One detected host: IP, its estimated fan-out, and provenance."""
+    """One detected host: IP, its estimated fan-out, and its window."""
 
     ip: int
     estimated_cardinality: float
     saturated: bool
     window_id: int
-    source: str = "discrete"
 
 
 def report_candidates(seav: SeavSketch,
                       estimate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                      cutoff: float, window_id: int, source: str) -> list[DetectionReport]:
+                      cutoff: float, window_id: int) -> list[DetectionReport]:
     """Restore candidates and keep those whose counter estimate clears
     ``cutoff`` (or saturates), sorted by IP.
 
@@ -50,12 +49,11 @@ def report_candidates(seav: SeavSketch,
     share this loop and differ only in where those registers are read
     from.  Per-array restore overflows surface as warnings, not failures.
     """
-    candidates = seav.restore(on_overflow="warn")
-    est, saturated = estimate(np.array([c.ip for c in candidates], dtype=np.uint64))
-    keep = np.flatnonzero(saturated | (est >= cutoff))
-    return [DetectionReport(ip=candidates[j].ip, estimated_cardinality=e, saturated=s,
-                            window_id=window_id, source=source)
-            for j, e, s in zip(keep.tolist(), est[keep].tolist(), saturated[keep].tolist())]
+    ips = seav.restore(on_overflow="warn")
+    est, saturated = estimate(ips)
+    keep = saturated | (est >= cutoff)
+    return [DetectionReport(ip=ip, estimated_cardinality=e, saturated=s, window_id=window_id)
+            for ip, e, s in zip(ips[keep].tolist(), est[keep].tolist(), saturated[keep].tolist())]
 
 
 def split_windows(slices: np.ndarray, window_slices: int):
@@ -150,9 +148,6 @@ class DetectorState:
     def memory_bytes(self) -> tuple[int, int]:
         return self.seav.memory_bytes(), self.ldca.memory_bytes()
 
-    def process_pair(self, hip: int, oip: int):
-        self.process_batch(np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64))
-
     def process_batch(self, hips: np.ndarray, oips: np.ndarray):
         self.seav.update_batch(hips, oips)
         self.ldca.update_batch(hips, oips)
@@ -165,7 +160,7 @@ class DetectorState:
         Per-array restore overflows surface as warnings, not failures.
         """
         return report_candidates(self.seav, self.ldca.estimate,
-                                 self.params.beta * self.theta, self.window_id, "discrete")
+                                 self.params.beta * self.theta, self.window_id)
 
     def reset(self):
         """Zero all registers for the next window; config and seeds stay."""

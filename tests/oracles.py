@@ -12,12 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from sspd.errors import ConfigError
-from sspd.hashing import MASK32, MASK64, HashSeed, SeedFamily, mix64
+from sspd.evaluation import ExactOracle
+from sspd.hashing import MASK32, MASK64, HashSeed, SeedFamily, _mix64_in_place, mix64
 from sspd.long_sketch import DEFAULT_K, LdcaSketch
 from sspd.short_sketch import SeavConfig
 from sspd.sliding import SlidingDetector, TimestampPool
 
 # --- hashes -------------------------------------------------------------------
+
+
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 of every element; ``x`` is not written: the mixing runs in
+    place on a uint64 copy of it."""
+    return _mix64_in_place(x.astype(np.uint64))
 
 
 def hash64(key: int, seed: HashSeed) -> int:
@@ -171,6 +178,14 @@ def materialize_ldca(detector: SlidingDetector) -> np.ndarray:
 
 
 # --- evaluation ---------------------------------------------------------------
+
+
+def cardinality(oracle: ExactOracle, hip: int) -> int:
+    """The oracle's exact count of one host; 0 for a host it never saw."""
+    i = np.searchsorted(oracle.hosts, hip)
+    if i < len(oracle.hosts) and oracle.hosts[i] == hip:
+        return int(oracle.counts[i])
+    return 0
 
 
 def exact_cardinalities_dict(hips: np.ndarray, oips: np.ndarray) -> dict[int, int]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import sspd
 from sspd import distributed
-from sspd.cli import RunConfig, _config_from_args, build_parser, main
+from sspd.cli import REPORT_COLUMNS, RunConfig, _config_from_args, build_parser, main
 from sspd.errors import ConfigError
 from sspd.evaluation import read_trace, truth_path
 from sspd.long_sketch import LdcaSketch
@@ -164,6 +164,18 @@ def test_plan_zero_max_rows_is_config_error(capsys):
     code = run(["plan", "--v", 8192, "--n", 1e6, "--k", 8192, "--max-rows", 0])
     assert code == 2
     assert "error: config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--v", 8192, "--n", "nan", "--k", 8192],
+    ["generate", "--out", "x.bin", "--slices", 5_000_000_000, "--n-pairs", 10,
+     "--n-super", 1, "--super-card", 2, 2, "--n-background", 0],
+], ids=["plan-nan-n", "generate-slices-beyond-u32"])
+def test_out_of_range_value_is_config_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and len(err.splitlines()) == 1
 
 
 def test_memory_budget_maps_to_v(tmp_path, trace_file):
@@ -318,6 +330,40 @@ def test_truncated_trace_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
+REPORT_HEAD = "# sspd report kind=discrete\n# windows=0\n" + REPORT_COLUMNS + "\n"
+
+
+@pytest.mark.parametrize("file, text, line", [
+    ("t.txt", "0,1.2.3.4,5.6.7.8\n0,1.2.3.4,host\n", 2),
+    ("t.txt", "0,1.2.3.4\n", 1),
+    ("t.txt", "\nx,1.2.3.4,5.6.7.8\n", 2),
+    ("t.txt", "4294967296,1.2.3.4,5.6.7.8\n", 1),
+    ("t.bin.truth", "1.2.3.4 x\n", 1),
+    ("t.bin.truth", "1.2.3.4 5\n5.6.7.8\n", 2),
+    ("t.bin.truth", "1.2.3.4 9223372036854775808\n", 1),
+    ("r.csv", REPORT_HEAD + "0,1.2.3.4\n", 4),
+    ("r.csv", REPORT_HEAD + "0,1.2.3.4,2048.0,0\n0,1.2.3,2048.0,0\n", 5),
+    ("r.csv", "# windows=0 x\n", 1),
+], ids=["trace-non-ip", "trace-two-fields", "trace-non-integer-slice",
+        "trace-slice-beyond-u32", "truth-non-integer-count", "truth-one-field",
+        "truth-count-beyond-i64", "report-two-fields", "report-non-ip",
+        "report-non-integer-window"])
+def test_malformed_file_is_data_error(tmp_path, capsys, file, text, line):
+    # Each reader names the file and the line; the CLI exits 3 with one line.
+    (tmp_path / file).write_text(text)
+    (tmp_path / "t.bin.truth").touch(exist_ok=True)
+    (tmp_path / "r.csv").touch(exist_ok=True)
+    if file == "t.txt":
+        argv = ["detect", "--trace", tmp_path / file, "--out", tmp_path / "x.csv", *SMALL_FLAGS]
+    else:
+        argv = ["eval", "--reports", tmp_path / "r.csv", "--truth", tmp_path / "t.bin.truth",
+                "--out", tmp_path / "m.csv"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {tmp_path / file}:{line}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_internal_assertion_exit_code(monkeypatch, capsys):
     import sspd.cli as cli
 
@@ -365,8 +411,39 @@ FUZZ_COMMAND_FLAGS = {
 }
 
 
+# The commands that take no sketch flags.  A tuple is the pair of values of
+# a two-value flag.  The generate values, its fixed ones below included,
+# bound the pairs it builds (see test_fuzz_lists_build_at_most_64_mib).
+FUZZ_GENERATE_BASE = ["--n-super", 1, "--super-card", 64, 64, "--n-background", 20,
+                      "--background-card", 1, 8, "--n-pairs", 300, "--slices", FUZZ_SLICES]
+FUZZ_OTHER_FLAGS = {
+    "generate": {
+        "--n-super": [0, -1, 1, 4, "x"],
+        "--super-card": [(0, 0), (1, 1), (2, 1), (-1, 4), (64, 64), ("x", 1)],
+        "--n-background": [0, -1, 1, 20, "x"],
+        "--background-card": [(0, 0), (1, 8), (8, 1), (64, 64), (1, "x")],
+        "--n-pairs": [0, -1, 1, 300, 1000, "x"],
+        "--slices": [0, -1, 1, 2**32, 2**32 + 1, 5_000_000_000, "x"],
+        "--gen-seed": [0, -1, 2**64, "x"],
+    },
+    "eval": {"--theta": [0, -1, 1, 64, 2**32, 2**64, "x"]},
+    "plan": {
+        "--v": [0, -1, 1, 8192, 2**62, 2**64, 10**400, "x"],
+        "--n": [0, -1, 1e-300, 5e-324, "nan", "inf", "x"],
+        "--k": [0, -1, 1, 2, 8192, 2**62, 2**64, 10**400, "x"],
+        "--max-rows": [0, -1, 1, 2**64, "x"],
+    },
+}
+
+
 def fuzz_flags(command):
     return {**FUZZ_SKETCH_FLAGS, **FUZZ_COMMAND_FLAGS[command]}
+
+
+def largest(values):
+    """The largest integer among fuzz values, pairs included."""
+    return max(x for v in values for x in (v if isinstance(v, tuple) else (v,))
+               if isinstance(x, int))
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +451,22 @@ def fuzz_dir(tmp_path_factory):
     folder = tmp_path_factory.mktemp("fuzz")
     run(["generate", "--out", folder / "tiny.bin", "--n-super", 1, "--super-card", 64, 64,
          "--n-background", 20, "--n-pairs", 300, "--slices", FUZZ_SLICES, "--gen-seed", 4])
+    run(["detect", "--trace", folder / "tiny.bin", "--out", folder / "tiny.csv", *FUZZ_BASE])
     return folder
+
+
+def fuzz_exit_code(data, argv, flags):
+    """Exit code of ``argv`` with up to three of ``flags`` drawn and appended."""
+    names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
+    for name in names:
+        value = data.draw(st.sampled_from(flags[name]), label=name)
+        argv += [name, *value] if isinstance(value, tuple) else [name, value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run(argv)
+        except SystemExit as exc:  # argparse refusing a value
+            return exc.code
 
 
 def test_fuzz_lists_build_at_most_64_mib():
@@ -409,24 +501,33 @@ def test_fuzz_lists_build_at_most_64_mib():
                for n, xs in FUZZ_COMMAND_FLAGS["distsim"].items()}
     copies = max(8 * 8, FUZZ_SLICES * distsim["--n-wp"] + distsim["--threads"] + 2)
     assert registers * copies <= 64 << 20, (registers, copies)
+    # generate draws every planted pair, then the requested ones; a pair
+    # costs well under 64 bytes at its peak.
+    gen = {n: largest(xs) for n, xs in FUZZ_OTHER_FLAGS["generate"].items()}
+    pairs = (gen["--n-super"] * gen["--super-card"]
+             + gen["--n-background"] * gen["--background-card"] + gen["--n-pairs"])
+    assert pairs * 64 <= 64 << 20, pairs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), command=st.sampled_from(sorted(FUZZ_COMMAND_FLAGS)))
 def test_fuzz_numeric_flags_exit_cleanly(fuzz_dir, data, command):
-    flags = fuzz_flags(command)
-    names = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
     argv = [command, "--trace", fuzz_dir / "tiny.bin", "--out", fuzz_dir / "out.csv",
             *FUZZ_BASE]
-    for name in names:
-        argv += [name, data.draw(st.sampled_from(flags[name]), label=name)]
     if command == "distsim":
         argv += ["--merge-log", fuzz_dir / "log.txt", "--frames-dir", fuzz_dir / "frames"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse refusing a value
-            code = exc.code
-    assert code in (0, 2, 3, 4)
+    assert fuzz_exit_code(data, argv, fuzz_flags(command)) in (0, 2, 3, 4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(sorted(FUZZ_OTHER_FLAGS)))
+def test_fuzz_generate_eval_plan_exit_cleanly(fuzz_dir, data, command):
+    argv = {
+        "generate": ["generate", "--out", fuzz_dir / "gen.bin", *FUZZ_GENERATE_BASE],
+        "eval": ["eval", "--reports", fuzz_dir / "tiny.csv", "--truth",
+                 fuzz_dir / "tiny.bin.truth", "--out", fuzz_dir / "metrics.csv"],
+        "plan": ["plan", "--v", 8192, "--n", 4000, "--k", 64],
+    }[command]
+    assert fuzz_exit_code(data, argv, FUZZ_OTHER_FLAGS[command]) in (0, 2, 3, 4)

@@ -9,7 +9,6 @@ from sspd import distributed
 from sspd.distributed import (
     SketchFrame,
     merge_frames,
-    merge_timestamp_pools,
     parse_frame,
     route_pairs,
     serialize,
@@ -26,10 +25,7 @@ from sspd.errors import (
 )
 from sspd.hashing import SeedFamily
 from sspd.short_sketch import SeavConfig, SeavSketch
-from sspd.sliding import TimestampPool
 from sspd.window_detector import DetectorParams, DetectorState
-
-from oracles import is_active, touch
 
 SEEDS = SeedFamily()
 PARAMS = DetectorParams(theta=1024, k=4096, lr=2, lc=64, design_n=4e3)
@@ -361,29 +357,3 @@ def test_topology_splits_windows_by_slice():
                                 window_slices=10)
     assert [r.window_id for r in results] == [0, 1]
 
-
-# --- sliding-mode merge ---------------------------------------------------------
-
-def test_timestamp_pool_merge_takes_newest():
-    pools = [TimestampPool(8, window_slices=5) for _ in range(3)]
-    for p in pools:
-        for _ in range(4):
-            p.advance_slice()
-    touch(pools[0], 0, now=1)
-    touch(pools[1], 0, now=3)
-    touch(pools[2], 1, now=2)
-    before = [p.ts.copy() for p in pools]
-    merged = merge_timestamp_pools(pools)
-    assert is_active(merged, 0) and is_active(merged, 1)
-    ages = merged.ages()
-    assert ages[0] == 1  # newest stamp (slice 3, now 4) wins
-    assert ages[1] == 2
-    assert all((p.ts == b).all() for p, b in zip(pools, before))
-    assert not any(np.shares_memory(merged.ts, p.ts) for p in pools)
-
-
-def test_timestamp_pool_merge_rejects_mismatch():
-    a = TimestampPool(8, window_slices=5)
-    b = TimestampPool(8, window_slices=6)
-    with pytest.raises(MergeError):
-        merge_timestamp_pools([a, b])

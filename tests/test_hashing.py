@@ -15,10 +15,9 @@ from sspd.hashing import (
     hash64_array,
     lsb_at_least,
     mix64,
-    mix64_array,
 )
 
-from oracles import hash64, hash_full, hash_range, lsb
+from oracles import hash64, hash_full, hash_range, lsb, mix64_array
 
 H1 = HashSeed(DEFAULT_MASTER_SEED, Tag.H1)
 H2 = HashSeed(DEFAULT_MASTER_SEED, Tag.H2)

@@ -107,18 +107,23 @@ def small_sketch(lr=2, lc=16, k=64):
     return LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k), SEEDS)
 
 
+def one_pair(hip, oip):
+    """The 1-pair (hips, oips) batch of one IP pair."""
+    return np.array([hip], dtype=np.uint64), np.array([oip], dtype=np.uint64)
+
+
 def test_one_pair_sets_at_most_lr_bits():
     sk = small_sketch(lr=3)
-    sk.update(42, 4242)
+    sk.update_batch(*one_pair(42, 4242))
     set_bits = int(np.unpackbits(sk.data).sum())
     assert 1 <= set_bits <= 3
 
 
 def test_pair_idempotent():
     sk = small_sketch()
-    sk.update(42, 4242)
+    sk.update_batch(*one_pair(42, 4242))
     snap = sk.data.copy()
-    sk.update(42, 4242)
+    sk.update_batch(*one_pair(42, 4242))
     assert (sk.data == snap).all()
 
 
@@ -140,7 +145,7 @@ def test_batch_matches_scalar():
     a.update_batch(hips, oips)
     for hip, oip in zip(hips.tolist(), oips.tolist()):
         reference_update(b, hip, oip)
-        c.update(hip, oip)
+        c.update_batch(*one_pair(hip, oip))
     assert (a.data == b.data).all()
     assert (c.data == b.data).all()
 

@@ -6,11 +6,17 @@ from hypothesis import strategies as st
 from sspd import short_sketch
 from sspd.errors import ConfigError, SeaOverflowError
 from sspd.hashing import SeedFamily
-from sspd.short_sketch import CandidateHost, SeavConfig, SeavSketch, tau_from_theta
+from sspd.short_sketch import SeavConfig, SeavSketch, tau_from_theta
 
 from oracles import ShortEstimator, hash_full, hash_range, index_of, lp_from_indexes, lsb
 
 SEEDS = SeedFamily()
+
+
+def pairs_arrays(pairs):
+    """(hips, oips) uint64 arrays of a list of (hip, oip) pairs."""
+    hips, oips = np.array(pairs, dtype=np.uint64).reshape(-1, 2).T
+    return hips, oips
 
 
 # --- sampling threshold -----------------------------------------------------
@@ -242,16 +248,15 @@ def reference_update(cfg: SeavConfig, pairs, seeds: SeedFamily):
 
 def test_update_idempotent():
     sk = SeavSketch(SeavConfig(theta=8), SEEDS)  # tau=0: every pair lands
-    sk.update(123456, 789)
+    sk.update_batch(*pairs_arrays([(123456, 789)]))
     snapshot = [r.copy() for r in sk.rows]
-    sk.update(123456, 789)
+    sk.update_batch(*pairs_arrays([(123456, 789)]))
     assert all((a == b).all() for a, b in zip(snapshot, sk.rows))
 
 
 def test_rp_routing_separates_arrays():
     sk = SeavSketch(SeavConfig(theta=8), SEEDS)
-    sk.update(0x10, 5)   # rp=0
-    sk.update(0x13, 5)   # rp=3
+    sk.update_batch(*pairs_arrays([(0x10, 5), (0x13, 5)]))  # rp=0 and rp=3
     for row in sk.rows:
         touched = {int(rp) for rp in np.nonzero(row)[0]}
         assert touched == {0, 3}
@@ -280,8 +285,8 @@ def test_scalar_matches_batch():
     a = SeavSketch(cfg, SEEDS)
     b = SeavSketch(cfg, SEEDS)
     a.update_batch(hips, oips)
-    for hip, oip in zip(hips.tolist(), oips.tolist()):
-        b.update(hip, oip)
+    for j in range(len(hips)):
+        b.update_batch(hips[j:j + 1], oips[j:j + 1])
     assert all((x == y).all() for x, y in zip(a.rows, b.rows))
 
 
@@ -293,12 +298,10 @@ def test_permutation_invariance(pairs, rnd):
     cfg = SeavConfig(theta=8, r=2, sr=5, a=1)
     a = SeavSketch(cfg, SEEDS)
     b = SeavSketch(cfg, SEEDS)
-    for hip, oip in pairs:
-        a.update(hip, oip)
+    a.update_batch(*pairs_arrays(pairs))
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    for hip, oip in shuffled:
-        b.update(hip, oip)
+    b.update_batch(*pairs_arrays(shuffled))
     assert all((x == y).all() for x, y in zip(a.rows, b.rows))
 
 
@@ -310,9 +313,9 @@ def test_shard_merge_equivalence(pairs, assignment):
     cfg = SeavConfig(theta=8, r=2, sr=5, a=1)
     single = SeavSketch(cfg, SEEDS)
     shards = [SeavSketch(cfg, SEEDS) for _ in range(4)]
-    for (hip, oip), wp in zip(pairs, assignment):
-        single.update(hip, oip)
-        shards[wp].update(hip, oip)
+    single.update_batch(*pairs_arrays(pairs))
+    for wp, shard in enumerate(shards):
+        shard.update_batch(*pairs_arrays([p for p, a in zip(pairs, assignment) if a == wp]))
     merged = np.bitwise_or.reduce([s.flat for s in shards])
     assert np.array_equal(single.flat, merged)
 
@@ -321,7 +324,7 @@ def test_shard_merge_equivalence(pairs, assignment):
 
 def test_restore_empty():
     sk = SeavSketch(SeavConfig(), SEEDS)
-    assert sk.restore() == []
+    assert len(sk.restore()) == 0
 
 
 def test_restore_single_heavy_host():
@@ -330,11 +333,7 @@ def test_restore_single_heavy_host():
     hip = 0xC0A80101
     oips = rng.integers(0, 2**32, size=4096, dtype=np.uint64)
     sk.update_batch(np.full(4096, hip, dtype=np.uint64), oips)
-    found = sk.restore()
-    assert any(c.ip == hip for c in found)
-    cand = next(c for c in found if c.ip == hip)
-    assert cand.source_sea == hip & 0xF
-    assert cand.union_weight >= 3
+    assert hip in sk.restore().tolist()
 
 
 def all_hot_left_parts(sk: SeavSketch, rp: int) -> list[int]:
@@ -372,7 +371,7 @@ def test_restore_matches_brute_force_on_small_address_space():
     oips = rng.integers(0, 2**32, size=3000, dtype=np.uint64)
     sk.update_batch(hips, oips)
 
-    got = {c.ip for c in sk.restore()}
+    got = set(sk.restore().tolist())
     expected = set()
     for rp in range(1 << cfg.r):
         expected |= brute_force_restore(sk, rp)
@@ -396,7 +395,7 @@ def test_restore_brute_force_planted_scenario():
     bg_oips = rng.integers(0, 2**32, size=len(bg_hips), dtype=np.uint64)
     sk.update_batch(bg_hips, bg_oips)
 
-    got = {c.ip for c in sk.restore()}
+    got = set(sk.restore().tolist())
     expected = set()
     for rp in range(1 << cfg.r):
         expected |= brute_force_restore(sk, rp)
@@ -421,8 +420,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
     assert n > len(brute_force_restore(sk, rp)) > 0  # some tuples have a light AND
 
     sk.restore_cap = n
-    found = sk.restore_sea(rp)
-    assert {c.ip for c in found} == brute_force_restore(sk, rp)
+    assert set(sk.restore_sea(rp).tolist()) == brute_force_restore(sk, rp)
     sk.restore_cap = n - 1
     with pytest.raises(SeaOverflowError) as err:
         sk.restore_sea(rp)
@@ -436,7 +434,8 @@ def test_restore_output_sorted_and_unique():
         oips = rng.integers(0, 2**32, size=64, dtype=np.uint64)
         sk.update_batch(np.full(64, hip, dtype=np.uint64), oips)
     found = sk.restore()
-    ips = [c.ip for c in found]
+    assert found.dtype == np.uint64
+    ips = found.tolist()
     assert ips == sorted(set(ips))
 
 
@@ -460,12 +459,7 @@ def test_restore_overflow_warns_and_continues():
                     rng.integers(0, 2**32, size=4096, dtype=np.uint64))
     with pytest.warns(RuntimeWarning, match="rp=3"):
         found = sk.restore(on_overflow="warn")
-    assert any(c.ip == hip for c in found)
-
-
-def test_candidate_type_fields():
-    c = CandidateHost(ip=123, source_sea=11, union_weight=4)
-    assert (c.ip, c.source_sea, c.union_weight) == (123, 11, 4)
+    assert hip in found.tolist()
 
 
 def test_wide_registers_work_end_to_end():
@@ -479,6 +473,5 @@ def test_wide_registers_work_end_to_end():
     oips = rng.integers(0, 2**32, size=256, dtype=np.uint64)
     sk.update_batch(np.full(256, hip, dtype=np.uint64), oips)
     assert sk.rows[0].dtype == np.uint16
-    found = {c.ip for c in sk.restore()}
-    assert hip in found
+    assert hip in sk.restore().tolist()
 
