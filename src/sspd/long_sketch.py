@@ -32,26 +32,18 @@ DEFAULT_MAX_ROWS = 8
 ZERO_COUNT_CHUNK = 256
 
 
-def ldc_estimate(z0: int, k: int) -> tuple[float, bool]:
-    """Distinct-count estimate from the zero-bit count of one register.
-
-    Returns (estimate, saturated).  A fully set register cannot be
-    inverted; it yields the sentinel k*ln(k) with the saturated flag so
-    that callers can treat it as "at least huge".
-    """
-    if not 0 <= z0 <= k:
-        raise ConfigError(f"zero count {z0} out of range [0, {k}]")
-    if z0 == 0:
-        return k * math.log(k), True
-    return -k * math.log(z0 / k), False
-
-
 def ldc_estimates(z0s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``ldc_estimate`` of each zero count, as an array of estimates and
-    an array of saturated flags."""
-    out = np.fromiter((ldc_estimate(z0, k) for z0 in map(int, z0s)), count=len(z0s),
-                      dtype=[("estimate", np.float64), ("saturated", np.bool_)])
-    return out["estimate"], out["saturated"]
+    """Distinct-count estimates from the zero-bit counts of registers, as
+    an array of estimates and an array of saturated flags.
+
+    A fully set register (z0 = 0) cannot be inverted; it yields the
+    sentinel k*ln(k) with the saturated flag, so that callers can treat
+    it as "at least huge".  ``math.log`` runs once per distinct count.
+    """
+    distinct, inverse = np.unique(z0s, return_inverse=True)
+    est = np.array([-k * math.log(z0 / k) if z0 else k * math.log(k)
+                    for z0 in distinct.tolist()], dtype=np.float64)
+    return est[inverse], z0s == 0
 
 
 @dataclass(frozen=True)
@@ -67,6 +59,8 @@ class LdcaConfig:
             raise ConfigError(f"LC must be >= 1, got {self.lc}")
         if self.k < 8 or self.k % 8:
             raise ConfigError(f"k must be a positive multiple of 8, got {self.k}")
+        if self.k >= 1 << 63:  # as in plan_rows: beyond this k overflows a float
+            raise ConfigError(f"k must be below 2^63, got {self.k}")
 
     @property
     def v(self) -> int:
@@ -106,9 +100,6 @@ class LdcaSketch:
         self.bytes_per_ldc = config.k // 8
         self.data = np.zeros((config.lr, config.lc, self.bytes_per_ldc), dtype=np.uint8)
         self.flat = self.data.reshape(-1)  # every register byte, as one view
-
-    def memory_bytes(self) -> int:
-        return self.config.memory_bytes()
 
     def clear(self):
         self.data.fill(0)

@@ -49,6 +49,15 @@ def _register_dtype(g: int):
     raise ConfigError(f"register width g must be <= 64, got {g}")
 
 
+def _rotate_right(x, s: int, w: int):
+    """``x`` (uint64, below 2^w) rotated right by ``s`` within w bits."""
+    s %= w
+    out = x >> np.uint64(s)
+    out |= x << np.uint64(w - s)
+    out &= np.uint64((1 << w) - 1)
+    return out
+
+
 @dataclass(frozen=True)
 class SeavConfig:
     """Geometry of the candidate sketch.
@@ -120,17 +129,12 @@ class SeavConfig:
                 )
 
     def index_of_array(self, row: int, lp: np.ndarray) -> np.ndarray:
-        """Column of the register holding each left part in ``row``: bit j
-        of the index is bit (ISB[row]+j) mod lp_bits of the left part."""
+        """Column of the register holding each left part (uint64, below
+        2^lp_bits) in ``row``: bit j of the index is bit (ISB[row]+j) mod
+        lp_bits of the left part."""
         if not 0 <= row < self.sr:
             raise ConfigError(f"row {row} out of range [0, {self.sr})")
-        w = self.lp_bits
-        idx = np.zeros(lp.shape, dtype=np.uint64)
-        one = np.uint64(1)
-        for j in range(self.ibn[row]):
-            src = np.uint64((self.isb[row] + j) % w)
-            idx |= ((lp >> src) & one) << np.uint64(j)
-        return idx
+        return _rotate_right(lp, self.isb[row], self.lp_bits) & np.uint64(self.sc[row] - 1)
 
     @property
     def n_registers(self) -> int:
@@ -167,18 +171,13 @@ class SeavConfig:
     def memory_bytes(self) -> int:
         return self.n_registers * np.dtype(_register_dtype(self.g)).itemsize
 
-    # Scatter tables for the restore join: column -> (lp fragment, position mask).
+    # Scatter tables for the restore join: column -> (lp fragment, position
+    # mask), the inverse rotation of index_of_array.
     def _row_scatter(self, i: int) -> tuple[np.ndarray, int]:
-        w = self.lp_bits
+        w, isb = self.lp_bits, self.isb[i]
         cols = np.arange(self.sc[i], dtype=np.uint64)
-        vals = np.zeros(self.sc[i], dtype=np.uint64)
-        mask = 0
-        one = np.uint64(1)
-        for j in range(self.ibn[i]):
-            pos = (self.isb[i] + j) % w
-            vals |= ((cols >> np.uint64(j)) & one) << np.uint64(pos)
-            mask |= 1 << pos
-        return vals, mask
+        return (_rotate_right(cols, -isb, w),
+                int(_rotate_right(np.uint64(self.sc[i] - 1), -isb, w)))
 
 
 class SeavSketch:
@@ -198,9 +197,6 @@ class SeavSketch:
         self.rows = [self.flat[base:base + (1 << config.r) * sc].reshape(1 << config.r, sc)
                      for base, sc in zip(config.row_base, config.sc)]
         self._scatter = [config._row_scatter(i) for i in range(config.sr)]
-
-    def memory_bytes(self) -> int:
-        return self.config.memory_bytes()
 
     def clear(self):
         self.flat.fill(0)
@@ -287,21 +283,15 @@ class SeavSketch:
         keep = np.bitwise_count(np.concatenate(found_and)) >= 3
         return (np.concatenate(found_lp)[keep] << np.uint64(cfg.r)) | np.uint64(rp)
 
-    def restore(self, on_overflow: str = "raise") -> np.ndarray:
+    def restore(self) -> np.ndarray:
         """IPs of the candidates across all register arrays, as a sorted
-        uint64 array.
-
-        ``on_overflow`` is "raise" (propagate the first per-array overflow)
-        or "warn" (skip the offending array and keep going).
-        """
+        uint64 array.  An array whose restore overflows is skipped with a
+        RuntimeWarning that names it."""
         found = [np.empty(0, dtype=np.uint64)]
         for rp in range(1 << self.config.r):
             try:
                 found.append(self.restore_sea(rp))
             except SeaOverflowError as exc:
-                if on_overflow == "warn":
-                    warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                    continue
-                raise
+                warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
         # IPs are unique: an IP fixes its array and its column in every row.
         return np.sort(np.concatenate(found))

@@ -58,7 +58,10 @@ class TimestampPool:
         self._since_sweep = 0
         self.sweep_count = 0
         # Initialize to age == window (exactly expired).
-        self.ts = np.full(n_slots, (-window_slices) & self._mask, dtype=dt)
+        try:
+            self.ts = np.full(n_slots, (-window_slices) & self._mask, dtype=dt)
+        except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+            raise ConfigError(f"timestamp pool of {n_slots} slots too large: {exc}") from exc
 
     def memory_bytes(self) -> int:
         return self.ts.nbytes

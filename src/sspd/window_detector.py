@@ -49,7 +49,7 @@ def report_candidates(seav: SeavSketch,
     share this loop and differ only in where those registers are read
     from.  Per-array restore overflows surface as warnings, not failures.
     """
-    ips = seav.restore(on_overflow="warn")
+    ips = seav.restore()
     est, saturated = estimate(ips)
     keep = saturated | (est >= cutoff)
     return [DetectionReport(ip=ip, estimated_cardinality=e, saturated=s, window_id=window_id)
@@ -137,8 +137,11 @@ class DetectorState:
     def create(cls, params: DetectorParams | None = None) -> "DetectorState":
         params = params or DetectorParams()
         seeds = SeedFamily(params.master_seed)
-        seav = SeavSketch(params.seav_config(), seeds, restore_cap=params.restore_cap)
-        ldca = LdcaSketch(params.ldca_config(), seeds)
+        try:
+            seav = SeavSketch(params.seav_config(), seeds, restore_cap=params.restore_cap)
+            ldca = LdcaSketch(params.ldca_config(), seeds)
+        except MemoryError as exc:
+            raise ConfigError(f"detector registers too large: {exc}") from exc
         return cls(seav=seav, ldca=ldca, params=params)
 
     @property
@@ -146,7 +149,7 @@ class DetectorState:
         return self.seav.config.theta
 
     def memory_bytes(self) -> tuple[int, int]:
-        return self.seav.memory_bytes(), self.ldca.memory_bytes()
+        return self.seav.config.memory_bytes(), self.ldca.config.memory_bytes()
 
     def process_batch(self, hips: np.ndarray, oips: np.ndarray):
         self.seav.update_batch(hips, oips)

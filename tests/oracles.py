@@ -7,6 +7,7 @@ API or the benchmark; it lives next to the tests that use it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,16 @@ class Ldc:
 
     def zero_count(self) -> int:
         return self.k - bin(self.bits).count("1")
+
+
+def ldc_estimate(z0: int, k: int) -> tuple[float, bool]:
+    """Distinct-count estimate from the zero-bit count of one register,
+    as (estimate, saturated); a full register gives the sentinel k*ln(k)."""
+    if not 0 <= z0 <= k:
+        raise ConfigError(f"zero count {z0} out of range [0, {k}]")
+    if z0 == 0:
+        return k * math.log(k), True
+    return -k * math.log(z0 / k), False
 
 
 def row_column(sketch: LdcaSketch, row: int, hip: int) -> int:

@@ -242,6 +242,7 @@ SCAN_PATH = [
     (sspd.hashing, "derive_seed"), (sspd.hashing, "hash64_array"),
     (sspd.hashing, "hash_full_array"), (sspd.hashing, "hash_range_array"),
     (sspd.hashing, "lsb_at_least"),
+    (sspd.short_sketch, "_rotate_right"),
     (sspd.short_sketch, "SeavConfig.index_of_array"),
     (sspd.short_sketch, "SeavConfig.registers"),
     (sspd.short_sketch, "SeavConfig.addresses"),

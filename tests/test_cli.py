@@ -215,13 +215,18 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("slide", ["--window-seconds", 0.4]),
     ("distsim", ["--window-seconds", 1e300, "--slice-seconds", 1e-300]),
     ("detect", ["--window-seconds", 60, "--window-slices", 300]),
+    ("detect", ["--lr", 1, "--lc", 1, "--k", 10**400]),
+    ("detect", ["--lr", 1, "--lc", 1, "--k", 2**66]),
+    ("detect", ["--lr", 1, "--lc", 1, "--k", 2**62]),
+    ("slide", ["--lr", 1, "--lc", 1, "--k", 2**62]),
 ], ids=["detect-every", "slice-seconds", "buffer-pairs", "k-with-memory-budget",
         "window-slices", "negative-beta", "nan-beta", "zero-memory-budget",
         "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads",
         "lr-beyond-v1-frame", "v-with-lr-and-lc", "memory-budget-with-lr-and-lc",
         "nan-window-seconds", "inf-window-seconds", "negative-window-seconds",
         "window-seconds-below-a-slice", "window-seconds-beyond-int64-slices",
-        "window-seconds-with-window-slices"])
+        "window-seconds-with-window-slices", "k-beyond-a-float", "k-beyond-int64",
+        "k-beyond-memory", "k-beyond-the-sliding-pool"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
     # a traceback instead of failing inside the test process.  The flag

@@ -12,13 +12,13 @@ from sspd.long_sketch import (
     LdcaConfig,
     LdcaSketch,
     check_noise,
-    ldc_estimate,
+    ldc_estimates,
     noise_factor,
     plan_rows,
     psu,
 )
 
-from oracles import Ldc, hash_range, row_column, union_register
+from oracles import Ldc, hash_range, ldc_estimate, row_column, union_register
 
 SEEDS = SeedFamily()
 
@@ -59,6 +59,16 @@ def test_estimate_monotone_in_zero_count(k):
         est, _ = ldc_estimate(z0, k)
         assert est <= prev + 1e-9
         prev = est
+
+
+@pytest.mark.parametrize("k", [8, 1024, 8192])
+def test_estimates_keep_the_scalar_floats(k):
+    # Bit for bit, at every zero count: np.log differs from math.log by an
+    # ulp at some counts, which would change the report files.
+    z0s = np.arange(k + 1)[::-1]
+    est, saturated = ldc_estimates(z0s, k)
+    assert list(zip(est.tolist(), saturated.tolist())) == \
+           [ldc_estimate(z, k) for z in z0s.tolist()]
 
 
 def test_ldc_idempotent_and_pigeonhole():

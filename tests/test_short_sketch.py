@@ -201,12 +201,23 @@ def test_index_of_matches_oracle(lp):
         assert index_of(cfg, row, lp) == naive_index(cfg, row, lp)
 
 
-def test_index_of_vectorized_matches_scalar():
-    cfg = SeavConfig()
-    lps = np.random.default_rng(1).integers(0, 2**28, size=2000, dtype=np.uint64)
+@pytest.mark.parametrize("geometry", [
+    {}, {"r": 0, "sr": 8, "a": 3}, {"r": 2, "sr": 5, "a": 1}, {"r": 2, "sr": 3, "a": 2},
+    {"r": 16}, {"addr_bits": 12},
+], ids=["default", "r0-sr8-a3", "r2-sr5-a1", "r2-sr3-a2", "r16", "addr12"])
+def test_index_of_vectorized_matches_scalar(geometry):
+    cfg = SeavConfig(**geometry)
+    lps = np.random.default_rng(1).integers(0, 1 << cfg.lp_bits, size=2000, dtype=np.uint64)
     for row in range(cfg.sr):
         vec = cfg.index_of_array(row, lps)
         assert vec.tolist() == [index_of(cfg, row, int(lp)) for lp in lps]
+        # The restore join's scatter table inverts the row mapping, and
+        # each fragment sets only the bits the row reads.
+        frags, mask = cfg._row_scatter(row)
+        cols = np.arange(cfg.sc[row], dtype=np.uint64)
+        assert cfg.index_of_array(row, frags).tolist() == cols.tolist()
+        assert mask == sum(1 << ((cfg.isb[row] + j) % cfg.lp_bits) for j in range(cfg.ibn[row]))
+        assert not (frags & ~np.uint64(mask)).any()
 
 
 def test_index_row_out_of_range():
@@ -458,7 +469,7 @@ def test_restore_overflow_warns_and_continues():
     sk.update_batch(np.full(4096, hip, dtype=np.uint64),
                     rng.integers(0, 2**32, size=4096, dtype=np.uint64))
     with pytest.warns(RuntimeWarning, match="rp=3"):
-        found = sk.restore(on_overflow="warn")
+        found = sk.restore()
     assert hip in found.tolist()
 
 

@@ -6,11 +6,10 @@ import pytest
 
 from sspd import sliding
 from sspd.errors import ConfigError
-from sspd.long_sketch import ldc_estimate
 from sspd.sliding import SlidingDetector, TimestampPool, timestamp_dtype
 from sspd.window_detector import DetectorParams, DetectorState
 
-from oracles import is_active, materialize_ldca, touch, union_register
+from oracles import is_active, ldc_estimate, materialize_ldca, touch, union_register
 
 SMALL = DetectorParams(theta=1024, k=4096, lr=2, lc=32, design_n=2e3)
 
