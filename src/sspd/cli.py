@@ -200,10 +200,9 @@ def _detect_windows(cfg: RunConfig, trace) -> Iterator[DetectorState]:
     window order; it is reset for the next window once the caller is done."""
     state = DetectorState.create(cfg.params)
     for wid, sel in split_windows(trace.slices, cfg.window_slices):
-        hips, oips = trace.hips[sel], trace.oips[sel]
-        for start in range(0, len(hips), cfg.buffer_pairs):
-            state.process_batch(hips[start:start + cfg.buffer_pairs],
-                                oips[start:start + cfg.buffer_pairs])
+        for start in range(0, len(sel), cfg.buffer_pairs):
+            batch = sel[start:start + cfg.buffer_pairs]
+            state.process_batch(trace.hips[batch], trace.oips[batch])
         state.window_id = wid
         yield state
         state.reset()
@@ -253,21 +252,21 @@ def cmd_distsim(args: argparse.Namespace) -> int:
     if frames_dir is None:
         out = Path(args.out)
         frames_dir = out.with_name(out.stem + "_frames")
-    results = simulate_topology(
-        cfg.params, trace.slices, trace.hips, trace.oips, cfg.n_wp,
-        route=cfg.route, window_slices=cfg.window_slices,
-        buffer_pairs=cfg.buffer_pairs, threads=cfg.threads,
-        frames_dir=frames_dir)
-    reports = [r for res in results for r in res.reports]
-    windows = [res.window_id for res in results]
-    write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
-
-    # Merge-equivalence assertion: the merged global sketches and reports
-    # must equal those of the plain single scanner that `detect` runs.
+    # Merge-equivalence assertion: each window's merged global sketches and
+    # reports must equal those of the plain single scanner that `detect` runs.
+    # A window is checked as it is built and dropped before the next is built.
     log_lines = header_lines("distsim", {**cfg.detection_fields(),
                                          **cfg.topology_fields()})
+    reports: list[DetectionReport] = []
+    windows: list[int] = []
     ok = True
-    for res, single in zip(results, _detect_windows(cfg, trace), strict=True):
+    singles = _detect_windows(cfg, trace)
+    for res in simulate_topology(
+            cfg.params, trace.slices, trace.hips, trace.oips, cfg.n_wp,
+            route=cfg.route, window_slices=cfg.window_slices,
+            buffer_pairs=cfg.buffer_pairs, threads=cfg.threads,
+            frames_dir=frames_dir):
+        single = next(singles)
         seav_same = np.array_equal(res.global_seav.flat, single.seav.flat)
         ldca_same = np.array_equal(res.global_ldca.flat, single.ldca.flat)
         reports_same = res.reports == single.finalize_window()
@@ -275,6 +274,10 @@ def cmd_distsim(args: argparse.Namespace) -> int:
         log_lines.append(
             f"window {res.window_id}: seav_identical={seav_same} "
             f"ldca_identical={ldca_same} reports_identical={reports_same}")
+        reports += res.reports
+        windows.append(res.window_id)
+        del res
+    write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
     Path(args.merge_log).write_text("\n".join(log_lines) + "\n")
     if not ok:
         raise AssertionError("merged sketches differ from single-scanner run")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -252,11 +253,12 @@ def simulate_topology(params: DetectorParams, slices: np.ndarray,
                       window_slices: int = 300,
                       buffer_pairs: int = DEFAULT_BUFFER_PAIRS,
                       threads: int = 1,
-                      frames_dir: Path | str | None = None) -> list[WindowResult]:
-    """Partition a whole trace into discrete windows and run each through
-    the simulated topology."""
+                      frames_dir: Path | str | None = None) -> Iterator[WindowResult]:
+    """Partition a whole trace into discrete windows and yield each one's
+    result from the simulated topology, building a window only once the
+    caller asks for it: a caller that drops each result holds one at a time."""
     _receiver(params)  # refuses before the first window, and on a trace with none
-    return [simulate_window(params, wid, hips[sel], oips[sel], n_wp, route=route,
-                            buffer_pairs=buffer_pairs, threads=threads,
-                            frames_dir=frames_dir)
-            for wid, sel in split_windows(slices, window_slices)]
+    for wid, sel in split_windows(slices, window_slices):
+        yield simulate_window(params, wid, hips[sel], oips[sel], n_wp, route=route,
+                              buffer_pairs=buffer_pairs, threads=threads,
+                              frames_dir=frames_dir)

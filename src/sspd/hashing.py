@@ -104,9 +104,6 @@ class SeedFamily:
     def lh(self, row: int) -> HashSeed:
         return HashSeed(self.master_seed, Tag.LH_BASE + row)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SeedFamily) and other.master_seed == self.master_seed
-
     def __repr__(self) -> str:
         return f"SeedFamily(0x{self.master_seed:X})"
 

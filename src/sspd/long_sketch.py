@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,10 @@ DEFAULT_V = 8192
 DEFAULT_DESIGN_N = 1_000_000
 DEFAULT_MAX_ROWS = 8
 
-# Hosts per gather in LdcaSketch.zero_counts: two (hosts, k/8)-byte arrays
-# live at once, 512 KiB at the default k.
+# Hosts per gather in union_zero_counts.  A discrete gather holds k/8
+# bytes per host (512 KiB with the union at the default k); a sliding
+# gather holds k stamps plus k flag bytes per host (6 MiB of uint16
+# stamps and flags, beside a 2 MiB union, at the default k and window).
 ZERO_COUNT_CHUNK = 256
 
 
@@ -87,6 +90,27 @@ class LdcaConfig:
         return bit, self.registers(seeds, hips)
 
 
+def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
+                      cells: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Zero-bit count of each host's AND-union register: the one filter
+    read of both detection modes.
+
+    ``cells(reg)`` gathers the registers numbered ``reg`` as unsigned
+    words whose set bits are the register's set bits.  One gather per
+    row is ANDed in place, then popcounted per host, ``ZERO_COUNT_CHUNK``
+    hosts at a time.
+    """
+    hips = np.asarray(hips, dtype=np.uint64)
+    out = np.empty(len(hips), dtype=np.int64)
+    for start in range(0, len(hips), ZERO_COUNT_CHUNK):
+        registers = config.registers(seeds, hips[start:start + ZERO_COUNT_CHUNK])
+        union = cells(next(registers))
+        for reg in registers:
+            np.bitwise_and(union, cells(reg), out=union)
+        out[start:start + len(union)] = config.k - np.bitwise_count(union).sum(axis=1)
+    return out
+
+
 class LdcaSketch:
     """LR x LC array of k-bit registers, stored as packed bytes.
 
@@ -123,24 +147,12 @@ class LdcaSketch:
                 self.flat[reg[pos]] |= mask
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
-        """Zero-bit count of each host's AND-union register.
-
-        Registers are read as whole words: one gather per row, ANDed in
-        place, then a popcount per host, ``ZERO_COUNT_CHUNK`` hosts at a time.
-        """
-        cfg = self.config
-        hips = np.asarray(hips, dtype=np.uint64)
+        """Zero-bit count of each host's AND-union register, read as the
+        widest unsigned words that tile a register."""
         word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
                     if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
-        words = self.data.reshape(cfg.v, -1).view(word)
-        out = np.empty(len(hips), dtype=np.int64)
-        for start in range(0, len(hips), ZERO_COUNT_CHUNK):
-            registers = cfg.registers(self.seeds, hips[start:start + ZERO_COUNT_CHUNK])
-            union = words[next(registers)]
-            for reg in registers:
-                np.bitwise_and(union, words[reg], out=union)
-            out[start:start + len(union)] = cfg.k - np.bitwise_count(union).sum(axis=1)
-        return out
+        words = self.data.reshape(self.config.v, -1).view(word)
+        return union_zero_counts(self.config, self.seeds, hips, words.__getitem__)
 
     def estimate(self, hips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Estimates and saturated flags of each host's AND-union register,

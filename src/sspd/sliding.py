@@ -14,13 +14,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .hashing import SeedFamily
-from .long_sketch import ldc_estimates
+from .long_sketch import ldc_estimates, union_zero_counts
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
 
-# Hosts per gather in SlidingDetector.zero_counts: a host holds k stamps
-# and two k-byte masks per row, 4 MiB per row at the default k and window.
-ZERO_COUNT_CHUNK = 128
 # Slots per block in TimestampPool._sweep: 2 MiB of uint16 ages and a
 # 1 MiB mask at a time.
 SWEEP_BLOCK = 1 << 20
@@ -161,25 +158,16 @@ class SlidingDetector:
         sketch.flat[:] = packed.view(f"<u{width}").reshape(-1)
         return sketch
 
-    def materialize_ldca_cell(self, hips: np.ndarray) -> np.ndarray:
-        """Active bits of each host's AND-union counter register, one row
-        of k booleans per host: one cell gather per counter row."""
-        union = None
-        for reg in self.ldca_config.registers(self.seeds, hips):
-            cells = self.pool.active_cells(self.ldca_base, self.ldca_config.k, reg)
-            union = cells if union is None else np.logical_and(union, cells, out=union)
-        return union
+    def materialize_ldca_cell(self, reg: np.ndarray) -> np.ndarray:
+        """Active bits of the counter registers numbered ``reg``, one row
+        per register: its k flag bytes viewed as k/8 ``uint64`` words (k
+        is a multiple of 8), each flag one set bit or none."""
+        return self.pool.active_cells(self.ldca_base, self.ldca_config.k, reg).view(np.uint64)
 
     def zero_counts(self, hips: np.ndarray) -> np.ndarray:
-        """Zero-bit count of each host's active AND-union counter register,
-        ``ZERO_COUNT_CHUNK`` hosts at a time."""
-        k = self.ldca_config.k
-        hips = np.asarray(hips, dtype=np.uint64)
-        out = np.empty(len(hips), dtype=np.int64)
-        for start in range(0, len(hips), ZERO_COUNT_CHUNK):
-            union = self.materialize_ldca_cell(hips[start:start + ZERO_COUNT_CHUNK])
-            out[start:start + len(union)] = k - np.count_nonzero(union, axis=1)
-        return out
+        """Zero-bit count of each host's active AND-union counter register."""
+        return union_zero_counts(self.ldca_config, self.seeds, hips,
+                                 self.materialize_ldca_cell)
 
     def estimate(self, hips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Estimates and saturated flags of each host's active AND-union
@@ -189,4 +177,4 @@ class SlidingDetector:
     def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
         return report_candidates(self.materialize_seav(), self.estimate,
-                                 self.params.beta * self.params.theta, self.now)
+                                 self.params, self.now)

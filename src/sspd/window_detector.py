@@ -40,9 +40,9 @@ class DetectionReport:
 
 def report_candidates(seav: SeavSketch,
                       estimate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                      cutoff: float, window_id: int) -> list[DetectionReport]:
+                      params: DetectorParams, window_id: int) -> list[DetectionReport]:
     """Restore candidates and keep those whose counter estimate clears
-    ``cutoff`` (or saturates), sorted by IP.
+    beta * theta (or saturates), sorted by IP.
 
     ``estimate`` maps an array of host IPs to the estimates and saturated
     flags of their AND-union registers in one batch; both detection modes
@@ -51,7 +51,7 @@ def report_candidates(seav: SeavSketch,
     """
     ips = seav.restore()
     est, saturated = estimate(ips)
-    keep = saturated | (est >= cutoff)
+    keep = saturated | (est >= params.beta * params.theta)
     return [DetectionReport(ip=ip, estimated_cardinality=e, saturated=s, window_id=window_id)
             for ip, e, s in zip(ips[keep].tolist(), est[keep].tolist(), saturated[keep].tolist())]
 
@@ -64,11 +64,11 @@ def split_windows(slices: np.ndarray, window_slices: int):
         raise ConfigError(f"window must span >= 1 slice, got {window_slices}")
     window_ids = slices.astype(np.int64) // window_slices
     order = np.argsort(window_ids, kind="stable")
-    window_ids = window_ids[order]
-    wids = np.unique(window_ids)
-    bounds = np.append(np.searchsorted(window_ids, wids), len(order))
-    for j, wid in enumerate(wids.tolist()):
-        yield wid, order[bounds[j]:bounds[j + 1]]
+    wids, counts = np.unique(window_ids, return_counts=True)
+    del window_ids  # while suspended, hold only the order the indexes view
+    stops = np.cumsum(counts)
+    for wid, start, stop in zip(wids.tolist(), (stops - counts).tolist(), stops.tolist()):
+        yield wid, order[start:stop]
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,8 @@ class DetectorState:
         self.pair_count += len(hips)
 
     def finalize_window(self) -> list[DetectionReport]:
-        """Restore candidates, keep those whose counter estimate clears
-        beta * theta (or saturates), sorted by IP.
-
-        Per-array restore overflows surface as warnings, not failures.
-        """
-        return report_candidates(self.seav, self.ldca.estimate,
-                                 self.params.beta * self.theta, self.window_id)
+        """This window's reports (see ``report_candidates``)."""
+        return report_candidates(self.seav, self.ldca.estimate, self.params, self.window_id)
 
     def reset(self):
         """Zero all registers for the next window; config and seeds stay."""

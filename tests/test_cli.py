@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from sspd.cli import REPORT_COLUMNS, RunConfig, _config_from_args, build_parser,
 from sspd.errors import ConfigError
 from sspd.evaluation import read_trace, truth_path
 from sspd.long_sketch import LdcaSketch
+from sspd.window_detector import DetectorParams, DetectorState
 
 
 SMALL_FLAGS = ["--k", "4096", "--lr", "2", "--lc", "64", "--design-n", "4000"]
@@ -254,6 +256,28 @@ def test_distsim_refuses_a_v1_overflow_on_an_empty_trace(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and len(err.splitlines()) == 1
+
+
+def test_distsim_holds_one_window_at_a_time(tmp_path):
+    # One trace of 4 slices, run as 1 window and as 4.  Each window's frames
+    # and merged receiver are released before the next window is built, so
+    # more windows add less than one more detector's registers to the peak.
+    trace = tmp_path / "four.bin"
+    run(["generate", "--out", trace, "--n-super", 2, "--super-card", 2048, 2048,
+         "--n-background", 200, "--n-pairs", 8000, "--slices", 4, "--gen-seed", 5])
+    one_state = sum(DetectorState.create(DetectorParams()).memory_bytes())
+    peaks = {}
+    for window_slices in (4, 1):
+        argv = ["distsim", "--trace", trace, "--out", tmp_path / "d.csv", "--n-wp", 4,
+                "--window-slices", window_slices, "--merge-log", tmp_path / "log.txt"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks[window_slices] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "# windows=0 1 2 3" in (tmp_path / "d.csv").read_text()
+    assert peaks[1] < peaks[4] + one_state, (peaks, one_state)
 
 
 def test_distsim_merge_check_can_fail(tmp_path, trace_file, monkeypatch, capsys):
@@ -500,11 +524,11 @@ def test_fuzz_lists_build_at_most_64_mib():
     registers = (worst(["--r", "--sr", "--a", "--g"])
                  + worst(["--k", "--v", "--lr", "--lc", "--memory-budget"]))
     # Sliding keeps a stamp of up to 8 bytes per register bit; distsim holds
-    # n_wp frames per window, the receiver, `threads` scanner states and the
-    # single scanner.
+    # one window's n_wp frames, the receiver, `threads` scanner states and
+    # the single scanner.
     distsim = {n: max(x for x in xs if isinstance(x, int))
                for n, xs in FUZZ_COMMAND_FLAGS["distsim"].items()}
-    copies = max(8 * 8, FUZZ_SLICES * distsim["--n-wp"] + distsim["--threads"] + 2)
+    copies = max(8 * 8, distsim["--n-wp"] + distsim["--threads"] + 2)
     assert registers * copies <= 64 << 20, (registers, copies)
     # generate draws every planted pair, then the requested ones; a pair
     # costs well under 64 bytes at its peak.

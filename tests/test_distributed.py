@@ -319,8 +319,8 @@ def test_small_buffers_do_not_change_results():
 def test_topology_writes_frame_files(tmp_path):
     _, hips, oips = random_states(n_pairs=2_000, seed=10)
     slices = np.zeros(len(hips), dtype=np.uint32)
-    results = simulate_topology(PARAMS, slices, hips, oips, n_wp=2,
-                                frames_dir=tmp_path)
+    results = list(simulate_topology(PARAMS, slices, hips, oips, n_wp=2,
+                                     frames_dir=tmp_path))
     assert len(results) == 1
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["wp0_win0_ldca.sspd", "wp0_win0_seav.sspd",
@@ -353,7 +353,7 @@ def test_topology_splits_windows_by_slice():
     hips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     slices = rng.integers(0, 20, size=n).astype(np.uint32)
-    results = simulate_topology(PARAMS, slices, hips, oips, n_wp=2,
-                                window_slices=10)
+    results = list(simulate_topology(PARAMS, slices, hips, oips, n_wp=2,
+                                     window_slices=10))
     assert [r.window_id for r in results] == [0, 1]
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sspd import sliding
+from sspd import long_sketch, sliding
 from sspd.errors import ConfigError
 from sspd.sliding import SlidingDetector, TimestampPool, timestamp_dtype
 from sspd.window_detector import DetectorParams, DetectorState
@@ -176,26 +176,32 @@ def test_sliding_equals_discrete_for_one_window(g):
            [(r.ip, r.estimated_cardinality, r.saturated) for r in discrete_reports]
 
 
-def test_sliding_zero_counts_match_discrete_union(monkeypatch):
-    monkeypatch.setattr(sliding, "ZERO_COUNT_CHUNK", 3)
+@pytest.mark.parametrize("k", [4096, 520])
+def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
+    # At k = 520 a register is 65 bytes: the discrete reader gathers uint8
+    # words, the sliding reader 65 uint64 words of flag bytes.  The small
+    # design_n keeps the planner's noise warning quiet at that width.
+    monkeypatch.setattr(long_sketch, "ZERO_COUNT_CHUNK", 3)
+    params = replace(SMALL, k=k, design_n=200)
     rng = np.random.default_rng(8)
     hips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
-    discrete = run_discrete(SMALL, hips, oips)
-    det = SlidingDetector(SMALL, window_slices=4)
+    discrete = run_discrete(params, hips, oips)
+    det = SlidingDetector(params, window_slices=4)
     det.observe_batch(hips[:2500], oips[:2500])
     det.advance_slice()
     det.observe_batch(hips[2500:], oips[2500:])
     probes = np.concatenate([hips[:10], rng.integers(0, 2**32, size=10, dtype=np.uint64)])
-    expected = [SMALL.k - int(np.unpackbits(union_register(discrete.ldca, int(p))).sum())
+    expected = [k - int(np.unpackbits(union_register(discrete.ldca, int(p))).sum())
                 for p in probes]
+    assert discrete.ldca.zero_counts(probes).tolist() == expected
     assert det.zero_counts(probes).tolist() == expected
     est, saturated = det.estimate(probes)
     assert list(zip(est.tolist(), saturated.tolist())) == \
-           [ldc_estimate(z, SMALL.k) for z in expected]
+           [ldc_estimate(z, k) for z in expected]
     for _ in range(4):
         det.advance_slice()
-    assert det.zero_counts(probes).tolist() == [SMALL.k] * len(probes)  # all expired
+    assert det.zero_counts(probes).tolist() == [k] * len(probes)  # all expired
 
 
 def test_detect_memory_stays_small_at_default_geometry():
