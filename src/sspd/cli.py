@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .distributed import DEFAULT_BUFFER_PAIRS, simulate_topology
+from .distributed import DEFAULT_BUFFER_PAIRS, check_frame_capacity, simulate_window
 from .errors import ConfigError, DataError, SspdError
 from .evaluation import (
     ExactOracle,
@@ -43,19 +43,27 @@ METRIC_COLUMNS = "window_id,FPR,FNR,FTR,detected,truth"
 DEFAULTS = DetectorParams()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Resolved flags for one invocation: the detector's knobs plus the
-    knobs of the run that drives it."""
+    knobs of the run that drives it.  Construction validates the run
+    knobs, so a bad value fails before any trace is read."""
 
     params: DetectorParams = field(default_factory=DetectorParams)
-    slice_seconds: float = 1.0
     window_slices: int = 300
     detect_every: int = 1
     n_wp: int = 4
     route: str = "hash"
     buffer_pairs: int = DEFAULT_BUFFER_PAIRS
     threads: int = 1
+
+    def __post_init__(self):
+        for name in ("window_slices", "detect_every", "n_wp", "buffer_pairs", "threads"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.window_slices >= 1 << 63:
+            raise ConfigError(f"window_slices must be below 2^63, got {self.window_slices}")
 
     def detection_fields(self) -> dict[str, object]:
         """Fields that determine detection output (topology knobs excluded,
@@ -76,7 +84,6 @@ class RunConfig:
             "lc": ldca.lc,
             "design_n": f"{p.design_n:g}",
             "window_slices": self.window_slices,
-            "slice_seconds": f"{self.slice_seconds:g}",
             "restore_cap": p.restore_cap,
             "seav_bytes": p.seav_config().memory_bytes(),
             "ldca_bytes": ldca.memory_bytes(),
@@ -89,6 +96,12 @@ class RunConfig:
             "buffer_pairs": self.buffer_pairs,
             "threads": self.threads,
         }
+
+
+# Run knob defaults: RunConfig holds them, the flags read them.  A
+# subcommand's flags set the RUN_KNOBS it has; the rest keep these.
+RUN = RunConfig()
+RUN_KNOBS = frozenset(f.name for f in fields(RunConfig)) - {"params"}
 
 
 def header_lines(command: str, fields: dict[str, object]) -> list[str]:
@@ -129,53 +142,22 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
     p.add_argument("--lc", type=int, default=None, help="long columns (default: v // lr)")
     p.add_argument("--design-n", type=float, default=DEFAULTS.design_n,
                    help="expected distinct pairs per window, for the planner")
-    p.add_argument("--memory-budget", type=int, default=None,
-                   help="counter-array byte budget; overrides --v via v = 8*budget/k")
-    p.add_argument("--window-seconds", type=float, default=None)
-    p.add_argument("--slice-seconds", type=float, default=1.0)
-    p.add_argument("--window-slices", type=int, default=None,
-                   help="window length in slices (default: window-seconds/slice-seconds)")
+    p.add_argument("--window-slices", type=int, default=RUN.window_slices,
+                   help="window length in slices")
     p.add_argument("--restore-cap", type=int, default=DEFAULTS.restore_cap,
                    help="max surviving candidate tuples per register array")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    detect_every = getattr(args, "detect_every", 1)
-    buffer_pairs = getattr(args, "buffer_pairs", DEFAULT_BUFFER_PAIRS)
-    threads = getattr(args, "threads", 1)
-    if not args.slice_seconds > 0:  # also refuses NaN
-        raise ConfigError(f"--slice-seconds must be > 0, got {args.slice_seconds:g}")
-    for flag, value in (("--detect-every", detect_every), ("--buffer-pairs", buffer_pairs),
-                        ("--threads", threads)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
-    if args.k < 8 or args.k % 8:
-        raise ConfigError(f"--k must be a positive multiple of 8, got {args.k}")
-    if None not in (args.lr, args.lc) and (args.v, args.memory_budget) != (None, None):
-        raise ConfigError("--v and --memory-budget have no effect once --lr and --lc are set")
-    v = DEFAULTS.v if args.v is None else args.v
-    if args.memory_budget is not None:
-        v = 8 * args.memory_budget // args.k
-    window_slices = args.window_slices
-    if window_slices is None:
-        seconds = 300.0 if args.window_seconds is None else args.window_seconds
-        slices = seconds / args.slice_seconds
-        if not 0.5 < slices < 1 << 63:  # also refuses NaN and infinities
-            raise ConfigError(f"--window-seconds {seconds:g} over --slice-seconds "
-                              f"{args.slice_seconds:g} must round to 1 to 2^63 - 1 slices")
-        window_slices = round(slices)
-    elif args.window_seconds is not None:
-        raise ConfigError("--window-seconds has no effect once --window-slices is set")
-    elif not 1 <= window_slices < 1 << 63:
-        raise ConfigError(f"--window-slices must be 1 to 2^63 - 1, got {window_slices}")
+    if None not in (args.lr, args.lc) and args.v is not None:
+        raise ConfigError("--v has no effect once --lr and --lc are set")
     params = DetectorParams(
         theta=args.theta, r=args.r, sr=args.sr, a=args.a, g=args.g, k=args.k,
-        lr=args.lr, lc=args.lc, v=v, design_n=args.design_n, beta=args.beta,
-        master_seed=args.seed, restore_cap=args.restore_cap)
-    return RunConfig(
-        params=params, slice_seconds=args.slice_seconds, window_slices=window_slices,
-        detect_every=detect_every, n_wp=getattr(args, "n_wp", 4),
-        route=getattr(args, "route", "hash"), buffer_pairs=buffer_pairs, threads=threads)
+        lr=args.lr, lc=args.lc, v=DEFAULTS.v if args.v is None else args.v,
+        design_n=args.design_n, beta=args.beta, master_seed=args.seed,
+        restore_cap=args.restore_cap)
+    run = {name: value for name, value in vars(args).items() if name in RUN_KNOBS}
+    return RunConfig(params=params, **run)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -189,22 +171,23 @@ def cmd_generate(args: argparse.Namespace) -> int:
         seed=args.gen_seed,
     )
     trace = generate_trace(spec)
-    write_trace(trace, args.out, text=args.text)
+    write_trace(trace, args.out)
     print(f"wrote {len(trace)} pairs to {args.out} "
           f"(+ truth sidecar {truth_path(args.out)})")
     return 0
 
 
-def _detect_windows(cfg: RunConfig, trace) -> Iterator[DetectorState]:
-    """The single scanner's state at the end of each discrete window, in
-    window order; it is reset for the next window once the caller is done."""
+def _detect_windows(cfg: RunConfig, trace) -> Iterator[tuple[np.ndarray, DetectorState]]:
+    """Each discrete window's pair indexes and the single scanner's state
+    at the end of that window, in window order; the state is reset for the
+    next window once the caller is done."""
     state = DetectorState.create(cfg.params)
     for wid, sel in split_windows(trace.slices, cfg.window_slices):
         for start in range(0, len(sel), cfg.buffer_pairs):
             batch = sel[start:start + cfg.buffer_pairs]
             state.process_batch(trace.hips[batch], trace.oips[batch])
         state.window_id = wid
-        yield state
+        yield sel, state
         state.reset()
 
 
@@ -213,7 +196,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     reports: list[DetectionReport] = []
     windows: list[int] = []
-    for state in _detect_windows(cfg, trace):
+    for _, state in _detect_windows(cfg, trace):
         reports += state.finalize_window()
         windows.append(state.window_id)
     write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
@@ -224,7 +207,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_slide(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
-    detector = SlidingDetector(cfg.params, window_slices=cfg.window_slices)
+    detector = SlidingDetector(cfg.params, cfg.window_slices)
     order = np.argsort(trace.slices, kind="stable")
     slices = trace.slices[order].astype(np.int64)
     hips, oips = trace.hips[order], trace.oips[order]
@@ -247,6 +230,7 @@ def cmd_slide(args: argparse.Namespace) -> int:
 
 def cmd_distsim(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    check_frame_capacity(cfg.params)  # before the first window, so also on an empty trace
     trace = read_trace(args.trace)
     frames_dir = args.frames_dir
     if frames_dir is None:
@@ -260,13 +244,10 @@ def cmd_distsim(args: argparse.Namespace) -> int:
     reports: list[DetectionReport] = []
     windows: list[int] = []
     ok = True
-    singles = _detect_windows(cfg, trace)
-    for res in simulate_topology(
-            cfg.params, trace.slices, trace.hips, trace.oips, cfg.n_wp,
-            route=cfg.route, window_slices=cfg.window_slices,
-            buffer_pairs=cfg.buffer_pairs, threads=cfg.threads,
-            frames_dir=frames_dir):
-        single = next(singles)
+    for sel, single in _detect_windows(cfg, trace):
+        res = simulate_window(cfg.params, single.window_id, trace.hips[sel], trace.oips[sel],
+                              cfg.n_wp, route=cfg.route, buffer_pairs=cfg.buffer_pairs,
+                              threads=cfg.threads, frames_dir=frames_dir)
         seav_same = np.array_equal(res.global_seav.flat, single.seav.flat)
         ldca_same = np.array_equal(res.global_ldca.flat, single.ldca.flat)
         reports_same = res.reports == single.finalize_window()
@@ -359,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pairs", type=int, default=1_000_000)
     p.add_argument("--slices", type=int, default=1)
     p.add_argument("--gen-seed", type=int, default=1)
-    p.add_argument("--text", action="store_true", help="comma-separated text instead of binary")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("detect", help="discrete-window detection over a trace")
@@ -371,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slide", help="sliding-window detection over a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--detect-every", type=int, default=1,
+    p.add_argument("--detect-every", type=int, default=RUN.detect_every,
                    help="detection cadence in slices")
     _add_sketch_flags(p)
     p.set_defaults(func=cmd_slide)
@@ -379,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distsim", help="sharded watch-point simulation with merge")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-wp", type=int, default=4)
-    p.add_argument("--route", choices=["hash", "round-robin"], default="hash")
-    p.add_argument("--buffer-pairs", type=int, default=DEFAULT_BUFFER_PAIRS)
+    p.add_argument("--n-wp", type=int, default=RUN.n_wp)
+    p.add_argument("--route", choices=["hash", "round-robin"], default=RUN.route)
+    p.add_argument("--buffer-pairs", type=int, default=RUN.buffer_pairs)
     p.add_argument("--frames-dir", default=None)
     p.add_argument("--merge-log", default="merge_log.txt")
     _add_sketch_flags(p)
-    p.add_argument("--threads", type=int, default=1, help="scanner thread cap")
+    p.add_argument("--threads", type=int, default=RUN.threads, help="scanner thread cap")
     p.set_defaults(func=cmd_distsim)
 
     p = sub.add_parser("eval", help="score a report CSV against a truth sidecar")

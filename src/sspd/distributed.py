@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,10 +41,10 @@ from .errors import (
     FrameVersionError,
     MergeError,
 )
-from .hashing import SeedFamily, hash_range_array
-from .long_sketch import LdcaSketch
-from .short_sketch import SeavSketch
-from .window_detector import DetectionReport, DetectorParams, DetectorState, split_windows
+from .hashing import MASK64, SeedFamily, hash_range_array
+from .long_sketch import LdcaConfig, LdcaSketch
+from .short_sketch import SeavConfig, SeavSketch
+from .window_detector import DetectionReport, DetectorParams, DetectorState
 
 MAGIC = b"SSPD"
 VERSION = 1
@@ -75,26 +74,33 @@ class SketchFrame:
     payload: bytes | memoryview
 
 
-def _config_block(sketch: SeavSketch | LdcaSketch) -> tuple[int, bytes]:
-    """The frame kind and v1 config block of a sketch: the only encoder of the block."""
-    cfg = sketch.config
-    if isinstance(sketch, SeavSketch):
+def _config_block(cfg: SeavConfig | LdcaConfig, master_seed: int) -> tuple[int, bytes]:
+    """The frame kind and v1 config block of a sketch config: the only
+    encoder of the block."""
+    if isinstance(cfg, SeavConfig):
         if cfg.addr_bits != 32:
             raise ConfigError("frames carry 32-bit-address sketches only")
         kind, values = KIND_SEAV, (cfg.r, cfg.sr, cfg.a, cfg.g, cfg.theta, 0, 0, 0)
-    elif isinstance(sketch, LdcaSketch):
+    elif isinstance(cfg, LdcaConfig):
         kind, values = KIND_LDCA, (0, 0, 0, 0, 0, cfg.k, cfg.lr, cfg.lc)
     else:
-        raise ConfigError(f"cannot serialize {type(sketch).__name__}")
+        raise ConfigError(f"cannot serialize {type(cfg).__name__}")
     for (name, bits), value in zip(_CONFIG_FIELDS, values):
         if not 0 <= value < 1 << bits:
             raise ConfigError(f"a v1 frame holds {name} in {bits} bits, got {value}")
-    return kind, _CONFIG.pack(*values, sketch.seeds.master_seed)
+    return kind, _CONFIG.pack(*values, master_seed & MASK64)  # as SeedFamily keeps it
+
+
+def check_frame_capacity(params: DetectorParams):
+    """Refuse a detector whose sketches no v1 frame can carry; reads the
+    two configs and allocates no registers."""
+    for cfg in (params.seav_config(), params.ldca_config()):
+        _config_block(cfg, params.master_seed)
 
 
 def serialize(sketch: SeavSketch | LdcaSketch, window_id: int) -> bytearray:
     """Encode one sketch as a frame, built in one buffer."""
-    kind, block = _config_block(sketch)
+    kind, block = _config_block(sketch.config, sketch.seeds.master_seed)
     if not 0 <= window_id < 1 << 32:
         raise ConfigError(f"a v1 frame holds the window id in 32 bits, got {window_id}")
     regs = sketch.flat
@@ -148,7 +154,7 @@ def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> Detector
         raise MergeError(f"frames span windows {window_ids}")
     own = {}
     for sketch in (receiver.seav, receiver.ldca):
-        kind, block = _config_block(sketch)
+        kind, block = _config_block(sketch.config, sketch.seeds.master_seed)
         own[kind] = block, sketch.flat
     for kind, name in KIND_NAMES.items():
         if all(f.kind != kind for f in frames):
@@ -194,15 +200,6 @@ class WindowResult:
     frames: list[SketchFrame]
 
 
-def _receiver(params: DetectorParams) -> DetectorState:
-    """A fresh global-server state; a detector no v1 frame can carry fails
-    here, before any window is scanned."""
-    receiver = DetectorState.create(params)
-    for sketch in (receiver.seav, receiver.ldca):
-        _config_block(sketch)
-    return receiver
-
-
 def simulate_window(params: DetectorParams, window_id: int,
                     hips: np.ndarray, oips: np.ndarray, n_wp: int,
                     route: str = "hash",
@@ -218,7 +215,8 @@ def simulate_window(params: DetectorParams, window_id: int,
     watch-point states exist at once.  Watch points share no state, so
     they may scan concurrently; the merge runs after all of them shipped.
     """
-    receiver = _receiver(params)
+    check_frame_capacity(params)
+    receiver = DetectorState.create(params)
     assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
     if frames_dir is not None:
         Path(frames_dir).mkdir(parents=True, exist_ok=True)
@@ -245,20 +243,3 @@ def simulate_window(params: DetectorParams, window_id: int,
     return WindowResult(window_id=window_id, reports=merged.finalize_window(),
                         global_seav=merged.seav, global_ldca=merged.ldca,
                         frames=frames)
-
-
-def simulate_topology(params: DetectorParams, slices: np.ndarray,
-                      hips: np.ndarray, oips: np.ndarray,
-                      n_wp: int, route: str = "hash",
-                      window_slices: int = 300,
-                      buffer_pairs: int = DEFAULT_BUFFER_PAIRS,
-                      threads: int = 1,
-                      frames_dir: Path | str | None = None) -> Iterator[WindowResult]:
-    """Partition a whole trace into discrete windows and yield each one's
-    result from the simulated topology, building a window only once the
-    caller asks for it: a caller that drops each result holds one at a time."""
-    _receiver(params)  # refuses before the first window, and on a trace with none
-    for wid, sel in split_windows(slices, window_slices):
-        yield simulate_window(params, wid, hips[sel], oips[sel], n_wp, route=route,
-                              buffer_pairs=buffer_pairs, threads=threads,
-                              frames_dir=frames_dir)

@@ -178,11 +178,12 @@ def generate_trace(spec: TraceSpec) -> Trace:
     return Trace(slices=slices, hips=hips[order], oips=oips[order], truth=truth)
 
 
-def write_trace(trace: Trace, path: Path | str, text: bool = False):
-    """Binary 12-byte records by default; one `slice,src,dst` line each in
-    text mode.  A `<path>.truth` sidecar lists every host's exact count."""
+def write_trace(trace: Trace, path: Path | str):
+    """One `slice,src,dst` line per pair for a `.txt` path, as `read_trace`
+    expects; binary 12-byte records otherwise.  A `<path>.truth` sidecar
+    lists every host's exact count."""
     path = Path(path)
-    if text:
+    if path.suffix == ".txt":
         with path.open("w") as fh:
             for s, h, o in zip(trace.slices.tolist(), trace.hips.tolist(),
                                trace.oips.tolist()):

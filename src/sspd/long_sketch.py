@@ -159,9 +159,6 @@ class LdcaSketch:
         from one ``zero_counts`` call."""
         return ldc_estimates(self.zero_counts(hips), self.config.k)
 
-    def payload_bytes(self) -> bytes:
-        return self.data.tobytes()
-
 
 def psu(k: int, n_pairs: float, lc: float, lr: int) -> float:
     """Probability that a bit of the AND-union register is set, given

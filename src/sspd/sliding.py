@@ -113,8 +113,8 @@ class TimestampPool:
 class SlidingDetector:
     """Sliding-window pipeline over a single shared timestamp pool."""
 
-    def __init__(self, params: DetectorParams | None = None, window_slices: int = 300):
-        self.params = params or DetectorParams()
+    def __init__(self, params: DetectorParams, window_slices: int):
+        self.params = params
         self.seeds = SeedFamily(self.params.master_seed)
         self.seav_config = self.params.seav_config()
         self.ldca_config = self.params.ldca_config()
@@ -122,7 +122,6 @@ class SlidingDetector:
         cfg, lcfg = self.seav_config, self.ldca_config
         self.ldca_base = cfg.n_registers * cfg.g
         self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices)
-        self.pair_count = 0
 
     @property
     def now(self) -> int:
@@ -143,7 +142,6 @@ class SlidingDetector:
                 reg *= width
                 reg += bit
                 self.pool.touch_batch(reg)
-        self.pair_count += len(hips)
 
     def materialize_seav(self) -> SeavSketch:
         """Active-bit view of the candidate sketch as a regular sketch.

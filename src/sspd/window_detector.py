@@ -130,7 +130,6 @@ class DetectorState:
     seav: SeavSketch
     ldca: LdcaSketch
     window_id: int = 0
-    pair_count: int = 0
     params: DetectorParams = field(default_factory=DetectorParams)
 
     @classmethod
@@ -154,7 +153,6 @@ class DetectorState:
     def process_batch(self, hips: np.ndarray, oips: np.ndarray):
         self.seav.update_batch(hips, oips)
         self.ldca.update_batch(hips, oips)
-        self.pair_count += len(hips)
 
     def finalize_window(self) -> list[DetectionReport]:
         """This window's reports (see ``report_candidates``)."""
@@ -165,4 +163,3 @@ class DetectorState:
         self.seav.clear()
         self.ldca.clear()
         self.window_id += 1
-        self.pair_count = 0

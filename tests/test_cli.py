@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sspd
-from sspd import distributed
+from sspd import cli, distributed
 from sspd.cli import REPORT_COLUMNS, RunConfig, _config_from_args, build_parser, main
 from sspd.errors import ConfigError
 from sspd.evaluation import read_trace, truth_path
 from sspd.long_sketch import LdcaSketch
-from sspd.window_detector import DetectorParams, DetectorState
+from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
 
 SMALL_FLAGS = ["--k", "4096", "--lr", "2", "--lc", "64", "--design-n", "4000"]
@@ -48,6 +48,20 @@ def test_generate_deterministic(tmp_path, trace_file):
          "--n-background", 500, "--background-card", 1, 8,
          "--n-pairs", 20000, "--slices", 1, "--gen-seed", 3])
     assert again.read_bytes() == trace_file.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["t.bin", "t.txt"])
+def test_trace_format_follows_the_suffix(tmp_path, trace_file, name):
+    # generate writes the format read_trace reads for that suffix, so
+    # either file detects to the report of the binary fixture.
+    trace = tmp_path / name
+    run(["generate", "--out", trace, "--n-super", 5, "--super-card", 2048, 2048,
+         "--n-background", 500, "--background-card", 1, 8,
+         "--n-pairs", 20000, "--slices", 1, "--gen-seed", 3])
+    assert truth_path(trace).read_bytes() == truth_path(trace_file).read_bytes()
+    for path, out in ((trace, tmp_path / "t.csv"), (trace_file, tmp_path / "fixture.csv")):
+        assert run(["detect", "--trace", path, "--out", out] + SMALL_FLAGS) == 0
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "fixture.csv").read_bytes()
 
 
 def test_detect_reports_planted_hosts(tmp_path, trace_file):
@@ -180,14 +194,6 @@ def test_out_of_range_value_is_config_error(tmp_path, monkeypatch, capsys, argv)
     assert err.startswith("error: config:") and len(err.splitlines()) == 1
 
 
-def test_memory_budget_maps_to_v(tmp_path, trace_file):
-    out = tmp_path / "budget.csv"
-    run(["detect", "--trace", trace_file, "--out", out,
-         "--memory-budget", 1048576, "--k", 4096, "--design-n", 4000])
-    text = out.read_text()
-    assert "# ldca_bytes=1048576" in text
-
-
 def test_config_error_exit_code(tmp_path, trace_file, capsys):
     out = tmp_path / "x.csv"
     code = run(["detect", "--trace", trace_file, "--out", out, "--sr", 1] + SMALL_FLAGS)
@@ -197,37 +203,25 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("slide", ["--detect-every", 0]),
-    ("slide", ["--slice-seconds", 0]),
     ("distsim", ["--buffer-pairs", 0]),
-    ("detect", ["--k", 0, "--memory-budget", 5]),
     ("detect", ["--window-slices", 0]),
+    ("detect", ["--window-slices", 2**63]),
     ("detect", ["--beta", -1]),
     ("detect", ["--beta", "nan"]),
-    ("detect", ["--memory-budget", 0]),
     ("detect", ["--restore-cap", 0]),
     ("detect", ["--lr", 0]),
     ("detect", ["--lc", 64]),
     ("distsim", ["--threads", 0]),
     ("distsim", ["--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1]),
     ("detect", ["--lr", 2, "--lc", 64, "--v", 128]),
-    ("detect", ["--lr", 2, "--lc", 64, "--memory-budget", 65536]),
-    ("detect", ["--window-seconds", "nan"]),
-    ("detect", ["--window-seconds", "inf"]),
-    ("detect", ["--window-seconds", -5]),
-    ("slide", ["--window-seconds", 0.4]),
-    ("distsim", ["--window-seconds", 1e300, "--slice-seconds", 1e-300]),
-    ("detect", ["--window-seconds", 60, "--window-slices", 300]),
     ("detect", ["--lr", 1, "--lc", 1, "--k", 10**400]),
     ("detect", ["--lr", 1, "--lc", 1, "--k", 2**66]),
     ("detect", ["--lr", 1, "--lc", 1, "--k", 2**62]),
     ("slide", ["--lr", 1, "--lc", 1, "--k", 2**62]),
-], ids=["detect-every", "slice-seconds", "buffer-pairs", "k-with-memory-budget",
-        "window-slices", "negative-beta", "nan-beta", "zero-memory-budget",
+], ids=["detect-every", "buffer-pairs", "window-slices", "window-slices-beyond-int64",
+        "negative-beta", "nan-beta",
         "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads",
-        "lr-beyond-v1-frame", "v-with-lr-and-lc", "memory-budget-with-lr-and-lc",
-        "nan-window-seconds", "inf-window-seconds", "negative-window-seconds",
-        "window-seconds-below-a-slice", "window-seconds-beyond-int64-slices",
-        "window-seconds-with-window-slices", "k-beyond-a-float", "k-beyond-int64",
+        "lr-beyond-v1-frame", "v-with-lr-and-lc", "k-beyond-a-float", "k-beyond-int64",
         "k-beyond-memory", "k-beyond-the-sliding-pool"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
@@ -247,12 +241,21 @@ def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     assert len(proc.stderr.splitlines()) == 1
 
 
-def test_distsim_refuses_a_v1_overflow_on_an_empty_trace(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1],
+    ["--n-wp", 0],
+    ["--n-wp", -3],
+    ["--buffer-pairs", 0],
+    ["--threads", 0],
+], ids=["lr-beyond-v1-frame", "zero-n-wp", "negative-n-wp", "zero-buffer-pairs",
+        "zero-threads"])
+def test_distsim_refuses_on_an_empty_trace(tmp_path, capsys, flags):
+    # A trace with no windows never reaches a watch point; the refusal
+    # must not depend on one.
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     code = run(["distsim", "--trace", empty, "--out", tmp_path / "x.csv",
-                "--merge-log", tmp_path / "log.txt",
-                "--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1])
+                "--merge-log", tmp_path / "log.txt", *flags])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and len(err.splitlines()) == 1
@@ -278,6 +281,32 @@ def test_distsim_holds_one_window_at_a_time(tmp_path):
             tracemalloc.stop()
     assert "# windows=0 1 2 3" in (tmp_path / "d.csv").read_text()
     assert peaks[1] < peaks[4] + one_state, (peaks, one_state)
+
+
+def test_distsim_splits_the_trace_once(tmp_path, monkeypatch):
+    # Each window's pairs feed both the watch points and the single
+    # scanner, so one split serves the run; every window's frames are named
+    # by watch point, window and kind.
+    trace = tmp_path / "three.bin"
+    run(["generate", "--out", trace, "--n-super", 1, "--super-card", 2048, 2048,
+         "--n-background", 50, "--n-pairs", 3000, "--slices", 3, "--gen-seed", 2])
+    calls = []
+
+    def counting_split(slices, window_slices):
+        calls.append(window_slices)
+        return split_windows(slices, window_slices)
+
+    # Both modules that ever imported it, so a second split anywhere counts.
+    monkeypatch.setattr(cli, "split_windows", counting_split)
+    monkeypatch.setattr(distributed, "split_windows", counting_split, raising=False)
+    frames = tmp_path / "frames"
+    assert run(["distsim", "--trace", trace, "--out", tmp_path / "d.csv", "--n-wp", 2,
+                "--window-slices", 1, "--frames-dir", frames,
+                "--merge-log", tmp_path / "log.txt"] + SMALL_FLAGS) == 0
+    assert calls == [1]
+    assert sorted(p.name for p in frames.iterdir()) == sorted(
+        f"wp{w}_win{wid}_{kind}.sspd" for w in range(2) for wid in range(3)
+        for kind in ("seav", "ldca"))
 
 
 def test_distsim_merge_check_can_fail(tmp_path, trace_file, monkeypatch, capsys):
@@ -316,9 +345,25 @@ def test_default_detection_fields():
     assert RunConfig().detection_fields() == {
         "seed": "0x5EED", "theta": 1024, "beta": 0.8, "r": 4, "sr": 4, "a": 2, "g": 8,
         "k": 8192, "lr": 8, "lc": 1024, "design_n": "1e+06", "window_slices": 300,
-        "slice_seconds": "1", "restore_cap": 1 << 20, "seav_bytes": 32768,
-        "ldca_bytes": 8388608,
+        "restore_cap": 1 << 20, "seav_bytes": 32768, "ldca_bytes": 8388608,
     }
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("window_slices", 0), ("window_slices", 1 << 63), ("detect_every", 0),
+    ("n_wp", -3), ("buffer_pairs", 0), ("threads", 0),
+])
+def test_run_config_refuses_a_bad_run_knob(knob, value):
+    with pytest.raises(ConfigError, match=knob):
+        RunConfig(**{knob: value})
+
+
+@pytest.mark.parametrize("command", ["detect", "slide", "distsim"])
+def test_flags_default_to_the_run_config(command):
+    # The flags a subcommand has resolve, when left out, to RunConfig's own
+    # defaults; the knobs it lacks keep them too.
+    args = build_parser().parse_args([command, "--trace", "t", "--out", "o"])
+    assert _config_from_args(args) == RunConfig()
 
 
 def test_readme_walkthrough_scaled_down(tmp_path, monkeypatch):
@@ -426,9 +471,6 @@ FUZZ_SKETCH_FLAGS = {
     "--lr": [0, -1, 1, 65535, 65536, "x"],
     "--lc": [0, -1, 1, "x"],
     "--design-n": [0, -1, 1, "nan", "inf", "x"],
-    "--memory-budget": [0, -1, 1, 65536, "x"],
-    "--window-seconds": [0, -5, 1, "nan", "inf", "x"],
-    "--slice-seconds": [0, -1, 1, 1e-300, "nan", "inf", "x"],
     "--window-slices": [0, -1, 1, 65535, 2**32, "x"],
     "--restore-cap": [0, -1, 1, "x"],
 }
@@ -522,7 +564,7 @@ def test_fuzz_lists_build_at_most_64_mib():
                        for combo in itertools.product(*choices))
 
     registers = (worst(["--r", "--sr", "--a", "--g"])
-                 + worst(["--k", "--v", "--lr", "--lc", "--memory-budget"]))
+                 + worst(["--k", "--v", "--lr", "--lc"]))
     # Sliding keeps a stamp of up to 8 bytes per register bit; distsim holds
     # one window's n_wp frames, the receiver, `threads` scanner states and
     # the single scanner.

@@ -12,7 +12,6 @@ from sspd.distributed import (
     parse_frame,
     route_pairs,
     serialize,
-    simulate_topology,
     simulate_window,
 )
 from sspd.errors import (
@@ -25,7 +24,7 @@ from sspd.errors import (
 )
 from sspd.hashing import SeedFamily
 from sspd.short_sketch import SeavConfig, SeavSketch
-from sspd.window_detector import DetectorParams, DetectorState
+from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
 SEEDS = SeedFamily()
 PARAMS = DetectorParams(theta=1024, k=4096, lr=2, lc=64, design_n=4e3)
@@ -47,8 +46,8 @@ def test_round_trip_both_kinds():
     st, _, _ = random_states()
     back = merge(frames_for(st, window_id=7))
     assert back.window_id == 7
-    assert back.seav.payload_bytes() == st.seav.payload_bytes()
-    assert back.ldca.payload_bytes() == st.ldca.payload_bytes()
+    assert np.array_equal(back.seav.flat, st.seav.flat)
+    assert np.array_equal(back.ldca.flat, st.ldca.flat)
 
 
 def test_frame_bytes_are_pinned():
@@ -149,8 +148,8 @@ def test_merge_order_invariant():
     b, _, _ = random_states(seed=3)
     ab = merge(frames_for(a) + frames_for(b))
     ba = merge(frames_for(b) + frames_for(a))
-    assert ab.seav.payload_bytes() == ba.seav.payload_bytes()
-    assert ab.ldca.payload_bytes() == ba.ldca.payload_bytes()
+    assert np.array_equal(ab.seav.flat, ba.seav.flat)
+    assert np.array_equal(ab.ldca.flat, ba.ldca.flat)
 
 
 def test_merge_requires_both_kinds():
@@ -256,15 +255,15 @@ def test_merge_is_idempotent_and_associative():
     c, _, _ = random_states(seed=23)
     # self-merge leaves state unchanged
     twice = merge(frames_for(a) + frames_for(a))
-    assert twice.seav.payload_bytes() == a.seav.payload_bytes()
-    assert twice.ldca.payload_bytes() == a.ldca.payload_bytes()
+    assert np.array_equal(twice.seav.flat, a.seav.flat)
+    assert np.array_equal(twice.ldca.flat, a.ldca.flat)
     # (a|b)|c == a|(b|c), built via frames both ways
     left = merge(frames_for(a) + frames_for(b))
     right = merge(frames_for(b) + frames_for(c))
     lhs = merge(frames_for(left) + frames_for(c))
     rhs = merge(frames_for(a) + frames_for(right))
-    assert lhs.seav.payload_bytes() == rhs.seav.payload_bytes()
-    assert lhs.ldca.payload_bytes() == rhs.ldca.payload_bytes()
+    assert np.array_equal(lhs.seav.flat, rhs.seav.flat)
+    assert np.array_equal(lhs.ldca.flat, rhs.ldca.flat)
 
 
 @pytest.mark.parametrize("route", ["hash", "round-robin"])
@@ -318,10 +317,7 @@ def test_small_buffers_do_not_change_results():
 
 def test_topology_writes_frame_files(tmp_path):
     _, hips, oips = random_states(n_pairs=2_000, seed=10)
-    slices = np.zeros(len(hips), dtype=np.uint32)
-    results = list(simulate_topology(PARAMS, slices, hips, oips, n_wp=2,
-                                     frames_dir=tmp_path))
-    assert len(results) == 1
+    simulate_window(PARAMS, 0, hips, oips, n_wp=2, frames_dir=tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["wp0_win0_ldca.sspd", "wp0_win0_seav.sspd",
                      "wp1_win0_ldca.sspd", "wp1_win0_seav.sspd"]
@@ -353,7 +349,15 @@ def test_topology_splits_windows_by_slice():
     hips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     slices = rng.integers(0, 20, size=n).astype(np.uint32)
-    results = list(simulate_topology(PARAMS, slices, hips, oips, n_wp=2,
-                                     window_slices=10))
-    assert [r.window_id for r in results] == [0, 1]
+    windows = list(split_windows(slices, 10))
+    assert [wid for wid, _ in windows] == [0, 1]
+    assert sorted(np.concatenate([sel for _, sel in windows]).tolist()) == list(range(n))
+    for wid, sel in windows:
+        assert (slices[sel] // 10 == wid).all()
+        assert (np.diff(sel) > 0).all()  # stream order within the window
+        result = simulate_window(PARAMS, wid, hips[sel], oips[sel], n_wp=2)
+        single = DetectorState.create(PARAMS)
+        single.process_batch(hips[sel], oips[sel])
+        assert result.window_id == wid
+        assert np.array_equal(result.global_ldca.flat, single.ldca.flat)
 

@@ -188,7 +188,7 @@ def test_binary_round_trip(tmp_path):
 def test_text_round_trip(tmp_path):
     trace = generate_trace(small_spec(n_background=20, n_super=2, n_pairs=400))
     path = tmp_path / "t.txt"
-    write_trace(trace, path, text=True)
+    write_trace(trace, path)
     first = path.read_text().splitlines()[0]
     assert len(first.split(",")) == 3
     back = read_trace(path)
