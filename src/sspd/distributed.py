@@ -5,18 +5,25 @@ sketches are partial; because updates are monotone bit-sets, OR-merging
 all frames at the global server reproduces the single-scanner sketch
 bit-for-bit, and restore/estimation then run on global state.
 
-Frame wire format (little-endian, fixed width):
+Frame wire format, version 2 (little-endian, fixed-width fields):
 
     offset  size  field
     0       4     magic "SSPD"
-    4       1     version (1)
+    4       1     version (2)
     5       1     kind (0 = candidate sketch, 1 = counter sketch)
-    6       26    config block: r u8, SR u8, a u8, g u8, theta u32,
+    6       1     payload encoding (0 = raw, 1 = sparse)
+    7       26    config block: r u8, SR u8, a u8, g u8, theta u32,
                   k u32, LR u16, LC u32, master seed u64
-    32      4     window id u32
-    36      4     payload length u32
-    40      n     payload (raw register bytes)
-    40+n    4     CRC-32 of everything before it
+    33      4     window id u32
+    37      4     payload length u32
+    41      n     payload
+    41+n    4     CRC-32 of everything before it
+
+A raw payload is the sketch's register bytes.  A sparse payload lists the
+nonzero 64-bit words of those bytes: m ascending u32 word indexes, then
+the m u64 words (n = 12 m).  A counter frame takes whichever of the two
+is smaller; a candidate frame is always raw, so its size is fixed.
+Version 1 frames (no encoding byte, always raw) are refused.
 
 The global server merges a frame only when its config block equals, byte
 for byte, the block the server's own sketch of that kind encodes: the
@@ -26,6 +33,7 @@ receiver, not the frames, says which detector a window belongs to.
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,18 +49,21 @@ from .errors import (
     FrameVersionError,
     MergeError,
 )
-from .hashing import MASK64, SeedFamily, hash_range_array
+from .hashing import SeedFamily, hash_range_array
 from .long_sketch import LdcaConfig, LdcaSketch
 from .short_sketch import SeavConfig, SeavSketch
 from .window_detector import DetectionReport, DetectorParams, DetectorState
 
 MAGIC = b"SSPD"
-VERSION = 1
+VERSION = 2
 KIND_SEAV = 0
 KIND_LDCA = 1
 KIND_NAMES = {KIND_SEAV: "seav", KIND_LDCA: "ldca"}
+ENCODING_RAW = 0
+ENCODING_SPARSE = 1
+SPARSE_ENTRY = 12                         # u32 word index + u64 word
 
-_HEADER = struct.Struct("<4sBB")          # magic, version, kind
+_HEADER = struct.Struct("<4sBBB")         # magic, version, kind, encoding
 _CONFIG = struct.Struct("<BBBBIIHIQ")     # r, SR, a, g, theta, k, LR, LC, seed
 _CONFIG_FIELDS = (("r", 8), ("SR", 8), ("a", 8), ("g", 8), ("theta", 32),
                   ("k", 32), ("LR", 16), ("LC", 32))  # not the seed: always u64
@@ -69,13 +80,14 @@ class SketchFrame:
     """One watch point's serialized sketch for one window."""
 
     kind: int
+    encoding: int
     config_block: bytes
     window_id: int
     payload: bytes | memoryview
 
 
 def _config_block(cfg: SeavConfig | LdcaConfig, master_seed: int) -> tuple[int, bytes]:
-    """The frame kind and v1 config block of a sketch config: the only
+    """The frame kind and config block of a sketch config: the only
     encoder of the block."""
     if isinstance(cfg, SeavConfig):
         if cfg.addr_bits != 32:
@@ -87,30 +99,46 @@ def _config_block(cfg: SeavConfig | LdcaConfig, master_seed: int) -> tuple[int, 
         raise ConfigError(f"cannot serialize {type(cfg).__name__}")
     for (name, bits), value in zip(_CONFIG_FIELDS, values):
         if not 0 <= value < 1 << bits:
-            raise ConfigError(f"a v1 frame holds {name} in {bits} bits, got {value}")
-    return kind, _CONFIG.pack(*values, master_seed & MASK64)  # as SeedFamily keeps it
+            raise ConfigError(f"a frame holds {name} in {bits} bits, got {value}")
+    return kind, _CONFIG.pack(*values, master_seed)
 
 
 def check_frame_capacity(params: DetectorParams):
-    """Refuse a detector whose sketches no v1 frame can carry; reads the
+    """Refuse a detector whose sketches no frame can carry; reads the
     two configs and allocates no registers."""
     for cfg in (params.seav_config(), params.ldca_config()):
         _config_block(cfg, params.master_seed)
+
+
+def _payload(kind: int, regs: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The encoding and payload parts of one sketch's registers: sparse
+    for a counter sketch when that is smaller than raw, raw otherwise."""
+    if kind == KIND_LDCA and regs.nbytes % 8 == 0 and regs.nbytes < 8 << 32:
+        words = regs.view(np.uint64)
+        set_words = words != 0  # numpy finds a bool array's nonzeros faster
+        if np.count_nonzero(set_words) * SPARSE_ENTRY < regs.nbytes:
+            index = np.flatnonzero(set_words)
+            return ENCODING_SPARSE, (index.astype(np.uint32), words[index])
+    return ENCODING_RAW, (regs,)
 
 
 def serialize(sketch: SeavSketch | LdcaSketch, window_id: int) -> bytearray:
     """Encode one sketch as a frame, built in one buffer."""
     kind, block = _config_block(sketch.config, sketch.seeds.master_seed)
     if not 0 <= window_id < 1 << 32:
-        raise ConfigError(f"a v1 frame holds the window id in 32 bits, got {window_id}")
-    regs = sketch.flat
-    end = _PAYLOAD + regs.nbytes
+        raise ConfigError(f"a frame holds the window id in 32 bits, got {window_id}")
+    encoding, parts = _payload(kind, sketch.flat)
+    size = sum(part.nbytes for part in parts)
+    end = _PAYLOAD + size
     frame = bytearray(end + _CRC.size)
-    _HEADER.pack_into(frame, 0, MAGIC, VERSION, kind)
+    _HEADER.pack_into(frame, 0, MAGIC, VERSION, kind, encoding)
     frame[_BLOCK] = block
-    _TRAILER.pack_into(frame, _BLOCK.stop, window_id, regs.nbytes)
+    _TRAILER.pack_into(frame, _BLOCK.stop, window_id, size)
     with memoryview(frame) as view:
-        view[_PAYLOAD:end] = regs.data.cast("B")
+        at = _PAYLOAD
+        for part in parts:
+            view[at:at + part.nbytes] = part.data.cast("B")
+            at += part.nbytes
         _CRC.pack_into(frame, end, zlib.crc32(view[:end]))
     return frame
 
@@ -119,13 +147,15 @@ def parse_frame(data: bytes | bytearray) -> SketchFrame:
     """Validate and split a frame; the payload is a read-only view into ``data``."""
     if len(data) < _PAYLOAD + _CRC.size:
         raise FrameTruncatedError(f"frame is {len(data)} bytes, shorter than any valid frame")
-    magic, version, kind = _HEADER.unpack_from(data, 0)
+    magic, version, kind, encoding = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise FrameMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FrameVersionError(f"unsupported frame version {version}")
     if kind not in KIND_NAMES:
         raise FrameVersionError(f"unknown sketch kind {kind}")
+    if encoding not in (ENCODING_RAW, ENCODING_SPARSE):
+        raise FrameVersionError(f"unknown payload encoding {encoding}")
     window_id, payload_len = _TRAILER.unpack_from(data, _BLOCK.stop)
     end = _PAYLOAD + payload_len
     total = end + _CRC.size
@@ -137,15 +167,40 @@ def parse_frame(data: bytes | bytearray) -> SketchFrame:
     (crc,) = _CRC.unpack_from(view, end)
     if crc != zlib.crc32(view[:end]):
         raise FrameChecksumError("checksum mismatch")
-    return SketchFrame(kind=kind, config_block=bytes(view[_BLOCK]), window_id=window_id,
-                       payload=view[_PAYLOAD:end])
+    if encoding == ENCODING_SPARSE and payload_len % SPARSE_ENTRY:
+        raise FrameTruncatedError(f"sparse payload of {payload_len} bytes is not whole "
+                                  f"{SPARSE_ENTRY}-byte entries")
+    return SketchFrame(kind=kind, encoding=encoding, config_block=bytes(view[_BLOCK]),
+                       window_id=window_id, payload=view[_PAYLOAD:end])
+
+
+def _unpack(frame: SketchFrame, regs: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice,
+                                                            np.ndarray]:
+    """Check a frame's payload against the registers it merges into and
+    return ``(target, index, values)`` for ``target[index] |= values``."""
+    name, payload = KIND_NAMES[frame.kind], frame.payload
+    if frame.encoding == ENCODING_RAW:
+        if len(payload) != regs.nbytes:
+            raise MergeError(f"{name} frame payload is {len(payload)} bytes, not {regs.nbytes}")
+        return regs, slice(None), np.frombuffer(payload, regs.dtype)
+    if regs.nbytes % 8 or len(payload) % SPARSE_ENTRY:
+        raise MergeError(f"{name} frame has a sparse payload of {len(payload)} bytes "
+                         f"for {regs.nbytes} register bytes")
+    words = regs.view(np.uint64)
+    n = len(payload) // SPARSE_ENTRY
+    index = np.frombuffer(payload, np.uint32, n).astype(np.intp)  # numpy scatters intp
+    if n and index[-1] >= len(words):
+        raise MergeError(f"{name} frame names word {index[-1]} of {len(words)}")
+    if (index[1:] <= index[:-1]).any():
+        raise MergeError(f"{name} frame word indexes do not strictly increase")
+    return words, index, np.frombuffer(payload, np.uint64, n, offset=4 * n)
 
 
 def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> DetectorState:
-    """OR one window's frames into the receiver's registers and return the
+    """OR frames of one window into the receiver's registers and return the
     receiver, its window id set from the frames.  Each frame is checked
     first: its config block must be the one the receiver's own sketch of
-    that kind encodes, byte for byte, and its payload must fill that
+    that kind encodes, byte for byte, and its payload must fit that
     sketch's registers."""
     if not frames:
         raise MergeError("no frames to merge")
@@ -159,16 +214,14 @@ def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> Detector
     for kind, name in KIND_NAMES.items():
         if all(f.kind != kind for f in frames):
             raise MergeError(f"no {name} frame present")
+    updates = []
     for f in frames:
         block, regs = own[f.kind]
         if f.config_block != block:
             raise MergeError(f"{KIND_NAMES[f.kind]} frame config block is not the receiver's")
-        if len(f.payload) != regs.nbytes:
-            raise MergeError(f"{KIND_NAMES[f.kind]} frame payload is {len(f.payload)} bytes, "
-                             f"not {regs.nbytes}")
-    for f in frames:
-        regs = own[f.kind][1]
-        np.bitwise_or(regs, np.frombuffer(f.payload, regs.dtype), out=regs)
+        updates.append(_unpack(f, regs))
+    for target, index, values in updates:
+        target[index] |= values  # sparse indexes are unique, so no OR is lost
     receiver.window_id = window_ids[0]
     return receiver
 
@@ -209,37 +262,49 @@ def simulate_window(params: DetectorParams, window_id: int,
     """Scan one window's pairs on n_wp simulated watch points and merge.
 
     One call takes a watch point from its shard to its two frames: it
-    builds the point's state, scans the shard in ``buffer_pairs`` batches
-    and serializes the candidate sketch, then the counter sketch.  The
-    state lives only until its frames are built, so at most ``threads``
-    watch-point states exist at once.  Watch points share no state, so
-    they may scan concurrently; the merge runs after all of them shipped.
+    scans the shard in ``buffer_pairs`` batches into its thread's state,
+    serializes the candidate sketch, then the counter sketch, and zeroes
+    the state for the thread's next point, so ``threads`` states exist at
+    most.  Watch points share no state, so they may scan concurrently;
+    each point's frames are ORed into the receiver as they arrive.
     """
     check_frame_capacity(params)
     receiver = DetectorState.create(params)
     assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
+    # One stable sort shards the window: point w's pairs, in stream order,
+    # are bounds[w]:bounds[w + 1] of the sorted pairs.  The narrowest lane
+    # type lets numpy radix-sort it.
+    order = np.argsort(assignment.astype(np.min_scalar_type(n_wp - 1)), kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(assignment, minlength=n_wp)).tolist()]
+    shard_hips, shard_oips = hips[order], oips[order]
+    del assignment, order
     if frames_dir is not None:
         Path(frames_dir).mkdir(parents=True, exist_ok=True)
+    local = threading.local()
 
     def watch_point(w: int) -> list[SketchFrame]:
-        state = DetectorState.create(params)
-        shard = assignment == w
-        shard_hips, shard_oips = hips[shard], oips[shard]
+        state = getattr(local, "state", None)
+        if state is None:
+            state = local.state = DetectorState.create(params)
+        stop = bounds[w + 1]
         # Bounded buffer per watch point: batch, scan, clear, repeat.
-        for start in range(0, len(shard_hips), buffer_pairs):
-            state.process_batch(shard_hips[start:start + buffer_pairs],
-                                shard_oips[start:start + buffer_pairs])
+        for start in range(bounds[w], stop, buffer_pairs):
+            end = min(start + buffer_pairs, stop)
+            state.process_batch(shard_hips[start:end], shard_oips[start:end])
         frames = []
         for name, sketch in (("seav", state.seav), ("ldca", state.ldca)):
             data = serialize(sketch, window_id)
             frames.append(parse_frame(data))
             if frames_dir is not None:
                 (Path(frames_dir) / f"wp{w}_win{window_id}_{name}.sspd").write_bytes(data)
+        state.reset()
         return frames
 
+    frames = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        frames = [f for point in pool.map(watch_point, range(n_wp)) for f in point]
-    merged = merge_frames(receiver, frames)
-    return WindowResult(window_id=window_id, reports=merged.finalize_window(),
-                        global_seav=merged.seav, global_ldca=merged.ldca,
+        for point in pool.map(watch_point, range(n_wp)):
+            merge_frames(receiver, point)
+            frames += point
+    return WindowResult(window_id=window_id, reports=receiver.finalize_window(),
+                        global_seav=receiver.seav, global_ldca=receiver.ldca,
                         frames=frames)

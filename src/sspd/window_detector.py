@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import DEFAULT_MASTER_SEED, SeedFamily
+from .hashing import DEFAULT_MASTER_SEED, MASK64, SeedFamily
 from .long_sketch import (
     DEFAULT_DESIGN_N,
     DEFAULT_K,
@@ -96,6 +96,8 @@ class DetectorParams:
     _ldca: LdcaConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 <= self.master_seed <= MASK64:  # so a report header names the seed hashed
+            raise ConfigError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if not self.beta > 0:  # also refuses NaN
             raise ConfigError(f"beta must be > 0, got {self.beta:g}")
         if self.v < 1:

@@ -194,6 +194,22 @@ def test_out_of_range_value_is_config_error(tmp_path, monkeypatch, capsys, argv)
     assert err.startswith("error: config:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**64 - 1, 0)],
+                         ids=["negative", "beyond-64-bits", "top-of-64-bits"])
+def test_seed_outside_64_bits_is_config_error(tmp_path, trace_file, capsys, seed, code):
+    # The header echoes the seed the detector hashes with, so only a seed
+    # that fits in 64 bits runs; any other writes no report.
+    out = tmp_path / "x.csv"
+    assert run(["detect", "--trace", trace_file, "--out", out, "--seed", seed,
+                *SMALL_FLAGS]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: config: master_seed") and len(err.splitlines()) == 1
+        assert not out.exists()
+    else:
+        assert f"# seed=0x{seed:X}" in out.read_text().splitlines()
+
+
 def test_config_error_exit_code(tmp_path, trace_file, capsys):
     out = tmp_path / "x.csv"
     code = run(["detect", "--trace", trace_file, "--out", out, "--sr", 1] + SMALL_FLAGS)
@@ -452,7 +468,7 @@ def test_internal_assertion_exit_code(monkeypatch, capsys):
 
 # --- bounded fuzz of the numeric flags ------------------------------------------
 
-# Edge values per numeric flag: zero, negatives, one, the v1 frame limits
+# Edge values per numeric flag: zero, negatives, one, the frame limits
 # (LR in 16 bits, theta in 32, r/SR/a/g in 8), NaN, infinity and a
 # non-number.  Geometry values stay small enough that no combination
 # builds much (see test_fuzz_lists_build_at_most_64_mib).

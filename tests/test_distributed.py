@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -7,7 +8,6 @@ import pytest
 
 from sspd import distributed
 from sspd.distributed import (
-    SketchFrame,
     merge_frames,
     parse_frame,
     route_pairs,
@@ -53,18 +53,39 @@ def test_round_trip_both_kinds():
 def test_frame_bytes_are_pinned():
     # The CRC each frame ends with.  zlib.crc32 over a whole frame, its
     # CRC included, is the CRC-32 residue 0x2144DF1C for every valid frame.
+    # The empty counter frame is sparse with no entries, the busy one raw.
     empty = DetectorState.create(PARAMS)
     busy, _, _ = random_states()
     frames = [serialize(s, 3) for s in (empty.seav, empty.ldca, busy.seav, busy.ldca)]
     assert [(len(f), zlib.crc32(f[:-4])) for f in frames] == [
-        (32812, 0x3D4D1E09), (65580, 0x70A6DFE1), (32812, 0xACF46A71), (65580, 0xE03272CB)]
+        (32813, 0x41A3BCF1), (45, 0x83720C1B), (32813, 0xD01AC889), (65581, 0xFF0EB1ED)]
 
 
-def test_frame_size_is_traffic_independent():
-    empty = DetectorState.create(PARAMS)
-    busy, _, _ = random_states()
-    assert len(serialize(empty.seav, 0)) == len(serialize(busy.seav, 0))
-    assert len(serialize(empty.ldca, 0)) == len(serialize(busy.ldca, 0))
+ENVELOPE = 45  # 41 header bytes before the payload, 4 CRC bytes after it
+
+
+@pytest.mark.parametrize("n_pairs", [0, 100, 600, 8000])
+def test_frame_size_follows_the_set_words(n_pairs):
+    # A candidate frame is always raw; a counter frame is raw or sparse,
+    # whichever is smaller, and a sparse one lists its set words' indexes
+    # ascending, then the words.
+    st, _, _ = random_states(n_pairs=n_pairs)
+    seav = parse_frame(serialize(st.seav, 0))
+    assert seav.encoding == distributed.ENCODING_RAW
+    assert len(seav.payload) == st.seav.flat.nbytes
+    words = st.ldca.flat.view(np.uint64)
+    index = np.flatnonzero(words)
+    blob = serialize(st.ldca, 0)
+    ldca = parse_frame(blob)
+    assert len(blob) == ENVELOPE + min(words.nbytes, 12 * len(index))
+    if ldca.encoding == distributed.ENCODING_SPARSE:
+        m = len(index)
+        assert np.array_equal(np.frombuffer(ldca.payload, "<u4", m), index)
+        assert np.array_equal(np.frombuffer(ldca.payload, "<u8", m, 4 * m), words[index])
+    else:
+        assert bytes(ldca.payload) == st.ldca.flat.tobytes()
+    assert ldca.encoding == (distributed.ENCODING_SPARSE if n_pairs < 8000
+                             else distributed.ENCODING_RAW)
 
 
 def test_bad_magic():
@@ -81,6 +102,87 @@ def test_bad_version():
     blob[4] = 9
     with pytest.raises(FrameVersionError):
         parse_frame(bytes(blob))
+
+
+def reseal(blob):
+    """The frame with its CRC recomputed over everything before it."""
+    blob = bytearray(blob)
+    blob[-4:] = zlib.crc32(blob[:-4]).to_bytes(4, "little")
+    return blob
+
+
+def test_v1_frame_is_refused():
+    # The same frame in the v1 layout: no encoding byte, version 1.
+    st, _, _ = random_states()
+    v2 = serialize(st.seav, 0)
+    v1 = reseal(v2[:4] + bytes([1, v2[5]]) + v2[7:])
+    with pytest.raises(FrameVersionError, match="version 1"):
+        parse_frame(bytes(v1))
+
+
+def test_unknown_encoding_is_refused():
+    st, _, _ = random_states()
+    blob = bytearray(serialize(st.seav, 0))
+    blob[6] = 2
+    with pytest.raises(FrameVersionError, match="encoding"):
+        parse_frame(bytes(reseal(blob)))
+
+
+def test_sparse_payload_of_a_bad_length_is_refused():
+    st, _, _ = random_states(n_pairs=100)
+    blob = serialize(st.ldca, 0)
+    assert blob[6] == distributed.ENCODING_SPARSE
+    length = int.from_bytes(blob[37:41], "little")
+    short = blob[:41 + length - 1] + blob[-4:]
+    short[37:41] = (length - 1).to_bytes(4, "little")
+    with pytest.raises(FrameTruncatedError, match="sparse payload"):
+        parse_frame(bytes(reseal(short)))
+
+
+def sparse_frame(frame, index, words):
+    """``frame`` with a sparse payload of the given word indexes and words."""
+    payload = (np.asarray(index, "<u4").tobytes() + np.asarray(words, "<u8").tobytes())
+    return replace(frame, encoding=distributed.ENCODING_SPARSE, payload=payload)
+
+
+@pytest.mark.parametrize("index, problem", [
+    ([0, 8192], "word 8192 of 8192"),
+    ([0, 5, 5], "strictly increase"),
+    ([7, 3], "strictly increase"),
+], ids=["past-the-last-word", "repeated", "descending"])
+def test_merge_refuses_a_bad_sparse_index(index, problem):
+    st, _, _ = random_states(n_pairs=100)
+    frames = frames_for(st)
+    bad = sparse_frame(frames[1], index, np.ones(len(index)))
+    receiver = DetectorState.create(PARAMS)
+    with pytest.raises(MergeError, match=problem):
+        merge_frames(receiver, frames + [bad])
+    # Every frame is checked before any is merged.
+    assert not receiver.seav.flat.any() and not receiver.ldca.flat.any()
+
+
+def test_merge_refuses_a_sparse_payload_of_a_bad_length():
+    st, _, _ = random_states(n_pairs=100)
+    frames = frames_for(st)
+    bad = replace(frames[1], payload=bytes(frames[1].payload)[:-1])
+    with pytest.raises(MergeError, match="sparse payload"):
+        merge(frames[:1] + [bad])
+
+
+def test_raw_and_sparse_counter_frames_merge_to_the_single_scanner():
+    _, hips, oips = random_states(n_pairs=9000, seed=14)
+    dense, light = DetectorState.create(PARAMS), DetectorState.create(PARAMS)
+    dense.process_batch(hips[:8000], oips[:8000])
+    light.process_batch(hips[8000:], oips[8000:])
+    frames = frames_for(dense) + frames_for(light)
+    assert [f.encoding for f in frames[1::2]] == [distributed.ENCODING_RAW,
+                                                  distributed.ENCODING_SPARSE]
+    single = DetectorState.create(PARAMS)
+    single.process_batch(hips, oips)
+    merged = merge(frames)
+    assert np.array_equal(merged.seav.flat, single.seav.flat)
+    assert np.array_equal(merged.ldca.flat, single.ldca.flat)
+    assert merged.finalize_window() == single.finalize_window()
 
 
 def test_truncation():
@@ -200,9 +302,7 @@ def test_merge_rejects_cross_kind_geometry():
 def test_merge_config_block_compares_bytes():
     st, _, _ = random_states()
     frames = frames_for(st)
-    tweaked = SketchFrame(kind=frames[0].kind,
-                          config_block=b"\x00" * len(frames[0].config_block),
-                          window_id=0, payload=frames[0].payload)
+    tweaked = replace(frames[0], config_block=b"\x00" * len(frames[0].config_block))
     with pytest.raises(MergeError):
         merge([tweaked] + frames)
 
@@ -280,31 +380,43 @@ def test_partition_invariance(route, n_wp):
 
 
 def test_threads_do_not_change_results():
+    # More threads than cores and more points than threads, so threads
+    # reuse their states while others scan; small batches and frequent
+    # switches interleave the scans, so a state shared by threads shows.
     _, hips, oips = random_states(n_pairs=12_000, seed=8)
-    seq = simulate_window(PARAMS, 0, hips, oips, 4, threads=1)
-    par = simulate_window(PARAMS, 0, hips, oips, 4, threads=4)
+    seq = simulate_window(PARAMS, 0, hips, oips, 8, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = simulate_window(PARAMS, 0, hips, oips, 8, threads=3, buffer_pairs=256)
+    finally:
+        sys.setswitchinterval(interval)
     assert seq.reports == par.reports
     assert all((x == y).all() for x, y in
                zip(seq.global_seav.rows, par.global_seav.rows))
+    assert np.array_equal(seq.global_ldca.flat, par.global_ldca.flat)
+    assert seq.frames == par.frames
 
 
 def test_watch_point_state_lives_until_its_frames_exist():
-    # Default geometry, 8 MiB of registers per watch point.  The window's
-    # frames stay (n_wp of them) beside the receiver and the states of the
-    # points being scanned; a state kept past its frames adds one more each.
+    # Default geometry, 8 MiB of registers per watch point.  The receiver
+    # and one reused state per thread hold registers; each point's frames
+    # carry only their set words and are merged as they arrive.  Dense
+    # frames kept for the result, or a state kept past its frames, add
+    # one point's registers each.
     params = DetectorParams()
     one_point = sum(DetectorState.create(params).memory_bytes())
     rng = np.random.default_rng(13)
     hips = rng.integers(0, 2**32, size=20_000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=20_000, dtype=np.uint64)
-    n_wp, threads = 8, 1
-    tracemalloc.start()
-    try:
-        simulate_window(params, 0, hips, oips, n_wp=n_wp, threads=threads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < (n_wp + threads + 1.5) * one_point, peak / one_point
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            simulate_window(params, 0, hips, oips, n_wp=8, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (threads + 2) * one_point, (threads, peak / one_point)
 
 
 def test_small_buffers_do_not_change_results():
