@@ -13,6 +13,7 @@ pair volume per window.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Callable
@@ -32,7 +33,13 @@ DEFAULT_MAX_ROWS = 8
 # bytes per host (512 KiB with the union at the default k); a sliding
 # gather holds k stamps plus k flag bytes per host (6 MiB of uint16
 # stamps and flags, beside a 2 MiB union, at the default k and window).
+# Beside the gathers, a call holds every candidate's register numbers,
+# hashed once for the whole batch: 8 * LR bytes per candidate.
 ZERO_COUNT_CHUNK = 256
+
+# Rows ANDed before union_zero_counts drops the hosts already past its
+# bound; checking after one row, or again after four, read slower.
+EARLY_EXIT_ROWS = 2
 
 
 def ldc_estimates(z0s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,9 +51,31 @@ def ldc_estimates(z0s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     it as "at least huge".  ``math.log`` runs once per distinct count.
     """
     distinct, inverse = np.unique(z0s, return_inverse=True)
-    est = np.array([-k * math.log(z0 / k) if z0 else k * math.log(k)
+    est = np.array([_estimate(z0, k) if z0 else k * math.log(k)
                     for z0 in distinct.tolist()], dtype=np.float64)
     return est[inverse], z0s == 0
+
+
+def _estimate(z0: int, k: int) -> float:
+    """Estimate of a register with ``z0 > 0`` zero bits: the one expression
+    behind both ``ldc_estimates`` and ``zero_count_bound``."""
+    return -k * math.log(z0 / k)
+
+
+@functools.lru_cache(maxsize=64)
+def zero_count_bound(cutoff: float, k: int) -> int:
+    """Largest zero count ``z0`` in [1, k] whose estimate is >= ``cutoff``,
+    or 0 when there is none (then only saturated registers clear it).
+
+    Every count above the bound has an estimate below the cutoff, bit for
+    bit as ``ldc_estimates`` computes it: the counts are tried from k down.
+    Since k - k*exp(-cutoff/k) <= cutoff, that takes at most
+    min(k, cutoff + 1) logs, once per (cutoff, k).
+    """
+    for z0 in range(k, 0, -1):
+        if _estimate(z0, k) >= cutoff:
+            return z0
+    return 0
 
 
 @dataclass(frozen=True)
@@ -91,23 +120,42 @@ class LdcaConfig:
 
 
 def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
-                      cells: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+                      cells: Callable[[np.ndarray], np.ndarray],
+                      bound: int | None = None) -> np.ndarray:
     """Zero-bit count of each host's AND-union register: the one filter
     read of both detection modes.
 
     ``cells(reg)`` gathers the registers numbered ``reg`` as unsigned
-    words whose set bits are the register's set bits.  One gather per
-    row is ANDed in place, then popcounted per host, ``ZERO_COUNT_CHUNK``
-    hosts at a time.
+    words whose set bits are the register's set bits.  Each row is hashed
+    once for the whole batch; its gathers are ANDed in place, then
+    popcounted per host, ``ZERO_COUNT_CHUNK`` hosts at a time.
+
+    With a ``bound``, a host whose zero count after ``EARLY_EXIT_ROWS``
+    rows is above it skips the remaining rows and gets that partial
+    count.  An AND only clears bits, so its final count would be above the
+    bound too; every host at or under the bound gets its exact count.
     """
     hips = np.asarray(hips, dtype=np.uint64)
+    rows = list(config.registers(seeds, hips))
+    early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
     out = np.empty(len(hips), dtype=np.int64)
     for start in range(0, len(hips), ZERO_COUNT_CHUNK):
-        registers = config.registers(seeds, hips[start:start + ZERO_COUNT_CHUNK])
-        union = cells(next(registers))
-        for reg in registers:
-            np.bitwise_and(union, cells(reg), out=union)
-        out[start:start + len(union)] = config.k - np.bitwise_count(union).sum(axis=1)
+        stop = start + ZERO_COUNT_CHUNK
+        union = cells(rows[0][start:stop])
+        for reg in rows[1:early]:
+            np.bitwise_and(union, cells(reg[start:stop]), out=union)
+        z0 = config.k - np.bitwise_count(union).sum(axis=1)
+        out[start:start + len(z0)] = z0
+        if early == config.lr:
+            continue
+        live = np.flatnonzero(z0 <= bound)
+        if not len(live):
+            continue
+        union = union[live]
+        live += start
+        for reg in rows[early:]:
+            np.bitwise_and(union, cells(reg[live]), out=union)
+        out[live] = config.k - np.bitwise_count(union).sum(axis=1)
     return out
 
 
@@ -146,18 +194,24 @@ class LdcaSketch:
             for pos, mask in groups:
                 self.flat[reg[pos]] |= mask
 
-    def zero_counts(self, hips: np.ndarray) -> np.ndarray:
+    def zero_counts(self, hips: np.ndarray, bound: int | None = None) -> np.ndarray:
         """Zero-bit count of each host's AND-union register, read as the
-        widest unsigned words that tile a register."""
+        widest unsigned words that tile a register (see
+        ``union_zero_counts`` for ``bound``)."""
         word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
                     if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
         words = self.data.reshape(self.config.v, -1).view(word)
-        return union_zero_counts(self.config, self.seeds, hips, words.__getitem__)
+        return union_zero_counts(self.config, self.seeds, hips, words.__getitem__, bound)
 
-    def estimate(self, hips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def estimate(self, hips: np.ndarray,
+                 cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Estimates and saturated flags of each host's AND-union register,
-        from one ``zero_counts`` call."""
-        return ldc_estimates(self.zero_counts(hips), self.config.k)
+        from one ``zero_counts`` call.  With a ``cutoff``, a host whose
+        estimate is below it may get a partial estimate instead, which is
+        below it too; every other host's is exact."""
+        k = self.config.k
+        bound = None if cutoff is None else zero_count_bound(cutoff, k)
+        return ldc_estimates(self.zero_counts(hips, bound), k)
 
 
 def psu(k: int, n_pairs: float, lc: float, lr: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hashing import SeedFamily
-from .long_sketch import ldc_estimates, union_zero_counts
+from .long_sketch import ldc_estimates, union_zero_counts, zero_count_bound
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
 
@@ -162,15 +162,20 @@ class SlidingDetector:
         is a multiple of 8), each flag one set bit or none."""
         return self.pool.active_cells(self.ldca_base, self.ldca_config.k, reg).view(np.uint64)
 
-    def zero_counts(self, hips: np.ndarray) -> np.ndarray:
-        """Zero-bit count of each host's active AND-union counter register."""
+    def zero_counts(self, hips: np.ndarray, bound: int | None = None) -> np.ndarray:
+        """Zero-bit count of each host's active AND-union counter register
+        (see ``union_zero_counts`` for ``bound``)."""
         return union_zero_counts(self.ldca_config, self.seeds, hips,
-                                 self.materialize_ldca_cell)
+                                 self.materialize_ldca_cell, bound)
 
-    def estimate(self, hips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def estimate(self, hips: np.ndarray,
+                 cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Estimates and saturated flags of each host's active AND-union
-        register."""
-        return ldc_estimates(self.zero_counts(hips), self.ldca_config.k)
+        register, exact for every host whose estimate clears ``cutoff``
+        (see ``LdcaSketch.estimate``)."""
+        k = self.ldca_config.k
+        bound = None if cutoff is None else zero_count_bound(cutoff, k)
+        return ldc_estimates(self.zero_counts(hips, bound), k)
 
     def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""

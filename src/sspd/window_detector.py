@@ -39,19 +39,23 @@ class DetectionReport:
 
 
 def report_candidates(seav: SeavSketch,
-                      estimate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                      estimate: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]],
                       params: DetectorParams, window_id: int) -> list[DetectionReport]:
     """Restore candidates and keep those whose counter estimate clears
     beta * theta (or saturates), sorted by IP.
 
-    ``estimate`` maps an array of host IPs to the estimates and saturated
-    flags of their AND-union registers in one batch; both detection modes
-    share this loop and differ only in where those registers are read
-    from.  Per-array restore overflows surface as warnings, not failures.
+    ``estimate(ips, cutoff)`` maps an array of host IPs to the estimates
+    and saturated flags of their AND-union registers in one batch; both
+    detection modes share this loop and differ only in where those
+    registers are read from.  It is handed the cutoff so that it may stop
+    reading a host early: such a host's estimate is a partial one below
+    the cutoff, never saturated, so this one test still decides every
+    host.  Per-array restore overflows surface as warnings, not failures.
     """
+    cutoff = params.beta * params.theta
     ips = seav.restore()
-    est, saturated = estimate(ips)
-    keep = saturated | (est >= params.beta * params.theta)
+    est, saturated = estimate(ips, cutoff)
+    keep = saturated | (est >= cutoff)
     return [DetectionReport(ip=ip, estimated_cardinality=e, saturated=s, window_id=window_id)
             for ip, e, s in zip(ips[keep].tolist(), est[keep].tolist(), saturated[keep].tolist())]
 

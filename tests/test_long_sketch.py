@@ -71,6 +71,30 @@ def test_estimates_keep_the_scalar_floats(k):
            [ldc_estimate(z, k) for z in z0s.tolist()]
 
 
+def largest_passing_zero_count(cutoff, k):
+    """The bound by brute force: the largest z0 > 0 whose estimate, as
+    ldc_estimates computes it, is >= cutoff (0 when there is none)."""
+    est, _ = ldc_estimates(np.arange(k + 1), k)
+    return max((z for z in range(1, k + 1) if est[z] >= cutoff), default=0)
+
+
+@pytest.mark.parametrize("k", [8, 520, 8192])
+def test_zero_count_bound_matches_brute_force(k):
+    ties = [-k * math.log(z / k) for z in (1, k // 3, k - 1, k)]
+    cutoffs = ties + [math.nextafter(t, math.inf) for t in ties] + [
+        0.8 * 1024,                              # the default beta * theta
+        -1.0, 0.0,                               # at or below every estimate: bound k
+        k * math.log(k), k * math.log(k) + 1.0,  # only saturated registers clear it
+        math.inf,
+    ]
+    for cutoff in cutoffs:
+        assert long_sketch.zero_count_bound(cutoff, k) == largest_passing_zero_count(cutoff, k)
+    assert long_sketch.zero_count_bound(ties[1], k) == k // 3  # a tie keeps its count
+    assert long_sketch.zero_count_bound(0.0, k) == k
+    assert long_sketch.zero_count_bound(k * math.log(k) + 1.0, k) == 0
+    assert long_sketch.zero_count_bound(0.8 * 1024, 8192) == 7412
+
+
 def test_ldc_idempotent_and_pigeonhole():
     ldc = Ldc(k=8)
     ldc.update(1234, SEEDS)
@@ -266,6 +290,84 @@ def test_zero_counts_match_scalar_union(k, monkeypatch):
     assert len(cells) < len(probes) * sk.config.lr  # hosts share cells
     assert sk.zero_counts(np.array([], dtype=np.uint64)).tolist() == []
     assert [a.tolist() for a in sk.estimate(np.array([], dtype=np.uint64))] == [[], []]
+
+
+def untouched_hosts(sk, n, seed):
+    """n host IPs whose cells are empty in every row."""
+    rng = np.random.default_rng(seed)
+    words = sk.data.reshape(sk.config.v, -1)
+    found = []
+    while len(found) < n:
+        cand = rng.integers(0, 2**32, size=4096, dtype=np.uint64)
+        used = np.zeros(len(cand), dtype=bool)
+        for reg in sk.config.registers(SEEDS, cand):
+            used |= words[reg].any(axis=1)
+        found.extend(cand[~used][:n - len(found)].tolist())
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(lr=st.sampled_from([1, 2, 3, 8]), chunk=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 63))
+def test_bounded_zero_counts_exact_at_or_under_the_bound(lr, chunk, seed, pick):
+    rng = np.random.default_rng(seed)
+    sk = small_sketch(lr=lr, lc=16, k=64)
+    stream_hosts = rng.integers(0, 2**32, size=6, dtype=np.uint64)
+    peers = rng.integers(1, 96, size=len(stream_hosts))
+    hips = np.repeat(stream_hosts, peers)
+    sk.update_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
+    saturated = 0xFEEDF00D
+    for i in range(lr):
+        sk.data[i, row_column(sk, i, saturated)] = 0xFF
+    untouched = untouched_hosts(sk, chunk, seed)
+    # A whole first chunk of untouched hosts: it loses every host whenever
+    # the bound is below k and there are rows left after the check.
+    probes = np.array(untouched + stream_hosts.tolist() + [saturated]
+                      + rng.integers(0, 2**32, size=12, dtype=np.uint64).tolist(),
+                      dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(long_sketch, "ZERO_COUNT_CHUNK", chunk)
+        plain = sk.zero_counts(probes)
+        assert plain.tolist() == \
+               [64 - int(np.unpackbits(union_register(sk, int(p))).sum()) for p in probes]
+        assert 0 in plain and 64 in plain  # a saturated and an untouched host
+        levels = sorted(set(plain.tolist()))
+        for bound in {levels[pick % len(levels)], 0, 64, 63, pick}:  # hosts exactly at it
+            bounded = sk.zero_counts(probes, bound)
+            exact = plain <= bound
+            assert (bounded[exact] == plain[exact]).all()
+            assert (bounded[~exact] > bound).all()
+            assert (bounded[~exact] <= plain[~exact]).all()  # a partial count
+            if lr <= 2:
+                assert bounded.tolist() == plain.tolist()
+            cutoff = -64 * math.log(bound / 64) if bound else 64 * math.log(64)
+            est, sat = sk.estimate(probes, cutoff)
+            full_est, full_sat = sk.estimate(probes)
+            keep = full_sat | (full_est >= cutoff)
+            assert (keep == (sat | (est >= cutoff))).all()
+            assert (est[keep] == full_est[keep]).all() and (sat == full_sat).all()
+        assert sk.zero_counts(np.array([], dtype=np.uint64), 0).tolist() == []
+
+
+def test_bounded_read_skips_the_rows_of_a_chunk_it_empties(monkeypatch):
+    monkeypatch.setattr(long_sketch, "ZERO_COUNT_CHUNK", 2)
+    sk = small_sketch(lr=4, lc=16, k=64)
+    saturated = 0xFEEDF00D
+    for i in range(4):
+        sk.data[i, row_column(sk, i, saturated)] = 0xFF
+    probes = np.array(untouched_hosts(sk, 5, seed=3) + [saturated], dtype=np.uint64)
+    words = sk.data.reshape(sk.config.v, -1)
+    gathered = []
+
+    def cells(reg):
+        gathered.append(len(reg))
+        return words[reg]
+
+    z0 = long_sketch.union_zero_counts(sk.config, SEEDS, probes, cells, bound=0)
+    assert z0.tolist() == [64] * 5 + [0]
+    # Chunks of 2, 2 and 2 hosts: all read two rows; only the last, holding
+    # the saturated host, reads its other two, for that host alone.
+    assert gathered == [2, 2, 2, 2, 2, 2, 1, 1]
 
 
 def test_memory_accounting():

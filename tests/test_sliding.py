@@ -7,7 +7,7 @@ import pytest
 from sspd import long_sketch, sliding
 from sspd.errors import ConfigError
 from sspd.sliding import SlidingDetector, TimestampPool, timestamp_dtype
-from sspd.window_detector import DetectorParams, DetectorState
+from sspd.window_detector import DetectorParams, DetectorState, report_candidates
 
 from oracles import is_active, ldc_estimate, materialize_ldca, touch, union_register
 
@@ -180,28 +180,51 @@ def test_sliding_equals_discrete_for_one_window(g):
 def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
     # At k = 520 a register is 65 bytes: the discrete reader gathers uint8
     # words, the sliding reader 65 uint64 words of flag bytes.  The small
-    # design_n keeps the planner's noise warning quiet at that width.
+    # design_n keeps the planner's noise warning quiet at that width.  At
+    # LR = 4 the bounded read drops hosts after two rows: both readers must
+    # drop the same hosts with the same partial counts, and report alike.
     monkeypatch.setattr(long_sketch, "ZERO_COUNT_CHUNK", 3)
-    params = replace(SMALL, k=k, design_n=200)
     rng = np.random.default_rng(8)
-    hips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
-    oips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
-    discrete = run_discrete(params, hips, oips)
-    det = SlidingDetector(params, window_slices=4)
-    det.observe_batch(hips[:2500], oips[:2500])
-    det.advance_slice()
-    det.observe_batch(hips[2500:], oips[2500:])
-    probes = np.concatenate([hips[:10], rng.integers(0, 2**32, size=10, dtype=np.uint64)])
-    expected = [k - int(np.unpackbits(union_register(discrete.ldca, int(p))).sum())
-                for p in probes]
-    assert discrete.ldca.zero_counts(probes).tolist() == expected
-    assert det.zero_counts(probes).tolist() == expected
-    est, saturated = det.estimate(probes)
-    assert list(zip(est.tolist(), saturated.tolist())) == \
-           [ldc_estimate(z, k) for z in expected]
-    for _ in range(4):
+    heavy = rng.integers(0, 2**32, size=3, dtype=np.uint64)
+    hips = rng.permutation(np.concatenate([np.repeat(heavy, 1200),
+                                           rng.integers(0, 2**32, size=5000, dtype=np.uint64)]))
+    oips = rng.integers(0, 2**32, size=len(hips), dtype=np.uint64)
+    half = len(hips) // 2
+    probes = np.concatenate([heavy, hips[:10], rng.integers(0, 2**32, size=10, dtype=np.uint64)])
+    for lr in (2, 4):
+        params = replace(SMALL, k=k, lr=lr, lc=64 // lr, design_n=200)
+        discrete = run_discrete(params, hips, oips)
+        det = SlidingDetector(params, window_slices=4)
+        det.observe_batch(hips[:half], oips[:half])
         det.advance_slice()
-    assert det.zero_counts(probes).tolist() == [k] * len(probes)  # all expired
+        det.observe_batch(hips[half:], oips[half:])
+        expected = [k - int(np.unpackbits(union_register(discrete.ldca, int(p))).sum())
+                    for p in probes]
+        assert discrete.ldca.zero_counts(probes).tolist() == expected
+        assert det.zero_counts(probes).tolist() == expected
+        est, saturated = det.estimate(probes)
+        assert list(zip(est.tolist(), saturated.tolist())) == \
+               [ldc_estimate(z, k) for z in expected]
+
+        cutoff = params.beta * params.theta
+        bound = long_sketch.zero_count_bound(cutoff, k)
+        bounded = discrete.ldca.zero_counts(probes, bound)
+        assert det.zero_counts(probes, bound).tolist() == bounded.tolist()
+        expected = np.array(expected)
+        exact = expected <= bound
+        assert exact.any() and not exact.all()
+        assert (bounded[exact] == expected[exact]).all()
+        assert (bounded[~exact] > bound).all()
+        assert (bounded < expected).any() == (lr > 2)  # partial counts, at LR = 4 only
+
+        unbounded = report_candidates(discrete.seav, lambda ips, _: discrete.ldca.estimate(ips),
+                                      params, 0)
+        reports = [[(r.ip, r.estimated_cardinality, r.saturated) for r in rs]
+                   for rs in (det.detect(), discrete.finalize_window(), unbounded)]
+        assert reports[0] and reports[0] == reports[1] == reports[2]
+        for _ in range(4):
+            det.advance_slice()
+        assert det.zero_counts(probes).tolist() == [k] * len(probes)  # all expired
 
 
 def test_detect_memory_stays_small_at_default_geometry():
