@@ -7,7 +7,9 @@ of every window's ``report_key`` list, in window order.  Two checkouts
 whose digests match gave byte-identical reports.  A workload that ships
 frames (distsim) gets a second line: the sha256 over every frame
 ``sspd.distributed.serialize`` returned in the round, in call order.
-Exits 1 when any workload fails a check.
+Exits 1 when any workload fails a check.  ``report_digests.expected``
+beside this script holds the output at seeds 1 and 2, one after the other;
+CI diffs against it.
 
     python3 scripts/report_digests.py --seed 1
     python3 scripts/report_digests.py --seed 1 --workload steady --workload flood

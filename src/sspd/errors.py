@@ -40,8 +40,9 @@ class MergeError(DataError):
     """Frames cannot be merged (config/window mismatch or missing kind)."""
 
 
-class SeaOverflowError(SspdError):
-    """Candidate enumeration for one register array exceeded the tuple cap."""
+class SeaOverflowWarning(RuntimeWarning):
+    """Candidate enumeration for one register array exceeded the tuple cap,
+    so restore skipped that array."""
 
     def __init__(self, rp: int, cap: int):
         self.rp = rp

@@ -34,7 +34,10 @@ DEFAULT_MAX_ROWS = 8
 # gather holds k stamps plus k flag bytes per host (6 MiB of uint16
 # stamps and flags, beside a 2 MiB union, at the default k and window).
 # Beside the gathers, a call holds every candidate's register numbers,
-# hashed once for the whole batch: 8 * LR bytes per candidate.
+# hashed once for the whole batch: 8 * LR bytes per candidate.  A
+# discrete read that takes the weight table also holds v int64 counters
+# (64 KiB at the default v), built through one popcount byte per register
+# word (1 MiB at the default k and v).
 ZERO_COUNT_CHUNK = 256
 
 # Rows ANDed before union_zero_counts drops the hosts already past its
@@ -121,7 +124,8 @@ class LdcaConfig:
 
 def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
                       cells: Callable[[np.ndarray], np.ndarray],
-                      bound: int | None = None) -> np.ndarray:
+                      bound: int | None = None,
+                      weights: np.ndarray | None = None) -> np.ndarray:
     """Zero-bit count of each host's AND-union register: the one filter
     read of both detection modes.
 
@@ -134,18 +138,32 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
     rows is above it skips the remaining rows and gets that partial
     count.  An AND only clears bits, so its final count would be above the
     bound too; every host at or under the bound gets its exact count.
+    ``weights``, the set-bit count of every register, lets the bound act
+    before any gather: a host's AND weight is at most the least weight of
+    its registers, so a host for which k minus that least weight is above
+    the bound gets that count and is never gathered.
     """
     hips = np.asarray(hips, dtype=np.uint64)
     rows = list(config.registers(seeds, hips))
-    early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
     out = np.empty(len(hips), dtype=np.int64)
-    for start in range(0, len(hips), ZERO_COUNT_CHUNK):
+    if bound is not None and weights is not None:
+        least = weights[rows[0]]
+        for reg in rows[1:]:
+            np.minimum(least, weights[reg], out=least)
+        out[:] = config.k - least
+        hosts = np.flatnonzero(out <= bound)
+        rows = [reg[hosts] for reg in rows]
+    else:
+        hosts = slice(None)
+    early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
+    read = np.empty(len(rows[0]), dtype=np.int64)
+    for start in range(0, len(read), ZERO_COUNT_CHUNK):
         stop = start + ZERO_COUNT_CHUNK
         union = cells(rows[0][start:stop])
         for reg in rows[1:early]:
             np.bitwise_and(union, cells(reg[start:stop]), out=union)
         z0 = config.k - np.bitwise_count(union).sum(axis=1)
-        out[start:start + len(z0)] = z0
+        read[start:start + len(z0)] = z0
         if early == config.lr:
             continue
         live = np.flatnonzero(z0 <= bound)
@@ -155,7 +173,8 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
         live += start
         for reg in rows[early:]:
             np.bitwise_and(union, cells(reg[live]), out=union)
-        out[live] = config.k - np.bitwise_count(union).sum(axis=1)
+        read[live] = config.k - np.bitwise_count(union).sum(axis=1)
+    out[hosts] = read
     return out
 
 
@@ -197,11 +216,20 @@ class LdcaSketch:
     def zero_counts(self, hips: np.ndarray, bound: int | None = None) -> np.ndarray:
         """Zero-bit count of each host's AND-union register, read as the
         widest unsigned words that tile a register (see
-        ``union_zero_counts`` for ``bound``)."""
+        ``union_zero_counts`` for ``bound``).
+
+        With a bound, the set-bit count of every register is taken in one
+        pass when the two-row read would gather more registers than that
+        pass reads: when ``len(hips) * EARLY_EXIT_ROWS >= v`` and there
+        are rows left after them."""
+        cfg = self.config
         word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
                     if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
-        words = self.data.reshape(self.config.v, -1).view(word)
-        return union_zero_counts(self.config, self.seeds, hips, words.__getitem__, bound)
+        words = self.data.reshape(cfg.v, -1).view(word)
+        weights = None
+        if bound is not None and cfg.lr > EARLY_EXIT_ROWS and len(hips) * EARLY_EXIT_ROWS >= cfg.v:
+            weights = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        return union_zero_counts(cfg, self.seeds, hips, words.__getitem__, bound, weights)
 
     def estimate(self, hips: np.ndarray,
                  cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SeaOverflowError
+from .errors import ConfigError, SeaOverflowWarning
 from .hashing import SeedFamily, hash_full_array, hash_range_array, lsb_at_least
 
 DEFAULT_RESTORE_CAP = 1 << 20
-# Partial tuples built at once per row in the restore join (a few MiB).
-RESTORE_BLOCK = 1 << 16
+# Partial tuples built at once per row in the restore join: about 40
+# bytes each while built, so a third of a MiB per row.
+RESTORE_BLOCK = 1 << 13
 
 
 def tau_from_theta(theta: int, g: int) -> int:
@@ -211,87 +212,92 @@ class SeavSketch:
     def payload_bytes(self) -> bytes:
         return self.flat.tobytes()
 
-    def restore_sea(self, rp: int) -> np.ndarray:
-        """IPs of the candidates of one register array, as uint64: those
-        whose row registers AND to weight >= 3.
+    def restore(self) -> np.ndarray:
+        """IPs of the candidates across all register arrays, as a sorted
+        uint64 array: those whose row registers AND to weight >= 3.
 
-        A join row by row: partial tuples, one hot column per row so far,
-        are carried as arrays of their assembled left part and register
-        AND.  Every partial tuple at row i has fixed the same left-part
-        bits, so row i's hot columns join them by equality on the bits the
-        row shares with those, found by binary search in the row's keys,
-        sorted once per row.  Each row builds its extensions about
-        ``RESTORE_BLOCK`` at a time and hands them on depth first, which
-        bounds memory when most registers are hot.  Output order is
-        lexicographic in the columns.  Raises SeaOverflowError, before
-        building them, once more than ``restore_cap`` consistent full
-        tuples exist; tuples count whatever their AND weight.
+        One join row by row over every array at once.  A partial tuple,
+        one hot column per row so far, is carried as its IP so far (the
+        array number in the low r bits) and its register AND.  Every
+        partial tuple at row i has fixed the same left-part bits, so row
+        i's hot registers join them by equality on the array number and
+        the bits the row shares with those, found by binary search in the
+        row's keys, sorted once per row.  Each row builds its extensions
+        about ``RESTORE_BLOCK`` at a time and hands them on depth first,
+        which bounds memory when most registers are hot; the last row
+        keeps only tuples whose AND weight is >= 3.
+
+        An array with more than ``restore_cap`` consistent full tuples,
+        whatever their AND weight, is skipped with a SeaOverflowWarning
+        that names it, one per array in array order.  An array whose
+        product of hot-register counts over the rows is above the cap may
+        pass it, so the join first runs over those arrays alone and only
+        counts their full tuples, dropping an array's partial tuples once
+        it is over the cap; no full tuple of an array over it is built.
         """
         cfg = self.config
-        # Per row: lp fragments and registers of the hot columns, the bits
-        # the row shares with the rows before it, and its join keys sorted.
+        r, arrays = np.uint64(cfg.r), np.uint64((1 << cfg.r) - 1)
+        # Per row: the IP bits each hot register fixes and its value, the
+        # join key mask (array number and the left-part bits the row shares
+        # with the rows before it), and its join keys sorted.
         hot = []
         fixed = 0  # left-part bits fixed by the rows before row i
+        most = np.ones(1 << cfg.r)  # a bound on each array's full tuples
         for i in range(cfg.sr):
-            regs = self.rows[i][rp]
-            cols = np.flatnonzero(np.bitwise_count(regs) >= 3)
+            rps, cols = np.nonzero(np.bitwise_count(self.rows[i]) >= 3)
             if len(cols) == 0:
                 return np.empty(0, dtype=np.uint64)
-            frags, mask = self._scatter[i][0][cols], self._scatter[i][1]
-            overlap = np.uint64(fixed & mask)
-            keys = frags & overlap
+            most *= np.bincount(rps, minlength=len(most))
+            frags, mask = self._scatter[i]
+            bits = (frags[cols] << r) | rps.astype(np.uint64)
+            key_mask = (np.uint64(fixed & mask) << r) | arrays
+            keys = bits & key_mask
             order = np.argsort(keys, kind="stable")
-            hot.append((frags, regs[cols], overlap, keys[order], order))
+            hot.append((bits, self.rows[i][rps, cols], key_mask, keys[order], order))
             fixed |= mask
-        found_lp: list[np.ndarray] = []
-        found_and: list[np.ndarray] = []
-        n_found = 0
+        n_found = np.zeros(1 << cfg.r)  # full tuples counted, exact below 2^53
+        overflowed = np.zeros(1 << cfg.r, dtype=bool)
+        found = [np.empty(0, dtype=np.uint64)]
 
-        def join(i: int, acc_lp: np.ndarray, acc_and: np.ndarray):
-            nonlocal n_found
-            row_lp, row_regs, overlap, row_keys, order = hot[i]
-            left_keys = acc_lp & overlap
+        def join(i: int, acc_ip: np.ndarray, acc_and: np.ndarray, build: bool):
+            row_bits, row_regs, key_mask, row_keys, order = hot[i]
+            left_keys = acc_ip & key_mask
             lo = np.searchsorted(row_keys, left_keys, side="left")
             counts = np.searchsorted(row_keys, left_keys, side="right") - lo
             last = i == cfg.sr - 1
-            if last:
-                n_found += int(counts.sum())
-                if n_found > self.restore_cap:
-                    raise SeaOverflowError(rp, self.restore_cap)
+            if last and not build:
+                rp = (acc_ip & arrays).view(np.int64)
+                np.add(n_found, np.bincount(rp, counts, minlength=len(n_found)), out=n_found)
+                np.greater(n_found, self.restore_cap, out=overflowed)
+                return
             ends = np.cumsum(counts)
-            start = 0
-            while start < len(acc_lp):
+            stop = 0
+            while stop < len(acc_ip):
+                start = stop
                 base = int(ends[start - 1]) if start else 0
                 stop = max(start + 1,
                            int(np.searchsorted(ends, base + RESTORE_BLOCK, side="right")))
                 c = counts[start:stop]
+                if not build:  # count nothing more of an array over the cap
+                    c = np.where(overflowed[acc_ip[start:stop] & arrays], 0, c)
+                if not c.any():
+                    continue
                 left = np.repeat(np.arange(start, stop), c)
-                right = order[np.arange(int(ends[stop - 1]) - base)
-                              - np.repeat(np.cumsum(c) - c - lo[start:stop], c)]
-                next_lp = acc_lp[left] | row_lp[right]
+                right = np.repeat(lo[start:stop] - np.cumsum(c) + c, c)
+                right += np.arange(len(right))
+                right = order[right]
                 next_and = acc_and[left] & row_regs[right]
                 if last:
-                    found_lp.append(next_lp)
-                    found_and.append(next_and)
+                    heavy = np.bitwise_count(next_and) >= 3
+                    found.append(acc_ip[left[heavy]] | row_bits[right[heavy]])
                 else:
-                    join(i + 1, next_lp, next_and)
-                start = stop
+                    join(i + 1, acc_ip[left] | row_bits[right], next_and, build)
 
-        join(1, hot[0][0], hot[0][1])
-        if not found_lp:
-            return np.empty(0, dtype=np.uint64)
-        keep = np.bitwise_count(np.concatenate(found_and)) >= 3
-        return (np.concatenate(found_lp)[keep] << np.uint64(cfg.r)) | np.uint64(rp)
-
-    def restore(self) -> np.ndarray:
-        """IPs of the candidates across all register arrays, as a sorted
-        uint64 array.  An array whose restore overflows is skipped with a
-        RuntimeWarning that names it."""
-        found = [np.empty(0, dtype=np.uint64)]
-        for rp in range(1 << self.config.r):
-            try:
-                found.append(self.restore_sea(rp))
-            except SeaOverflowError as exc:
-                warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
+        for build in (False, True):  # count what may pass the cap, then build
+            take = ~overflowed if build else most > self.restore_cap
+            first = take[hot[0][0] & arrays]
+            join(1, hot[0][0][first], hot[0][1][first], build)
+        for rp in np.flatnonzero(overflowed).tolist():
+            warnings.warn(SeaOverflowWarning(rp, self.restore_cap), stacklevel=2)
         # IPs are unique: an IP fixes its array and its column in every row.
         return np.sort(np.concatenate(found))

@@ -308,8 +308,8 @@ def untouched_hosts(sk, n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(lr=st.sampled_from([1, 2, 3, 8]), chunk=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 63))
-def test_bounded_zero_counts_exact_at_or_under_the_bound(lr, chunk, seed, pick):
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 63), table=st.booleans())
+def test_bounded_zero_counts_exact_at_or_under_the_bound(lr, chunk, seed, pick, table):
     rng = np.random.default_rng(seed)
     sk = small_sketch(lr=lr, lc=16, k=64)
     stream_hosts = rng.integers(0, 2**32, size=6, dtype=np.uint64)
@@ -325,8 +325,19 @@ def test_bounded_zero_counts_exact_at_or_under_the_bound(lr, chunk, seed, pick):
     probes = np.array(untouched + stream_hosts.tolist() + [saturated]
                       + rng.integers(0, 2**32, size=12, dtype=np.uint64).tolist(),
                       dtype=np.uint64)
+    if table:  # v/2 hosts: a bounded read first drops hosts by cell weight
+        probes = np.concatenate([probes, rng.integers(
+            0, 2**32, size=max(0, sk.config.v // 2 - len(probes)), dtype=np.uint64)])
+    union_zero_counts = long_sketch.union_zero_counts
+    tables = []
+
+    def recording_union_zero_counts(*args):
+        tables.append(args[5] is not None)  # the weight table
+        return union_zero_counts(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(long_sketch, "ZERO_COUNT_CHUNK", chunk)
+        mp.setattr(long_sketch, "union_zero_counts", recording_union_zero_counts)
         plain = sk.zero_counts(probes)
         assert plain.tolist() == \
                [64 - int(np.unpackbits(union_register(sk, int(p))).sum()) for p in probes]
@@ -334,6 +345,8 @@ def test_bounded_zero_counts_exact_at_or_under_the_bound(lr, chunk, seed, pick):
         levels = sorted(set(plain.tolist()))
         for bound in {levels[pick % len(levels)], 0, 64, 63, pick}:  # hosts exactly at it
             bounded = sk.zero_counts(probes, bound)
+            if table:
+                assert tables[-1] == (lr > 2)
             exact = plain <= bound
             assert (bounded[exact] == plain[exact]).all()
             assert (bounded[~exact] > bound).all()
@@ -368,6 +381,54 @@ def test_bounded_read_skips_the_rows_of_a_chunk_it_empties(monkeypatch):
     # Chunks of 2, 2 and 2 hosts: all read two rows; only the last, holding
     # the saturated host, reads its other two, for that host alone.
     assert gathered == [2, 2, 2, 2, 2, 2, 1, 1]
+
+
+def test_weight_table_drops_hosts_before_any_gather():
+    sk = small_sketch(lr=4, lc=16, k=64)
+    saturated = 0xFEEDF00D
+    for i in range(4):
+        sk.data[i, row_column(sk, i, saturated)] = 0xFF
+    probes = np.array(untouched_hosts(sk, 5, seed=3) + [saturated], dtype=np.uint64)
+    words = sk.data.reshape(sk.config.v, -1)
+    weights = np.unpackbits(words, axis=1).sum(axis=1)
+    gathered = []
+
+    def cells(reg):
+        gathered.append(reg.tolist())
+        return words[reg]
+
+    z0 = long_sketch.union_zero_counts(sk.config, SEEDS, probes, cells, bound=0,
+                                       weights=weights)
+    assert z0.tolist() == [64] * 5 + [0]
+    # Only the saturated host is read, through all four rows.
+    assert gathered == [[reg[-1]] for reg in sk.config.registers(SEEDS, probes)]
+
+
+@pytest.mark.parametrize("lr, n_hosts, bound, table", [
+    (4, 32, 7, True),      # v/2 hosts: two rows gather v registers
+    (4, 31, 7, False),
+    (4, 32, None, False),  # a full read has no bound to drop hosts by
+    (2, 16, 7, False),     # two rows are every row
+])
+def test_weight_table_only_when_two_rows_gather_as_much(lr, n_hosts, bound, table,
+                                                        monkeypatch):
+    sk = small_sketch(lr=lr, lc=16, k=64)
+    rng = np.random.default_rng(9)
+    sk.update_batch(rng.integers(0, 2**32, size=500, dtype=np.uint64),
+                    rng.integers(0, 2**32, size=500, dtype=np.uint64))
+    union_zero_counts = long_sketch.union_zero_counts
+    weights = []
+
+    def recording_union_zero_counts(*args):
+        weights.append(args[5])
+        return union_zero_counts(*args)
+
+    monkeypatch.setattr(long_sketch, "union_zero_counts", recording_union_zero_counts)
+    sk.zero_counts(rng.integers(0, 2**32, size=n_hosts, dtype=np.uint64), bound)
+    assert (weights[0] is not None) == table
+    if table:
+        words = sk.data.reshape(sk.config.v, -1)
+        assert weights[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1).tolist()
 
 
 def test_memory_accounting():

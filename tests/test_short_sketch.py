@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspd import short_sketch
-from sspd.errors import ConfigError, SeaOverflowError
+from sspd.errors import ConfigError, SeaOverflowWarning
 from sspd.hashing import SeedFamily
 from sspd.short_sketch import SeavConfig, SeavSketch, tau_from_theta
 
@@ -369,6 +371,16 @@ def brute_force_restore(sk: SeavSketch, rp: int) -> set[int]:
     return out
 
 
+def restored_arrays(sk: SeavSketch, skipped=()) -> set[int]:
+    """Brute-force restore of every array of a shrunken address space but
+    those ``skipped``."""
+    out = set()
+    for rp in range(1 << sk.config.r):
+        if rp not in skipped:
+            out |= brute_force_restore(sk, rp)
+    return out
+
+
 def test_restore_matches_brute_force_on_small_address_space():
     cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
@@ -383,9 +395,7 @@ def test_restore_matches_brute_force_on_small_address_space():
     sk.update_batch(hips, oips)
 
     got = set(sk.restore().tolist())
-    expected = set()
-    for rp in range(1 << cfg.r):
-        expected |= brute_force_restore(sk, rp)
+    expected = restored_arrays(sk)
     assert got == expected
     assert got >= {int(h) for h in heavy}  # heavy hosts all restored here
 
@@ -407,18 +417,17 @@ def test_restore_brute_force_planted_scenario():
     sk.update_batch(bg_hips, bg_oips)
 
     got = set(sk.restore().tolist())
-    expected = set()
-    for rp in range(1 << cfg.r):
-        expected |= brute_force_restore(sk, rp)
+    expected = restored_arrays(sk)
     assert got == expected
     hot_supers = expected & {int(h) for h in supers}
     assert len(hot_supers) >= 18  # nearly all planted supers reconstruct
 
 
-@pytest.mark.parametrize("block", [1, 5, short_sketch.RESTORE_BLOCK])
+@pytest.mark.parametrize("block", [1, 5, short_sketch.RESTORE_BLOCK, 1 << 16])
 def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
-    # The cap counts every consistent full tuple, light AND or not; small
-    # join blocks must neither change the output nor the overflow point.
+    # The cap counts every consistent full tuple, light AND or not; join
+    # blocks from one partial tuple to all of them must neither change the
+    # output nor the overflow point.
     monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
     cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
@@ -431,11 +440,17 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
     assert n > len(brute_force_restore(sk, rp)) > 0  # some tuples have a light AND
 
     sk.restore_cap = n
-    assert set(sk.restore_sea(rp).tolist()) == brute_force_restore(sk, rp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no array overflows
+        got = set(sk.restore().tolist())
+    assert got == restored_arrays(sk) >= brute_force_restore(sk, rp)
     sk.restore_cap = n - 1
-    with pytest.raises(SeaOverflowError) as err:
-        sk.restore_sea(rp)
-    assert err.value.rp == rp
+    over = [a for a in range(1 << cfg.r) if counts[a] > n - 1]
+    with pytest.warns(SeaOverflowWarning) as caught:
+        got = set(sk.restore().tolist())
+    assert [w.message.rp for w in caught] == over and rp in over
+    assert all(w.message.cap == n - 1 for w in caught)
+    assert got == restored_arrays(sk, skipped=over)
 
 
 def test_restore_output_sorted_and_unique():
@@ -454,10 +469,36 @@ def test_restore_overflow_names_the_array():
     sk = SeavSketch(SeavConfig(), SEEDS, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF  # every register of array rp=3 is hot
-    with pytest.raises(SeaOverflowError) as err:
-        sk.restore_sea(3)
-    assert err.value.rp == 3
-    assert "rp=3" in str(err.value)
+    with pytest.warns(SeaOverflowWarning) as caught:
+        assert len(sk.restore()) == 0
+    assert [(w.message.rp, w.message.cap) for w in caught] == [(3, 64)]
+    assert str(caught[0].message) == "candidate tuples for register array rp=3 exceeded cap 64"
+
+
+@pytest.mark.parametrize("block", [5, 200, short_sketch.RESTORE_BLOCK])
+def test_restore_skips_each_overflowed_array_alone(block, monkeypatch):
+    # Two flooded arrays among chatter in every array; join blocks of 200
+    # or more partial tuples span several arrays.
+    monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
+    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    sk = SeavSketch(cfg, SEEDS)
+    rng = np.random.default_rng(52)
+    hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
+    sk.update_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
+    for row in sk.rows:
+        row[[9, 3], :] = 0xFF
+    counts = {rp: len(all_hot_left_parts(sk, rp)) for rp in range(1 << cfg.r)}
+    assert counts[3] == counts[9] == 1 << cfg.lp_bits  # every left part
+    sk.restore_cap = max(n for rp, n in counts.items() if rp not in (3, 9))
+    assert sk.restore_cap < 1 << cfg.lp_bits
+    with pytest.warns(SeaOverflowWarning) as caught:
+        got = set(sk.restore().tolist())
+    assert [str(w.message) for w in caught] == [
+        f"candidate tuples for register array rp={rp} exceeded cap {sk.restore_cap}"
+        for rp in (3, 9)]
+    expected = restored_arrays(sk, skipped=(3, 9))
+    assert got == expected
+    assert {ip & 15 for ip in expected} == set(range(16)) - {3, 9}
 
 
 def test_restore_overflow_warns_and_continues():
