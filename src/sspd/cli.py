@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributed import DEFAULT_BUFFER_PAIRS, check_frame_capacity, simulate_window
+from .distributed import DEFAULT_BUFFER_PAIRS, simulate_window
 from .errors import ConfigError, DataError, SspdError
 from .evaluation import (
     ExactOracle,
@@ -230,7 +230,6 @@ def cmd_slide(args: argparse.Namespace) -> int:
 
 def cmd_distsim(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    check_frame_capacity(cfg.params)  # before the first window, so also on an empty trace
     trace = read_trace(args.trace)
     frames_dir = args.frames_dir
     if frames_dir is None:
@@ -292,6 +291,8 @@ def _read_report_csv(path: Path) -> tuple[dict[int, list[int]], list[int]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.theta < 1:
+        raise ConfigError(f"theta must be >= 1, got {args.theta}")
     per_window, windows = _read_report_csv(Path(args.reports))
     truth_map = read_truth(args.truth)
     oracle = ExactOracle.from_mapping(truth_map)

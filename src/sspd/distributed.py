@@ -5,28 +5,31 @@ sketches are partial; because updates are monotone bit-sets, OR-merging
 all frames at the global server reproduces the single-scanner sketch
 bit-for-bit, and restore/estimation then run on global state.
 
-Frame wire format, version 2 (little-endian, fixed-width fields):
+Frame wire format, version 3 (little-endian):
 
     offset  size  field
     0       4     magic "SSPD"
-    4       1     version (2)
+    4       1     version (3)
     5       1     kind (0 = candidate sketch, 1 = counter sketch)
     6       1     payload encoding (0 = raw, 1 = sparse)
-    7       26    config block: r u8, SR u8, a u8, g u8, theta u32,
-                  k u32, LR u16, LC u32, master seed u64
-    33      4     window id u32
-    37      4     payload length u32
-    41      n     payload
-    41+n    4     CRC-32 of everything before it
+    7       8     window id u64
+    15      8     payload length n, u64
+    23      4     config block length b, u32
+    27      b     config block
+    27+b    n     payload
+    27+b+n  4     CRC-32 of everything before it
 
-A raw payload is the sketch's register bytes.  A sparse payload lists the
-nonzero 64-bit words of those bytes: m ascending u32 word indexes, then
-the m u64 words (n = 12 m).  A counter frame takes whichever of the two
-is smaller; a candidate frame is always raw, so its size is fixed.
-Version 1 frames (no encoding byte, always raw) are refused.
+The config block is ASCII text: the sketch config's init fields, then
+the master seed, as ``name=value`` with the values in hex, separated by
+spaces (a candidate sketch: ``r=4 sr=4 a=2 theta=400 g=8 addr_bits=20
+seed=5eed``).  A raw payload is the sketch's register bytes.  A sparse
+payload lists the nonzero 64-bit words of those bytes: m ascending u32
+word indexes, then the m u64 words (n = 12 m).  A counter frame takes
+whichever of the two is smaller; a candidate frame is always raw, so its
+size is fixed.  Frames of versions 1 and 2 are refused.
 
 The global server merges a frame only when its config block equals, byte
-for byte, the block the server's own sketch of that kind encodes: the
+for byte, the block of the server's own sketch of that kind: the
 receiver, not the frames, says which detector a window belongs to.
 """
 
@@ -36,7 +39,7 @@ import struct
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +53,12 @@ from .errors import (
     MergeError,
 )
 from .hashing import SeedFamily, hash_range_array
-from .long_sketch import LdcaConfig, LdcaSketch
-from .short_sketch import SeavConfig, SeavSketch
+from .long_sketch import LdcaSketch
+from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, DetectorState
 
 MAGIC = b"SSPD"
-VERSION = 2
+VERSION = 3
 KIND_SEAV = 0
 KIND_LDCA = 1
 KIND_NAMES = {KIND_SEAV: "seav", KIND_LDCA: "ldca"}
@@ -63,13 +66,8 @@ ENCODING_RAW = 0
 ENCODING_SPARSE = 1
 SPARSE_ENTRY = 12                         # u32 word index + u64 word
 
-_HEADER = struct.Struct("<4sBBB")         # magic, version, kind, encoding
-_CONFIG = struct.Struct("<BBBBIIHIQ")     # r, SR, a, g, theta, k, LR, LC, seed
-_CONFIG_FIELDS = (("r", 8), ("SR", 8), ("a", 8), ("g", 8), ("theta", 32),
-                  ("k", 32), ("LR", 16), ("LC", 32))  # not the seed: always u64
-_TRAILER = struct.Struct("<II")           # window id, payload length
-_BLOCK = slice(_HEADER.size, _HEADER.size + _CONFIG.size)
-_PAYLOAD = _BLOCK.stop + _TRAILER.size
+# magic, version, kind, encoding, window id, payload length, block length
+_HEADER = struct.Struct("<4sBBBQQI")
 _CRC = struct.Struct("<I")
 
 DEFAULT_BUFFER_PAIRS = 64 * 1024
@@ -86,28 +84,12 @@ class SketchFrame:
     payload: bytes | memoryview
 
 
-def _config_block(cfg: SeavConfig | LdcaConfig, master_seed: int) -> tuple[int, bytes]:
-    """The frame kind and config block of a sketch config: the only
-    encoder of the block."""
-    if isinstance(cfg, SeavConfig):
-        if cfg.addr_bits != 32:
-            raise ConfigError("frames carry 32-bit-address sketches only")
-        kind, values = KIND_SEAV, (cfg.r, cfg.sr, cfg.a, cfg.g, cfg.theta, 0, 0, 0)
-    elif isinstance(cfg, LdcaConfig):
-        kind, values = KIND_LDCA, (0, 0, 0, 0, 0, cfg.k, cfg.lr, cfg.lc)
-    else:
-        raise ConfigError(f"cannot serialize {type(cfg).__name__}")
-    for (name, bits), value in zip(_CONFIG_FIELDS, values):
-        if not 0 <= value < 1 << bits:
-            raise ConfigError(f"a frame holds {name} in {bits} bits, got {value}")
-    return kind, _CONFIG.pack(*values, master_seed)
-
-
-def check_frame_capacity(params: DetectorParams):
-    """Refuse a detector whose sketches no frame can carry; reads the
-    two configs and allocates no registers."""
-    for cfg in (params.seav_config(), params.ldca_config()):
-        _config_block(cfg, params.master_seed)
+def _config_block(sketch: SeavSketch | LdcaSketch) -> bytes:
+    """The config block of a sketch: the only encoder of the block."""
+    cfg = sketch.config
+    values = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.init]
+    values.append(("seed", sketch.seeds.master_seed))
+    return " ".join(f"{name}={value:x}" for name, value in values).encode()
 
 
 def _payload(kind: int, regs: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
@@ -124,30 +106,29 @@ def _payload(kind: int, regs: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
 
 def serialize(sketch: SeavSketch | LdcaSketch, window_id: int) -> bytearray:
     """Encode one sketch as a frame, built in one buffer."""
-    kind, block = _config_block(sketch.config, sketch.seeds.master_seed)
-    if not 0 <= window_id < 1 << 32:
-        raise ConfigError(f"a frame holds the window id in 32 bits, got {window_id}")
+    if not 0 <= window_id < 1 << 64:
+        raise ConfigError(f"a frame holds the window id in 64 bits, got {window_id}")
+    kind = KIND_SEAV if isinstance(sketch, SeavSketch) else KIND_LDCA
+    block = _config_block(sketch)
     encoding, parts = _payload(kind, sketch.flat)
     size = sum(part.nbytes for part in parts)
-    end = _PAYLOAD + size
-    frame = bytearray(end + _CRC.size)
-    _HEADER.pack_into(frame, 0, MAGIC, VERSION, kind, encoding)
-    frame[_BLOCK] = block
-    _TRAILER.pack_into(frame, _BLOCK.stop, window_id, size)
+    at = _HEADER.size + len(block)
+    frame = bytearray(at + size + _CRC.size)
+    _HEADER.pack_into(frame, 0, MAGIC, VERSION, kind, encoding, window_id, size, len(block))
+    frame[_HEADER.size:at] = block
     with memoryview(frame) as view:
-        at = _PAYLOAD
         for part in parts:
             view[at:at + part.nbytes] = part.data.cast("B")
             at += part.nbytes
-        _CRC.pack_into(frame, end, zlib.crc32(view[:end]))
+        _CRC.pack_into(frame, at, zlib.crc32(view[:at]))
     return frame
 
 
 def parse_frame(data: bytes | bytearray) -> SketchFrame:
     """Validate and split a frame; the payload is a read-only view into ``data``."""
-    if len(data) < _PAYLOAD + _CRC.size:
+    if len(data) < _HEADER.size + _CRC.size:
         raise FrameTruncatedError(f"frame is {len(data)} bytes, shorter than any valid frame")
-    magic, version, kind, encoding = _HEADER.unpack_from(data, 0)
+    magic, version, kind, encoding, window_id, payload_len, block_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FrameMagicError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -156,8 +137,8 @@ def parse_frame(data: bytes | bytearray) -> SketchFrame:
         raise FrameVersionError(f"unknown sketch kind {kind}")
     if encoding not in (ENCODING_RAW, ENCODING_SPARSE):
         raise FrameVersionError(f"unknown payload encoding {encoding}")
-    window_id, payload_len = _TRAILER.unpack_from(data, _BLOCK.stop)
-    end = _PAYLOAD + payload_len
+    start = _HEADER.size + block_len
+    end = start + payload_len
     total = end + _CRC.size
     if len(data) < total:
         raise FrameTruncatedError(f"frame is {len(data)} bytes, header promises {total}")
@@ -170,8 +151,8 @@ def parse_frame(data: bytes | bytearray) -> SketchFrame:
     if encoding == ENCODING_SPARSE and payload_len % SPARSE_ENTRY:
         raise FrameTruncatedError(f"sparse payload of {payload_len} bytes is not whole "
                                   f"{SPARSE_ENTRY}-byte entries")
-    return SketchFrame(kind=kind, encoding=encoding, config_block=bytes(view[_BLOCK]),
-                       window_id=window_id, payload=view[_PAYLOAD:end])
+    return SketchFrame(kind=kind, encoding=encoding, config_block=bytes(view[_HEADER.size:start]),
+                       window_id=window_id, payload=view[start:end])
 
 
 def _unpack(frame: SketchFrame, regs: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice,
@@ -207,10 +188,8 @@ def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> Detector
     window_ids = sorted({f.window_id for f in frames})
     if len(window_ids) != 1:
         raise MergeError(f"frames span windows {window_ids}")
-    own = {}
-    for sketch in (receiver.seav, receiver.ldca):
-        kind, block = _config_block(sketch.config, sketch.seeds.master_seed)
-        own[kind] = block, sketch.flat
+    own = {kind: (_config_block(sketch), sketch.flat)
+           for kind, sketch in ((KIND_SEAV, receiver.seav), (KIND_LDCA, receiver.ldca))}
     for kind, name in KIND_NAMES.items():
         if all(f.kind != kind for f in frames):
             raise MergeError(f"no {name} frame present")
@@ -218,7 +197,8 @@ def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> Detector
     for f in frames:
         block, regs = own[f.kind]
         if f.config_block != block:
-            raise MergeError(f"{KIND_NAMES[f.kind]} frame config block is not the receiver's")
+            raise MergeError(f"{KIND_NAMES[f.kind]} frame config {f.config_block!r} "
+                             f"is not the receiver's {block!r}")
         updates.append(_unpack(f, regs))
     for target, index, values in updates:
         target[index] |= values  # sparse indexes are unique, so no OR is lost
@@ -268,7 +248,6 @@ def simulate_window(params: DetectorParams, window_id: int,
     most.  Watch points share no state, so they may scan concurrently;
     each point's frames are ORed into the receiver as they arrive.
     """
-    check_frame_capacity(params)
     receiver = DetectorState.create(params)
     assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
     # One stable sort shards the window: point w's pairs, in stream order,

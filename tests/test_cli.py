@@ -113,6 +113,16 @@ def test_distsim_matches_detect_byte_for_byte(tmp_path, trace_file):
     assert "# n_wp=4" in text
 
 
+def test_distsim_takes_a_theta_beyond_32_bits(tmp_path, trace_file):
+    # No frame field bounds a config value: what detect runs, distsim runs.
+    flags = SMALL_FLAGS + ["--theta", 2**32]
+    single, sharded = tmp_path / "single.csv", tmp_path / "sharded.csv"
+    assert run(["detect", "--trace", trace_file, "--out", single] + flags) == 0
+    assert run(["distsim", "--trace", trace_file, "--out", sharded, "--n-wp", 2,
+                "--merge-log", tmp_path / "log.txt"] + flags) == 0
+    assert single.read_bytes() == sharded.read_bytes()
+
+
 def test_distsim_writes_frames_by_default(tmp_path, trace_file):
     out = tmp_path / "d.csv"
     run(["distsim", "--trace", trace_file, "--out", out, "--n-wp", 2,
@@ -186,7 +196,9 @@ def test_plan_zero_max_rows_is_config_error(capsys):
     ["plan", "--v", 8192, "--n", "nan", "--k", 8192],
     ["generate", "--out", "x.bin", "--slices", 5_000_000_000, "--n-pairs", 10,
      "--n-super", 1, "--super-card", 2, 2, "--n-background", 0],
-], ids=["plan-nan-n", "generate-slices-beyond-u32"])
+    ["eval", "--reports", "r.csv", "--truth", "t.bin.truth", "--out", "m.csv", "--theta", 0],
+    ["eval", "--reports", "r.csv", "--truth", "t.bin.truth", "--out", "m.csv", "--theta", -5],
+], ids=["plan-nan-n", "generate-slices-beyond-u32", "eval-zero-theta", "eval-negative-theta"])
 def test_out_of_range_value_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
@@ -228,7 +240,6 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("detect", ["--lr", 0]),
     ("detect", ["--lc", 64]),
     ("distsim", ["--threads", 0]),
-    ("distsim", ["--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1]),
     ("detect", ["--lr", 2, "--lc", 64, "--v", 128]),
     ("detect", ["--lr", 1, "--lc", 1, "--k", 10**400]),
     ("detect", ["--lr", 1, "--lc", 1, "--k", 2**66]),
@@ -237,7 +248,7 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
 ], ids=["detect-every", "buffer-pairs", "window-slices", "window-slices-beyond-int64",
         "negative-beta", "nan-beta",
         "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads",
-        "lr-beyond-v1-frame", "v-with-lr-and-lc", "k-beyond-a-float", "k-beyond-int64",
+        "v-with-lr-and-lc", "k-beyond-a-float", "k-beyond-int64",
         "k-beyond-memory", "k-beyond-the-sliding-pool"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
@@ -258,12 +269,11 @@ def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--lr", 70000, "--lc", 1, "--k", 64, "--design-n", 1],
     ["--n-wp", 0],
     ["--n-wp", -3],
     ["--buffer-pairs", 0],
     ["--threads", 0],
-], ids=["lr-beyond-v1-frame", "zero-n-wp", "negative-n-wp", "zero-buffer-pairs",
+], ids=["zero-n-wp", "negative-n-wp", "zero-buffer-pairs",
         "zero-threads"])
 def test_distsim_refuses_on_an_empty_trace(tmp_path, capsys, flags):
     # A trace with no windows never reaches a watch point; the refusal
@@ -468,8 +478,8 @@ def test_internal_assertion_exit_code(monkeypatch, capsys):
 
 # --- bounded fuzz of the numeric flags ------------------------------------------
 
-# Edge values per numeric flag: zero, negatives, one, the frame limits
-# (LR in 16 bits, theta in 32, r/SR/a/g in 8), NaN, infinity and a
+# Edge values per numeric flag: zero, negatives, one, values just past
+# 16, 32 and 8 bits (LR, theta, r/SR/a/g), NaN, infinity and a
 # non-number.  Geometry values stay small enough that no combination
 # builds much (see test_fuzz_lists_build_at_most_64_mib).
 FUZZ_BASE = ["--k", 64, "--design-n", 4000]

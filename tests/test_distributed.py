@@ -1,7 +1,8 @@
+import struct
 import sys
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sspd.errors import (
     MergeError,
 )
 from sspd.hashing import SeedFamily
+from sspd.long_sketch import LdcaConfig
 from sspd.short_sketch import SeavConfig, SeavSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
@@ -58,26 +60,36 @@ def test_frame_bytes_are_pinned():
     busy, _, _ = random_states()
     frames = [serialize(s, 3) for s in (empty.seav, empty.ldca, busy.seav, busy.ldca)]
     assert [(len(f), zlib.crc32(f[:-4])) for f in frames] == [
-        (32813, 0x41A3BCF1), (45, 0x83720C1B), (32813, 0xD01AC889), (65581, 0xFF0EB1ED)]
+        (32848, 0x81B748D9), (58, 0xC6B5AEC0), (32848, 0x100E3CA1), (65594, 0x64D0B239)]
+    # Magic, version, kind, encoding, window id, payload and block lengths,
+    # then the block; no payload.
+    block = b"lr=2 lc=40 k=1000 seed=5eed"
+    assert frames[1][:-4] == (b"SSPD\x03\x01\x01" + (3).to_bytes(8, "little") + bytes(8)
+                              + len(block).to_bytes(4, "little") + block)
 
 
-ENVELOPE = 45  # 41 header bytes before the payload, 4 CRC bytes after it
+ENVELOPE = 31  # 27 header bytes before the config block, 4 CRC bytes after the payload
 
 
 @pytest.mark.parametrize("n_pairs", [0, 100, 600, 8000])
 def test_frame_size_follows_the_set_words(n_pairs):
     # A candidate frame is always raw; a counter frame is raw or sparse,
     # whichever is smaller, and a sparse one lists its set words' indexes
-    # ascending, then the words.
+    # ascending, then the words.  The config block is the sketch config's
+    # init fields and the master seed, in hex.
     st, _, _ = random_states(n_pairs=n_pairs)
-    seav = parse_frame(serialize(st.seav, 0))
+    blob = serialize(st.seav, 0)
+    seav = parse_frame(blob)
+    assert seav.config_block == b"r=4 sr=4 a=2 theta=400 g=8 addr_bits=20 seed=5eed"
     assert seav.encoding == distributed.ENCODING_RAW
-    assert len(seav.payload) == st.seav.flat.nbytes
+    assert len(blob) == ENVELOPE + len(seav.config_block) + st.seav.flat.nbytes
     words = st.ldca.flat.view(np.uint64)
     index = np.flatnonzero(words)
     blob = serialize(st.ldca, 0)
     ldca = parse_frame(blob)
-    assert len(blob) == ENVELOPE + min(words.nbytes, 12 * len(index))
+    assert ldca.config_block == b"lr=2 lc=40 k=1000 seed=5eed"
+    assert len(blob) == (ENVELOPE + len(ldca.config_block)
+                         + min(words.nbytes, 12 * len(index)))
     if ldca.encoding == distributed.ENCODING_SPARSE:
         m = len(index)
         assert np.array_equal(np.frombuffer(ldca.payload, "<u4", m), index)
@@ -111,13 +123,17 @@ def reseal(blob):
     return blob
 
 
-def test_v1_frame_is_refused():
-    # The same frame in the v1 layout: no encoding byte, version 1.
+def test_v2_frame_is_refused():
+    # A candidate frame in the v2 layout: after the encoding byte a fixed
+    # 26-byte config block (r, SR, a, g, theta, k, LR, LC, seed), then the
+    # window id and the payload length in 32 bits each.
     st, _, _ = random_states()
-    v2 = serialize(st.seav, 0)
-    v1 = reseal(v2[:4] + bytes([1, v2[5]]) + v2[7:])
-    with pytest.raises(FrameVersionError, match="version 1"):
-        parse_frame(bytes(v1))
+    payload = st.seav.flat.tobytes()
+    v2 = (b"SSPD" + bytes([2, distributed.KIND_SEAV, distributed.ENCODING_RAW])
+          + struct.pack("<BBBBIIHIQ", 4, 4, 2, 8, 1024, 0, 0, 0, PARAMS.master_seed)
+          + struct.pack("<II", 0, len(payload)) + payload + bytes(4))
+    with pytest.raises(FrameVersionError, match="version 2"):
+        parse_frame(bytes(reseal(v2)))
 
 
 def test_unknown_encoding_is_refused():
@@ -132,9 +148,9 @@ def test_sparse_payload_of_a_bad_length_is_refused():
     st, _, _ = random_states(n_pairs=100)
     blob = serialize(st.ldca, 0)
     assert blob[6] == distributed.ENCODING_SPARSE
-    length = int.from_bytes(blob[37:41], "little")
-    short = blob[:41 + length - 1] + blob[-4:]
-    short[37:41] = (length - 1).to_bytes(4, "little")
+    length = int.from_bytes(blob[15:23], "little")
+    short = blob[:-5] + blob[-4:]  # the payload, last before the CRC, loses a byte
+    short[15:23] = (length - 1).to_bytes(8, "little")
     with pytest.raises(FrameTruncatedError, match="sparse payload"):
         parse_frame(bytes(reseal(short)))
 
@@ -204,25 +220,21 @@ def test_flipped_payload_byte_fails_checksum():
         parse_frame(bytes(blob))
 
 
-def test_serialize_rejects_non_ipv4_geometry():
-    sk = SeavSketch(SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12), SEEDS)
-    with pytest.raises(ConfigError):
-        serialize(sk, 0)
-
-
-def test_serialize_refuses_what_a_v1_frame_cannot_carry(monkeypatch):
-    wide = DetectorState.create(DetectorParams(k=64, lr=70_000, lc=1, design_n=1))
-    with pytest.raises(ConfigError, match="LR in 16 bits"):
-        serialize(wide.ldca, 0)
-    # simulate_window refuses such a detector before it scans a pair.
-    _, hips, oips = random_states(n_pairs=100)
-    monkeypatch.setattr(DetectorState, "process_batch", lambda *args: pytest.fail("scanned"))
-    with pytest.raises(ConfigError, match="LR in 16 bits"):
-        simulate_window(wide.params, 0, hips, oips, 2)
-    st = DetectorState.create(PARAMS)
-    for window_id in (-1, 1 << 32):
-        with pytest.raises(ConfigError, match="window id in 32 bits"):
-            serialize(st.seav, window_id)
+def test_frames_carry_any_geometry_and_a_64_bit_window_id():
+    # No frame field bounds a sketch config; the window id is a u64.
+    small = SeavSketch(SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12), SEEDS)
+    rng = np.random.default_rng(15)
+    small.update_batch(rng.integers(0, 1 << 12, 500, dtype=np.uint64),
+                       rng.integers(0, 1 << 12, 500, dtype=np.uint64))
+    ldca = DetectorState.create(PARAMS).ldca
+    frames = frames_for(DetectorState(seav=small, ldca=ldca), window_id=1 << 32)
+    receiver = DetectorState(seav=SeavSketch(small.config, SEEDS), ldca=ldca)
+    merged = merge_frames(receiver, frames)
+    assert merged.window_id == 1 << 32
+    assert small.flat.any() and np.array_equal(merged.seav.flat, small.flat)
+    for window_id in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match="window id in 64 bits"):
+            serialize(small, window_id)
 
 
 # --- merging ------------------------------------------------------------------
@@ -297,6 +309,34 @@ def test_merge_rejects_cross_kind_geometry():
     frames = [parse_frame(serialize(st.seav, 0)), parse_frame(serialize(other.ldca, 0))]
     with pytest.raises(MergeError, match="ldca frame config"):
         merge(frames)
+
+
+# A value other than PARAMS's for each init field of the two sketch configs.
+OTHER_CONFIG = {"r": 0, "sr": 7, "a": 3, "theta": 2048, "g": 16, "addr_bits": 28,
+                "lr": 3, "lc": 32, "k": 8192}
+IDENTITY = [(kind, f.name) for kind, cls in (("seav", SeavConfig), ("ldca", LdcaConfig))
+            for f in fields(cls) if f.init] + [("seav", "seed"), ("ldca", "seed")]
+
+
+@pytest.mark.parametrize("kind, name", IDENTITY, ids=[f"{k}-{n}" for k, n in IDENTITY])
+def test_merge_refuses_a_sketch_that_differs_in_one_config_field(kind, name):
+    # The last frame's sketch differs from the receiver's only in ``name``.
+    st, _, _ = random_states()
+    sketch = getattr(st, kind)
+    if name == "seed":
+        other = type(sketch)(sketch.config, SeedFamily(PARAMS.master_seed + 1))
+    else:
+        other = type(sketch)(replace(sketch.config, **{name: OTHER_CONFIG[name]}), SEEDS)
+    frames = frames_for(st)
+    odd = parse_frame(serialize(other, 0))
+    receiver = DetectorState.create(PARAMS)
+    with pytest.raises(MergeError, match=f"{kind} frame config") as refused:
+        merge_frames(receiver, frames + [odd])
+    # The message quotes both blocks.
+    own = frames[kind == "ldca"].config_block
+    assert repr(odd.config_block) in str(refused.value) and repr(own) in str(refused.value)
+    # Every frame is checked before any is merged.
+    assert not receiver.seav.flat.any() and not receiver.ldca.flat.any()
 
 
 def test_merge_config_block_compares_bytes():
