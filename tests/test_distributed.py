@@ -232,9 +232,16 @@ def test_frames_carry_any_geometry_and_a_64_bit_window_id():
     merged = merge_frames(receiver, frames)
     assert merged.window_id == 1 << 32
     assert small.flat.any() and np.array_equal(merged.seav.flat, small.flat)
-    for window_id in (-1, 1 << 64):
-        with pytest.raises(ConfigError, match="window id in 64 bits"):
-            serialize(small, window_id)
+
+
+def test_serialize_refuses_what_a_v1_frame_cannot_carry():
+    # Neither a v1 frame nor a v3 frame holds a negative window id or one
+    # past 64 bits; serialize refuses both rather than wrap them.
+    st = DetectorState.create(PARAMS)
+    for sketch in (st.seav, st.ldca):
+        for window_id in (-1, 1 << 64):
+            with pytest.raises(ConfigError, match="window id in 64 bits"):
+                serialize(sketch, window_id)
 
 
 # --- merging ------------------------------------------------------------------
