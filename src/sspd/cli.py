@@ -4,21 +4,24 @@ Subcommands: generate, detect, slide, distsim, eval, plan.  Every output
 file starts with `#`-prefixed header lines echoing the resolved run
 configuration, so identical invocations produce byte-identical files.
 
-Exit codes: 0 ok, 2 configuration error, 3 data error, 4 internal assertion.
+Exit codes: 0 ok, 2 configuration error, 3 data error (a register array
+that restore skipped included: the report file is written, with an
+`# overflowed_arrays=` header line naming it), 4 internal assertion.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterator
+import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .distributed import DEFAULT_BUFFER_PAIRS, simulate_window
-from .errors import ConfigError, DataError, SspdError
+from .errors import ConfigError, DataError, SeaOverflowWarning, SspdError
 from .evaluation import (
     ExactOracle,
     TraceSpec,
@@ -116,14 +119,49 @@ def format_report_row(rep: DetectionReport) -> str:
 
 
 def write_reports(path: Path, report_kind: str, fields: dict[str, object],
-                  reports: list[DetectionReport], windows: list[int]):
+                  reports: list[DetectionReport], windows: list[int],
+                  overflowed: dict[int, list[int]] | None = None):
+    """Write a report file.  ``overflowed`` maps a window to the register
+    arrays restore skipped in it; a non-empty one adds an
+    `# overflowed_arrays=<window>:<rp>,<rp> ...` line."""
     # Keyed by report kind, not subcommand: a sharded run and a single-node
     # run of the same trace must produce byte-identical files.
     lines = header_lines(f"report kind={report_kind}", fields)
     lines.append(f"# windows={' '.join(str(w) for w in windows)}")
+    if overflowed:
+        lines.append(f"# overflowed_arrays={format_overflowed(overflowed)}")
     lines.append(REPORT_COLUMNS)
     lines += [format_report_row(r) for r in reports]
     path.write_text("\n".join(lines) + "\n")
+
+
+def format_overflowed(overflowed: dict[int, list[int]]) -> str:
+    return " ".join(f"{w}:{','.join(map(str, rps))}" for w, rps in sorted(overflowed.items()))
+
+
+def check_overflowed(path: Path, overflowed: dict[int, list[int]], cap: int):
+    """A run whose restore skipped a register array fails as a data error
+    (exit 3), after its report file is written."""
+    if overflowed:
+        raise DataError(f"restore skipped register arrays over the cap of {cap} tuples, "
+                        f"so {path} misses their hosts (window:arrays "
+                        f"{format_overflowed(overflowed)}); raise --restore-cap")
+
+
+def skipped_arrays(finalize: Callable[[], object]) -> tuple[object, list[int]]:
+    """Run a report call; return its result and the register arrays its
+    restore skipped (its SeaOverflowWarnings), ascending.  Every other
+    warning it raises is passed on."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = finalize()
+    rps = []
+    for w in caught:
+        if isinstance(w.message, SeaOverflowWarning):
+            rps.append(w.message.rp)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, sorted(rps)
 
 
 def _add_sketch_flags(p: argparse.ArgumentParser):
@@ -196,10 +234,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     reports: list[DetectionReport] = []
     windows: list[int] = []
+    overflowed: dict[int, list[int]] = {}
     for _, state in _detect_windows(cfg, trace):
-        reports += state.finalize_window()
+        found, skipped = skipped_arrays(state.finalize_window)
+        reports += found
         windows.append(state.window_id)
-    write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
+        if skipped:
+            overflowed[state.window_id] = skipped
+    write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows,
+                  overflowed)
+    check_overflowed(Path(args.out), overflowed, cfg.params.restore_cap)
     print(f"{len(reports)} detections across {len(windows)} window(s) -> {args.out}")
     return 0
 
@@ -215,15 +259,21 @@ def cmd_slide(args: argparse.Namespace) -> int:
     bounds = np.searchsorted(slices, np.arange(last + 2))
     reports: list[DetectionReport] = []
     detected_at: list[int] = []
+    overflowed: dict[int, list[int]] = {}
     for s in range(last + 1):
         lo, hi = bounds[s], bounds[s + 1]
         if hi > lo:
             detector.observe_batch(hips[lo:hi], oips[lo:hi])
         if s % cfg.detect_every == 0:
-            reports += detector.detect()
+            found, skipped = skipped_arrays(detector.detect)
+            reports += found
             detected_at.append(s)
+            if skipped:
+                overflowed[s] = skipped
         detector.advance_slice()
-    write_reports(Path(args.out), "sliding", cfg.detection_fields(), reports, detected_at)
+    write_reports(Path(args.out), "sliding", cfg.detection_fields(), reports, detected_at,
+                  overflowed)
+    check_overflowed(Path(args.out), overflowed, cfg.params.restore_cap)
     print(f"{len(reports)} detections across {len(detected_at)} slide(s) -> {args.out}")
     return 0
 
@@ -242,14 +292,20 @@ def cmd_distsim(args: argparse.Namespace) -> int:
                                          **cfg.topology_fields()})
     reports: list[DetectionReport] = []
     windows: list[int] = []
+    overflowed: dict[int, list[int]] = {}
     ok = True
     for sel, single in _detect_windows(cfg, trace):
-        res = simulate_window(cfg.params, single.window_id, trace.hips[sel], trace.oips[sel],
-                              cfg.n_wp, route=cfg.route, buffer_pairs=cfg.buffer_pairs,
-                              threads=cfg.threads, frames_dir=frames_dir)
+        # The receiver's restore gives the skipped arrays; the single
+        # scanner's, on the same registers once the check passes, is dropped.
+        res, skipped = skipped_arrays(lambda: simulate_window(
+            cfg.params, single.window_id, trace.hips[sel], trace.oips[sel], cfg.n_wp,
+            route=cfg.route, buffer_pairs=cfg.buffer_pairs, threads=cfg.threads,
+            frames_dir=frames_dir))
+        if skipped:
+            overflowed[res.window_id] = skipped
         seav_same = np.array_equal(res.global_seav.flat, single.seav.flat)
         ldca_same = np.array_equal(res.global_ldca.flat, single.ldca.flat)
-        reports_same = res.reports == single.finalize_window()
+        reports_same = res.reports == skipped_arrays(single.finalize_window)[0]
         ok &= seav_same and ldca_same and reports_same
         log_lines.append(
             f"window {res.window_id}: seav_identical={seav_same} "
@@ -257,10 +313,12 @@ def cmd_distsim(args: argparse.Namespace) -> int:
         reports += res.reports
         windows.append(res.window_id)
         del res
-    write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows)
+    write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows,
+                  overflowed)
     Path(args.merge_log).write_text("\n".join(log_lines) + "\n")
     if not ok:
         raise AssertionError("merged sketches differ from single-scanner run")
+    check_overflowed(Path(args.out), overflowed, cfg.params.restore_cap)
     print(f"{len(reports)} detections across {len(windows)} window(s) -> {args.out}; "
           f"merge equivalence verified ({cfg.n_wp} watch points, {cfg.route})")
     return 0

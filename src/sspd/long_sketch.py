@@ -35,9 +35,9 @@ DEFAULT_MAX_ROWS = 8
 # stamps and flags, beside a 2 MiB union, at the default k and window).
 # Beside the gathers, a call holds every candidate's register numbers,
 # hashed once for the whole batch: 8 * LR bytes per candidate.  A
-# discrete read that takes the weight table also holds v int64 counters
-# (64 KiB at the default v), built through one popcount byte per register
-# word (1 MiB at the default k and v).
+# discrete read that takes the weight table also holds v counters in the
+# narrowest dtype that holds k (16 KiB of uint16 at the default k and v),
+# built through one popcount byte per register word (1 MiB at the defaults).
 ZERO_COUNT_CHUNK = 256
 
 # Rows ANDed before union_zero_counts drops the hosts already past its
@@ -132,7 +132,8 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
     ``cells(reg)`` gathers the registers numbered ``reg`` as unsigned
     words whose set bits are the register's set bits.  Each row is hashed
     once for the whole batch; its gathers are ANDed in place, then
-    popcounted per host, ``ZERO_COUNT_CHUNK`` hosts at a time.
+    popcounted per host, ``ZERO_COUNT_CHUNK`` hosts at a time, summed in
+    the narrowest dtype that holds k.
 
     With a ``bound``, a host whose zero count after ``EARLY_EXIT_ROWS``
     rows is above it skips the remaining rows and gets that partial
@@ -156,13 +157,14 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
     else:
         hosts = slice(None)
     early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
+    acc = np.min_scalar_type(config.k)  # holds any register's set-bit count
     read = np.empty(len(rows[0]), dtype=np.int64)
     for start in range(0, len(read), ZERO_COUNT_CHUNK):
         stop = start + ZERO_COUNT_CHUNK
         union = cells(rows[0][start:stop])
         for reg in rows[1:early]:
             np.bitwise_and(union, cells(reg[start:stop]), out=union)
-        z0 = config.k - np.bitwise_count(union).sum(axis=1)
+        z0 = config.k - np.bitwise_count(union).sum(axis=1, dtype=acc)
         read[start:start + len(z0)] = z0
         if early == config.lr:
             continue
@@ -173,7 +175,7 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
         live += start
         for reg in rows[early:]:
             np.bitwise_and(union, cells(reg[live]), out=union)
-        read[live] = config.k - np.bitwise_count(union).sum(axis=1)
+        read[live] = config.k - np.bitwise_count(union).sum(axis=1, dtype=acc)
     out[hosts] = read
     return out
 
@@ -228,7 +230,7 @@ class LdcaSketch:
         words = self.data.reshape(cfg.v, -1).view(word)
         weights = None
         if bound is not None and cfg.lr > EARLY_EXIT_ROWS and len(hips) * EARLY_EXIT_ROWS >= cfg.v:
-            weights = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            weights = np.bitwise_count(words).sum(axis=1, dtype=np.min_scalar_type(cfg.k))
         return union_zero_counts(cfg, self.seeds, hips, words.__getitem__, bound, weights)
 
     def estimate(self, hips: np.ndarray,

@@ -146,14 +146,17 @@ class SlidingDetector:
     def materialize_seav(self) -> SeavSketch:
         """Active-bit view of the candidate sketch as a regular sketch.
 
-        Reads only the candidate-sketch prefix of the pool."""
+        Reads only the candidate-sketch prefix of the pool.  Each
+        register's g flags are padded with zero flags to its dtype's width
+        (when g is narrower), so one flat little-endian packbits yields
+        every register's bytes in order."""
         cfg = self.seav_config
         sketch = SeavSketch(cfg, self.seeds, restore_cap=self.params.restore_cap)
         bits = self.pool.active(0, self.ldca_base).reshape(cfg.n_registers, cfg.g)
-        packed = np.packbits(bits, axis=-1, bitorder="little")
         width = sketch.flat.dtype.itemsize
-        packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
-        sketch.flat[:] = packed.view(f"<u{width}").reshape(-1)
+        if cfg.g < 8 * width:
+            bits = np.pad(bits, ((0, 0), (0, 8 * width - cfg.g)))
+        sketch.flat[:] = np.packbits(bits, bitorder="little").view(f"<u{width}")
         return sketch
 
     def materialize_ldca_cell(self, reg: np.ndarray) -> np.ndarray:

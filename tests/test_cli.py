@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sspd
 from sspd import cli, distributed
 from sspd.cli import REPORT_COLUMNS, RunConfig, _config_from_args, build_parser, main
-from sspd.errors import ConfigError
+from sspd.errors import ConfigError, SeaOverflowWarning
 from sspd.evaluation import read_trace, truth_path
 from sspd.long_sketch import LdcaSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
@@ -357,6 +357,49 @@ def test_distsim_merge_check_can_fail(tmp_path, trace_file, monkeypatch, capsys)
     assert code == 4
     assert capsys.readouterr().err.startswith("error: internal")
     assert "window 0: seav_identical=True ldca_identical=False" in log.read_text()
+
+
+@pytest.fixture(scope="module")
+def overflow_trace(tmp_path_factory):
+    """40 hosts at 1200 peers: with --restore-cap 4 restore skips five of
+    the 16 register arrays, and the hosts in them go unreported."""
+    path = tmp_path_factory.mktemp("overflow") / "o.bin"
+    run(["generate", "--out", path, "--n-super", 40, "--super-card", 1200, 1200,
+         "--n-background", 1000, "--n-pairs", 60000])
+    return path
+
+
+@pytest.mark.parametrize("command", ["detect", "slide", "distsim"])
+def test_skipped_array_writes_its_line_and_exits_3(tmp_path, overflow_trace, command, capsys):
+    argv = [command, "--trace", overflow_trace, "--out", tmp_path / "x.csv"]
+    if command == "distsim":
+        argv += ["--merge-log", tmp_path / "log.txt", "--frames-dir", tmp_path / "frames"]
+    assert run(argv) == 0
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    assert not any(l.startswith("# overflowed_arrays=") for l in lines)
+    assert len(lines) - lines.index(REPORT_COLUMNS) - 1 == 40
+    capsys.readouterr()
+
+    assert run(argv + ["--restore-cap", 4]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and len(err.splitlines()) == 1
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    at = lines.index("# windows=0")
+    assert lines[at + 1] == "# overflowed_arrays=0:4,9,12,14,15"
+    assert lines[at + 2] == REPORT_COLUMNS
+    assert 0 < len(lines) - at - 3 < 40
+
+
+def test_skipped_arrays_passes_other_warnings_on():
+    def finalize():
+        warnings.warn(SeaOverflowWarning(9, 4))
+        warnings.warn(SeaOverflowWarning(2, 4))
+        warnings.warn("unrelated", UserWarning)
+        return "reports"
+
+    with pytest.warns(UserWarning, match="unrelated") as caught:
+        assert cli.skipped_arrays(finalize) == ("reports", [2, 9])
+    assert [w.category for w in caught] == [UserWarning]
 
 
 @pytest.mark.parametrize("command", ["detect", "slide"])

@@ -431,6 +431,37 @@ def test_weight_table_only_when_two_rows_gather_as_much(lr, n_hosts, bound, tabl
         assert weights[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1).tolist()
 
 
+@pytest.mark.parametrize("k", [65528, 65536])
+@pytest.mark.parametrize("fill", ["full", "random"])
+def test_popcount_sums_at_the_accumulator_edge(k, fill, monkeypatch):
+    # Set-bit counts are summed in np.min_scalar_type(k): uint16 at
+    # k = 65528, uint32 at k = 65536, where a uint16 sum of a full
+    # register would wrap to 0 and give a zero count of k.
+    sk = small_sketch(lr=3, lc=2, k=k)
+    rng = np.random.default_rng(12)
+    if fill == "full":
+        sk.data.fill(0xFF)
+    else:
+        sk.data[:] = rng.integers(0, 256, size=sk.data.shape, dtype=np.uint8)
+    union_zero_counts = long_sketch.union_zero_counts
+    weights = []
+
+    def recording_union_zero_counts(*args):
+        weights.append(args[5])
+        return union_zero_counts(*args)
+
+    monkeypatch.setattr(long_sketch, "union_zero_counts", recording_union_zero_counts)
+    hosts = rng.integers(0, 2**32, size=3, dtype=np.uint64)
+    expected = [k - int(np.unpackbits(union_register(sk, int(h))).sum()) for h in hosts]
+    assert sk.zero_counts(hosts, bound=k).tolist() == expected  # takes the weight table
+    assert sk.zero_counts(hosts).tolist() == expected
+    if fill == "full":
+        assert expected == [0, 0, 0]
+    words = sk.data.reshape(sk.config.v, -1)
+    assert weights[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1, dtype=np.int64).tolist()
+    assert weights[1] is None
+
+
 def test_memory_accounting():
     cfg = LdcaConfig(lr=8, lc=1024, k=8192)
     assert cfg.memory_bytes() == 8 * 1024 * 8192 // 8 == 8 * 1024 * 1024

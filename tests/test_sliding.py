@@ -146,7 +146,27 @@ def test_active_view_monotone_within_window():
     assert after >= before
 
 
-@pytest.mark.parametrize("g", [5, 8, 16])
+@pytest.mark.parametrize("g", [1, 5, 8, 12, 16, 33, 64])
+def test_materialize_seav_matches_per_register_reference(g):
+    # g = 1, 5 and 12, 33 pad the flags inside uint8, uint16 and uint64
+    # registers; g = 8, 16 and 64 fill their registers exactly.
+    w = 4
+    det = SlidingDetector(replace(SMALL, g=g), window_slices=w)
+    rng = np.random.default_rng(g)
+    n = det.ldca_base
+    det.pool.touch_batch(rng.choice(n, size=n // 2, replace=False))
+    for _ in range(w):
+        det.advance_slice()  # the first stamps expire
+    det.pool.touch_batch(rng.choice(n, size=n // 2, replace=False))
+    flags = det.pool.active(0, n).reshape(-1, g).astype(np.uint64)
+    reference = (flags << np.arange(g, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    view = det.materialize_seav()
+    assert view.flat.dtype.itemsize * 8 >= g
+    assert flags.any() and not flags.all()
+    assert view.flat.astype(np.uint64).tolist() == reference.tolist()
+
+
+@pytest.mark.parametrize("g", [5, 8, 12, 16, 33])
 def test_sliding_equals_discrete_for_one_window(g):
     params = replace(SMALL, g=g)
     w = 12
@@ -225,6 +245,17 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
         for _ in range(4):
             det.advance_slice()
         assert det.zero_counts(probes).tolist() == [k] * len(probes)  # all expired
+
+
+@pytest.mark.parametrize("k", [65528, 65536])
+def test_sliding_zero_counts_of_full_registers_at_the_accumulator_edge(k):
+    # Every slot active: each host's union has k set flags, summed in
+    # uint16 at k = 65528 and uint32 at k = 65536 (a uint16 sum wraps to 0).
+    det = SlidingDetector(replace(SMALL, k=k, lr=3, lc=2, design_n=1), window_slices=4)
+    det.pool.ts[:] = det.now
+    hosts = np.random.default_rng(13).integers(0, 2**32, size=3, dtype=np.uint64)
+    assert det.zero_counts(hosts).tolist() == [0, 0, 0]
+    assert det.zero_counts(hosts, bound=k).tolist() == [0, 0, 0]
 
 
 def test_detect_memory_stays_small_at_default_geometry():
