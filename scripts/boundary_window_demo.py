@@ -25,7 +25,7 @@ def main():
 
     w = args.window_slices
     half = args.theta // 2
-    params = DetectorParams(theta=args.theta, k=8192, lr=2, lc=16,
+    params = DetectorParams(theta=args.theta, k=8192, lr=2, v=32,
                             design_n=args.theta, master_seed=args.seed)
     rng = np.random.default_rng(7)
     hip = 0xC0A86401

@@ -175,9 +175,9 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
     p.add_argument("--a", type=int, default=DEFAULTS.a, help="index overlap bits between rows")
     p.add_argument("--g", type=int, default=DEFAULTS.g, help="short register width in bits")
     p.add_argument("--k", type=int, default=DEFAULTS.k, help="long register width in bits")
-    p.add_argument("--v", type=int, default=None, help="total long-register budget")
-    p.add_argument("--lr", type=int, default=None, help="long rows (default: planned)")
-    p.add_argument("--lc", type=int, default=None, help="long columns (default: v // lr)")
+    p.add_argument("--v", type=int, default=DEFAULTS.v, help="total long-register budget")
+    p.add_argument("--lr", type=int, default=None,
+                   help="long rows (default: planned); long columns are v // lr")
     p.add_argument("--design-n", type=float, default=DEFAULTS.design_n,
                    help="expected distinct pairs per window, for the planner")
     p.add_argument("--window-slices", type=int, default=RUN.window_slices,
@@ -187,13 +187,10 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if None not in (args.lr, args.lc) and args.v is not None:
-        raise ConfigError("--v has no effect once --lr and --lc are set")
     params = DetectorParams(
         theta=args.theta, r=args.r, sr=args.sr, a=args.a, g=args.g, k=args.k,
-        lr=args.lr, lc=args.lc, v=DEFAULTS.v if args.v is None else args.v,
-        design_n=args.design_n, beta=args.beta, master_seed=args.seed,
-        restore_cap=args.restore_cap)
+        lr=args.lr, v=args.v, design_n=args.design_n, beta=args.beta,
+        master_seed=args.seed, restore_cap=args.restore_cap)
     run = {name: value for name, value in vars(args).items() if name in RUN_KNOBS}
     return RunConfig(params=params, **run)
 

@@ -17,7 +17,6 @@ single master seed so a whole run is reproducible from one integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 
@@ -79,49 +78,38 @@ def derive_seed(master_seed: int, domain_tag: int) -> int:
     return mix64((master_seed & MASK64) ^ ((domain_tag & 0xFF) * _GOLDEN))
 
 
-@dataclass(frozen=True)
-class HashSeed:
-    """One member of the hash family: master seed plus an 8-bit role tag."""
-
-    seed: int
-    domain_tag: int
-
-    @property
-    def value(self) -> int:
-        return derive_seed(self.seed, self.domain_tag)
-
-
 class SeedFamily:
-    """All domain-tagged seeds a detector needs, from one master seed."""
+    """All domain-tagged seeds a detector needs, from one master seed,
+    each the ``derive_seed`` integer of its role's tag."""
 
     def __init__(self, master_seed: int = DEFAULT_MASTER_SEED):
         self.master_seed = master_seed & MASK64
-        self.h1 = HashSeed(self.master_seed, Tag.H1)
-        self.h2 = HashSeed(self.master_seed, Tag.H2)
-        self.h3 = HashSeed(self.master_seed, Tag.H3)
-        self.route = HashSeed(self.master_seed, Tag.ROUTE)
+        self.h1 = derive_seed(self.master_seed, Tag.H1)
+        self.h2 = derive_seed(self.master_seed, Tag.H2)
+        self.h3 = derive_seed(self.master_seed, Tag.H3)
+        self.route = derive_seed(self.master_seed, Tag.ROUTE)
 
-    def lh(self, row: int) -> HashSeed:
-        return HashSeed(self.master_seed, Tag.LH_BASE + row)
+    def lh(self, row: int) -> int:
+        return derive_seed(self.master_seed, Tag.LH_BASE + row)
 
     def __repr__(self) -> str:
         return f"SeedFamily(0x{self.master_seed:X})"
 
 
-def hash64_array(keys: np.ndarray, seed: HashSeed) -> np.ndarray:
+def hash64_array(keys: np.ndarray, seed: int) -> np.ndarray:
     """Seeded 64-bit hash of each key, as a new array (``keys`` is not written)."""
     z = keys.astype(np.uint64)
-    z ^= np.uint64(seed.value)
+    z ^= np.uint64(seed)
     return _mix64_in_place(z)
 
 
-def hash_full_array(keys: np.ndarray, seed: HashSeed) -> np.ndarray:
+def hash_full_array(keys: np.ndarray, seed: int) -> np.ndarray:
     h = hash64_array(keys, seed)
     h &= np.uint64(MASK32)
     return h
 
 
-def hash_range_array(keys: np.ndarray, seed: HashSeed, m: int) -> np.ndarray:
+def hash_range_array(keys: np.ndarray, seed: int, m: int) -> np.ndarray:
     """Hash of each key reduced mod ``m``; a power-of-two ``m`` takes the
     mask ``m - 1``, which gives the same values as the remainder."""
     if m < 1:

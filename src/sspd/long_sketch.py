@@ -83,9 +83,9 @@ def zero_count_bound(cutoff: float, k: int) -> int:
 
 @dataclass(frozen=True)
 class LdcaConfig:
-    lr: int = 8
-    lc: int = 1024
-    k: int = DEFAULT_K
+    lr: int
+    lc: int
+    k: int
 
     def __post_init__(self):
         if self.lr < 1:

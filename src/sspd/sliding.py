@@ -52,7 +52,6 @@ class TimestampPool:
         self._mask = self._modulus - 1
         # Idle period between mandatory sweeps; ages stay < modulus.
         self._sweep_period = self._modulus - 2 * window_slices
-        self._since_sweep = 0
         self.sweep_count = 0
         # Initialize to age == window (exactly expired).
         try:
@@ -73,8 +72,7 @@ class TimestampPool:
     def advance_slice(self):
         """Move to the next slice.  O(1) except the rare anti-alias sweep."""
         self.now += 1
-        self._since_sweep += 1
-        if self._since_sweep >= self._sweep_period:
+        if self.now % self._sweep_period == 0:
             self._sweep()
 
     def _sweep(self):
@@ -83,7 +81,6 @@ class TimestampPool:
         for start in range(0, self.n_slots, SWEEP_BLOCK):
             stale = self.ages(start, start + SWEEP_BLOCK) >= self.window_slices
             self.ts[start:start + SWEEP_BLOCK][stale] = expired
-        self._since_sweep = 0
         self.sweep_count += 1
 
     def ages(self, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -122,10 +119,6 @@ class SlidingDetector:
         cfg, lcfg = self.seav_config, self.ldca_config
         self.ldca_base = cfg.n_registers * cfg.g
         self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices)
-
-    @property
-    def now(self) -> int:
-        return self.pool.now
 
     def advance_slice(self):
         self.pool.advance_slice()
@@ -183,4 +176,4 @@ class SlidingDetector:
     def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
         return report_candidates(self.materialize_seav(), self.estimate,
-                                 self.params, self.now)
+                                 self.params, self.pool.now)

@@ -89,8 +89,7 @@ class DetectorParams:
     a: int = 2
     g: int = 8
     k: int = DEFAULT_K
-    lr: int | None = None       # None: planned from (v, design_n, k)
-    lc: int | None = None       # None: v // lr
+    lr: int | None = None       # None: planned from (v, design_n, k); else lc = v // lr
     v: int = DEFAULT_V
     design_n: float = DEFAULT_DESIGN_N
     beta: float = DEFAULT_BETA
@@ -110,17 +109,16 @@ class DetectorParams:
             raise ConfigError(f"design_n must be > 0, got {self.design_n:g}")
         if self.restore_cap < 1:
             raise ConfigError(f"restore_cap must be >= 1, got {self.restore_cap}")
-        if self.lc is not None and self.lr is None:
-            raise ConfigError("lc needs lr: set both, or lr alone for lc = v // lr")
         if self.lr is not None and self.lr < 1:
             raise ConfigError(f"lr must be >= 1, got {self.lr}")
+        if self.lr is not None and self.v < self.lr:
+            raise ConfigError(f"v must be >= lr, got v={self.v}, lr={self.lr}")
         object.__setattr__(self, "_seav", SeavConfig(
             r=self.r, sr=self.sr, a=self.a, theta=self.theta, g=self.g))
-        lr, lc = self.lr, self.lc
-        if lr is None:
+        if self.lr is None:
             lr, lc = plan_rows(self.v, self.design_n, self.k)
-        elif lc is None:
-            lc = self.v // lr
+        else:
+            lr, lc = self.lr, self.v // self.lr
         object.__setattr__(self, "_ldca", LdcaConfig(lr=lr, lc=lc, k=self.k))
         check_noise(self.k, self.design_n, lc, lr)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from sspd.errors import ConfigError
 from sspd.evaluation import ExactOracle
-from sspd.hashing import MASK32, MASK64, HashSeed, SeedFamily, _mix64_in_place, mix64
+from sspd.hashing import MASK32, MASK64, SeedFamily, _mix64_in_place, mix64
 from sspd.long_sketch import DEFAULT_K, LdcaSketch
 from sspd.short_sketch import SeavConfig
 from sspd.sliding import SlidingDetector, TimestampPool
@@ -28,17 +28,17 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return _mix64_in_place(x.astype(np.uint64))
 
 
-def hash64(key: int, seed: HashSeed) -> int:
+def hash64(key: int, seed: int) -> int:
     """Full-width 64-bit hash of an integer key."""
-    return mix64((key & MASK64) ^ seed.value)
+    return mix64((key & MASK64) ^ seed)
 
 
-def hash_full(key: int, seed: HashSeed) -> int:
+def hash_full(key: int, seed: int) -> int:
     """Map a 32-bit key to a uniform 32-bit value (H1 contract)."""
     return hash64(key, seed) & MASK32
 
 
-def hash_range(key: int, seed: HashSeed, m: int) -> int:
+def hash_range(key: int, seed: int, m: int) -> int:
     """Map a key to a near-uniform value in [0, m)."""
     if m < 1:
         raise ConfigError(f"hash_range modulus must be >= 1, got {m}")

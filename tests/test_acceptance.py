@@ -155,7 +155,7 @@ def test_criterion_06_planner_minimality():
 
 
 def _boundary_params():
-    return DetectorParams(theta=1024, k=8192, lr=2, lc=16, design_n=1024)
+    return DetectorParams(theta=1024, k=8192, lr=2, v=32, design_n=1024)
 
 
 def test_criterion_07_sliding_catches_boundary_straddler():
@@ -192,7 +192,7 @@ def test_criterion_07_sliding_catches_boundary_straddler():
 
 def test_criterion_08_sliding_discrete_equivalence():
     with criterion(8, "one slide per window == discrete detection, bit-exact"):
-        params = DetectorParams(theta=1024, k=8192, lr=2, lc=512, design_n=3e4)
+        params = DetectorParams(theta=1024, k=8192, lr=2, v=1024, design_n=3e4)
         w = 15
         rng = np.random.default_rng(800)
         n = 30_000
@@ -329,7 +329,7 @@ def test_criterion_10_no_floats_while_scanning(monkeypatch):
         for mod in guard_modules:
             monkeypatch.setattr(mod, "np", _IntegerOnlyNumpy(np, calls))
 
-        params = DetectorParams(k=4096, lr=2, lc=32, design_n=2e3)
+        params = DetectorParams(k=4096, lr=2, v=64, design_n=2e3)
         state = DetectorState.create(params)
         rng = np.random.default_rng(1000)
         hips = rng.integers(0, 2**32, size=20_000, dtype=np.uint64)

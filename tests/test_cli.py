@@ -20,7 +20,7 @@ from sspd.long_sketch import LdcaSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
 
-SMALL_FLAGS = ["--k", "4096", "--lr", "2", "--lc", "64", "--design-n", "4000"]
+SMALL_FLAGS = ["--k", "4096", "--lr", "2", "--v", "128", "--design-n", "4000"]
 
 
 def run(argv):
@@ -186,6 +186,22 @@ def test_plan_unclamped(capsys):
     assert "LR=47" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("v, n, k", [(8192, 1e6, 8192), (8192, 1e6, 1024), (1000, 5e4, 1024),
+                                     (64, 1e9, 64)])
+def test_plan_and_detect_size_the_filter_one_way(tmp_path, trace_file, capsys, v, n, k):
+    # The rows plan prints for (v, n, k) are the rows detect runs with.
+    assert run(["plan", "--v", v, "--n", n, "--k", k]) == 0
+    planned = [l for l in capsys.readouterr().out.splitlines() if l.startswith(("LR=", "LC="))]
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # union noise at the small v
+        assert run(["detect", "--trace", trace_file, "--out", out,
+                    "--v", v, "--design-n", n, "--k", k]) == 0
+    header = [l[2:].upper() for l in out.read_text().splitlines()
+              if l.startswith(("# lr=", "# lc="))]
+    assert sorted(header) == sorted(planned) and len(planned) == 2
+
+
 def test_plan_zero_max_rows_is_config_error(capsys):
     code = run(["plan", "--v", 8192, "--n", 1e6, "--k", 8192, "--max-rows", 0])
     assert code == 2
@@ -229,32 +245,30 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     assert "error: config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("slide", ["--detect-every", 0]),
-    ("distsim", ["--buffer-pairs", 0]),
-    ("detect", ["--window-slices", 0]),
-    ("detect", ["--window-slices", 2**63]),
-    ("detect", ["--beta", -1]),
-    ("detect", ["--beta", "nan"]),
-    ("detect", ["--restore-cap", 0]),
-    ("detect", ["--lr", 0]),
-    ("detect", ["--lc", 64]),
-    ("distsim", ["--threads", 0]),
-    ("detect", ["--lr", 2, "--lc", 64, "--v", 128]),
-    ("detect", ["--lr", 1, "--lc", 1, "--k", 10**400]),
-    ("detect", ["--lr", 1, "--lc", 1, "--k", 2**66]),
-    ("detect", ["--lr", 1, "--lc", 1, "--k", 2**62]),
-    ("slide", ["--lr", 1, "--lc", 1, "--k", 2**62]),
+@pytest.mark.parametrize("command, flag, says", [
+    ("slide", ["--detect-every", 0], "detect_every must be >= 1"),
+    ("distsim", ["--buffer-pairs", 0], "buffer_pairs must be >= 1"),
+    ("detect", ["--window-slices", 0], "window_slices must be >= 1"),
+    ("detect", ["--window-slices", 2**63], "window_slices must be below 2^63"),
+    ("detect", ["--beta", -1], "beta must be > 0"),
+    ("detect", ["--beta", "nan"], "beta must be > 0"),
+    ("detect", ["--restore-cap", 0], "restore_cap must be >= 1"),
+    ("detect", ["--lr", 0], "lr must be >= 1"),
+    ("detect", ["--lr", 8, "--v", 5], "v must be >= lr, got v=5, lr=8"),
+    ("distsim", ["--threads", 0], "threads must be >= 1"),
+    ("detect", ["--lr", 1, "--v", 1, "--k", 10**400], "k must be below 2^63"),
+    ("detect", ["--lr", 1, "--v", 1, "--k", 2**66], "k must be below 2^63"),
+    ("detect", ["--lr", 1, "--v", 1, "--k", 2**62], "detector registers too large"),
+    ("slide", ["--lr", 1, "--v", 1, "--k", 2**62], "timestamp pool of"),
 ], ids=["detect-every", "buffer-pairs", "window-slices", "window-slices-beyond-int64",
         "negative-beta", "nan-beta",
-        "zero-restore-cap", "zero-lr", "lc-without-lr", "zero-threads",
-        "v-with-lr-and-lc", "k-beyond-a-float", "k-beyond-int64",
+        "zero-restore-cap", "zero-lr", "v-below-lr", "zero-threads",
+        "k-beyond-a-float", "k-beyond-int64",
         "k-beyond-memory", "k-beyond-the-sliding-pool"])
-def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
+def test_zero_step_is_config_error(tmp_path, trace_file, command, flag, says):
     # A separate interpreter, so an uncaught exception shows as exit 1 and
     # a traceback instead of failing inside the test process.  The flag
-    # comes last, so it overrides the same flag before it; no --lr or --lc
-    # comes before it, so that "--lc without --lr" can be tried.
+    # comes last, so it overrides the same flag before it.
     argv = [command, "--trace", trace_file, "--out", tmp_path / "x.csv",
             "--k", 4096, "--design-n", 4000, *flag]
     if command == "distsim":
@@ -264,7 +278,7 @@ def test_zero_step_is_config_error(tmp_path, trace_file, command, flag):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: config:")
+    assert proc.stderr.startswith(f"error: config: {says}")
     assert len(proc.stderr.splitlines()) == 1
 
 
@@ -538,7 +552,6 @@ FUZZ_SKETCH_FLAGS = {
     "--k": [0, -8, 1, 64, "inf", "x"],
     "--v": [0, -1, 1, 65536, "x"],
     "--lr": [0, -1, 1, 65535, 65536, "x"],
-    "--lc": [0, -1, 1, "x"],
     "--design-n": [0, -1, 1, "nan", "inf", "x"],
     "--window-slices": [0, -1, 1, 65535, 2**32, "x"],
     "--restore-cap": [0, -1, 1, "x"],
@@ -633,7 +646,7 @@ def test_fuzz_lists_build_at_most_64_mib():
                        for combo in itertools.product(*choices))
 
     registers = (worst(["--r", "--sr", "--a", "--g"])
-                 + worst(["--k", "--v", "--lr", "--lc"]))
+                 + worst(["--k", "--v", "--lr"]))
     # Sliding keeps a stamp of up to 8 bytes per register bit; distsim holds
     # one window's n_wp frames, the receiver, `threads` scanner states and
     # the single scanner.

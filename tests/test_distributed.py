@@ -29,7 +29,7 @@ from sspd.short_sketch import SeavConfig, SeavSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
 SEEDS = SeedFamily()
-PARAMS = DetectorParams(theta=1024, k=4096, lr=2, lc=64, design_n=4e3)
+PARAMS = DetectorParams(theta=1024, k=4096, lr=2, v=128, design_n=4e3)
 
 
 def random_states(n_pairs=8000, seed=1):
@@ -290,7 +290,7 @@ def test_merge_rejects_window_mismatch():
 
 def test_merge_rejects_config_mismatch():
     st, _, _ = random_states()
-    other = DetectorState.create(DetectorParams(theta=2048, k=4096, lr=2, lc=64,
+    other = DetectorState.create(DetectorParams(theta=2048, k=4096, lr=2, v=128,
                                                 design_n=4e3))
     receiver = DetectorState.create(PARAMS)
     with pytest.raises(MergeError, match="config"):
@@ -312,7 +312,7 @@ def test_merge_rejects_cross_kind_geometry():
     # Both detectors share the seed and the candidate geometry; only the
     # counter frame, from the second one, differs from the receiver.
     st = DetectorState.create(PARAMS)
-    other = DetectorState.create(replace(PARAMS, k=8192, lr=4, lc=32))
+    other = DetectorState.create(replace(PARAMS, k=8192, lr=4, v=128))
     frames = [parse_frame(serialize(st.seav, 0)), parse_frame(serialize(other.ldca, 0))]
     with pytest.raises(MergeError, match="ldca frame config"):
         merge(frames)

@@ -7,9 +7,9 @@ from scipy import stats
 from sspd.errors import ConfigError
 from sspd.hashing import (
     DEFAULT_MASTER_SEED,
-    HashSeed,
     SeedFamily,
     Tag,
+    derive_seed,
     hash_full_array,
     hash_range_array,
     hash64_array,
@@ -19,8 +19,8 @@ from sspd.hashing import (
 
 from oracles import hash64, hash_full, hash_range, lsb, mix64_array
 
-H1 = HashSeed(DEFAULT_MASTER_SEED, Tag.H1)
-H2 = HashSeed(DEFAULT_MASTER_SEED, Tag.H2)
+H1 = derive_seed(DEFAULT_MASTER_SEED, Tag.H1)
+H2 = derive_seed(DEFAULT_MASTER_SEED, Tag.H2)
 
 KEYS_1M = np.random.default_rng(0xC0FFEE).integers(0, 2**32, size=1_000_000,
                                                    dtype=np.uint64)
@@ -64,8 +64,8 @@ def test_distinct_tags_uncorrelated():
 
 def test_different_tags_differ():
     seeds = SeedFamily()
-    values = {seeds.h1.value, seeds.h2.value, seeds.h3.value, seeds.route.value}
-    values |= {seeds.lh(i).value for i in range(8)}
+    values = {seeds.h1, seeds.h2, seeds.h3, seeds.route}
+    values |= {seeds.lh(i) for i in range(8)}
     assert len(values) == 12
 
 
@@ -148,7 +148,7 @@ def test_mix64_scalar_vector_identical():
 
 
 def test_master_seed_changes_everything():
-    other = HashSeed(0x1234, Tag.H1)
+    other = derive_seed(0x1234, Tag.H1)
     same = sum(hash_full(int(k), H1) == hash_full(int(k), other)
                for k in KEYS_1M[:10_000])
     assert same < 10  # chance collisions only

@@ -11,7 +11,7 @@ from sspd.window_detector import DetectorParams, DetectorState, report_candidate
 
 from oracles import is_active, ldc_estimate, materialize_ldca, touch, union_register
 
-SMALL = DetectorParams(theta=1024, k=4096, lr=2, lc=32, design_n=2e3)
+SMALL = DetectorParams(theta=1024, k=4096, lr=2, v=64, design_n=2e3)
 
 
 # --- timestamp pool ---------------------------------------------------------
@@ -97,6 +97,14 @@ def test_wraparound_never_resurrects_stale_slots():
         assert is_active(pool, 0) == expect_slot0, f"slot 0 wrong at slice {now}"
     assert pool.sweep_count > 0
     assert not is_active(pool, 1)  # last touched near 900, window long gone
+
+
+def test_sweep_cadence_is_one_per_period():
+    # window 100 -> uint8 stamps and a sweep every 256 - 2*100 = 56 slices.
+    pool = TimestampPool(8, window_slices=100)
+    for _ in range(4 * 56 + 3):
+        pool.advance_slice()
+        assert pool.sweep_count == pool.now // 56, pool.now
 
 
 def test_blocked_sweep_equals_whole_pool_sweep(monkeypatch):
@@ -212,7 +220,7 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
     half = len(hips) // 2
     probes = np.concatenate([heavy, hips[:10], rng.integers(0, 2**32, size=10, dtype=np.uint64)])
     for lr in (2, 4):
-        params = replace(SMALL, k=k, lr=lr, lc=64 // lr, design_n=200)
+        params = replace(SMALL, k=k, lr=lr, design_n=200)
         discrete = run_discrete(params, hips, oips)
         det = SlidingDetector(params, window_slices=4)
         det.observe_batch(hips[:half], oips[:half])
@@ -251,8 +259,8 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
 def test_sliding_zero_counts_of_full_registers_at_the_accumulator_edge(k):
     # Every slot active: each host's union has k set flags, summed in
     # uint16 at k = 65528 and uint32 at k = 65536 (a uint16 sum wraps to 0).
-    det = SlidingDetector(replace(SMALL, k=k, lr=3, lc=2, design_n=1), window_slices=4)
-    det.pool.ts[:] = det.now
+    det = SlidingDetector(replace(SMALL, k=k, lr=3, v=6, design_n=1), window_slices=4)
+    det.pool.ts[:] = det.pool.now
     hosts = np.random.default_rng(13).integers(0, 2**32, size=3, dtype=np.uint64)
     assert det.zero_counts(hosts).tolist() == [0, 0, 0]
     assert det.zero_counts(hosts, bound=k).tolist() == [0, 0, 0]

@@ -1,9 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sspd.errors import ConfigError
+from sspd.long_sketch import LdcaConfig
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
 PARAMS = DetectorParams(design_n=2e5)
@@ -121,7 +123,7 @@ def test_lower_beta_never_removes_reports():
 @pytest.mark.parametrize("knobs", [
     {"beta": 0}, {"beta": -1}, {"beta": float("nan")}, {"v": 0}, {"design_n": 0},
     {"design_n": float("nan")}, {"restore_cap": 0}, {"lr": 0}, {"lr": -2},
-    {"lr": 2, "lc": 0}, {"lc": 64}, {"lr": 9000}, {"sr": 1}, {"k": 12, "lr": 2},
+    {"lr": 2, "v": 1}, {"lr": 9000}, {"sr": 1}, {"k": 12, "lr": 2},
 ], ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()))
 def test_params_refuse_bad_knobs_at_construction(knobs):
     with pytest.raises(ConfigError):
@@ -134,6 +136,18 @@ def test_params_plan_rows_once():
     assert params.ldca_config() is params.ldca_config()
     assert params.seav_config() is params.seav_config()
     assert DetectorParams(lr=4).ldca_config().lc == 8192 // 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # union noise at the default design_n
+def test_lr_and_v_spell_every_geometry():
+    # Any LR x LC geometry is DetectorParams(lr=LR, v=LR*LC), with v // lr
+    # recovering LC exactly, whether or not LC is a power of two.
+    for lr, lc, k in itertools.product((1, 2, 3, 8, 13), (1, 5, 64, 1000, 1024), (8, 4096)):
+        cfg = DetectorParams(lr=lr, v=lr * lc, k=k).ldca_config()
+        assert cfg == LdcaConfig(lr, lc, k), (lr, lc, k)
+    # A v that lr does not divide drops the remainder: 8190 registers at lr=3.
+    assert DetectorParams(lr=3).ldca_config() == LdcaConfig(3, 2730, 8192)
+    assert DetectorParams(lr=3).ldca_config().memory_bytes() == 8190 * 8192 // 8
 
 
 def test_reports_come_from_restore_only():
