@@ -5,11 +5,11 @@ sketches are partial; because updates are monotone bit-sets, OR-merging
 all frames at the global server reproduces the single-scanner sketch
 bit-for-bit, and restore/estimation then run on global state.
 
-Frame wire format, version 3 (little-endian):
+Frame wire format, version 4 (little-endian):
 
     offset  size  field
     0       4     magic "SSPD"
-    4       1     version (3)
+    4       1     version (4)
     5       1     kind (0 = candidate sketch, 1 = counter sketch)
     6       1     payload encoding (0 = raw, 1 = sparse)
     7       8     window id u64
@@ -23,10 +23,18 @@ The config block is ASCII text: the sketch config's init fields, then
 the master seed, as ``name=value`` with the values in hex, separated by
 spaces (a candidate sketch: ``r=4 sr=4 a=2 theta=400 g=8 addr_bits=20
 seed=5eed``).  A raw payload is the sketch's register bytes.  A sparse
-payload lists the nonzero 64-bit words of those bytes: m ascending u32
-word indexes, then the m u64 words (n = 12 m).  A counter frame takes
-whichever of the two is smaller; a candidate frame is always raw, so its
-size is fixed.  Frames of versions 1 and 2 are refused.
+payload lists the u nonzero 64-bit words of those bytes in ascending
+order, m of them with more than one set bit, in B = ceil(W / 256) blocks
+of the W words (n = 2 B + 2 u + 8 m):
+
+    2 B   per block, its count of nonzero words, u16
+    u     per nonzero word, its index mod 256, u8
+    u     per nonzero word, the number of its only set bit or else 64, u8
+    8 m   the words tagged 64, u64
+
+A counter frame takes whichever of raw and sparse is smaller; a
+candidate frame is always raw, so its size is fixed.  Frames of versions
+1 to 3 are refused.
 
 The global server merges a frame only when its config block equals, byte
 for byte, the block of the server's own sketch of that kind: the
@@ -58,13 +66,13 @@ from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, DetectorState
 
 MAGIC = b"SSPD"
-VERSION = 3
+VERSION = 4
 KIND_SEAV = 0
 KIND_LDCA = 1
 KIND_NAMES = {KIND_SEAV: "seav", KIND_LDCA: "ldca"}
 ENCODING_RAW = 0
 ENCODING_SPARSE = 1
-SPARSE_ENTRY = 12                         # u32 word index + u64 word
+BLOCK_BITS = 8               # a sparse block holds 2**8 words: u8 indexes
 
 # magic, version, kind, encoding, window id, payload length, block length
 _HEADER = struct.Struct("<4sBBBQQI")
@@ -95,12 +103,21 @@ def _config_block(sketch: SeavSketch | LdcaSketch) -> bytes:
 def _payload(kind: int, regs: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
     """The encoding and payload parts of one sketch's registers: sparse
     for a counter sketch when that is smaller than raw, raw otherwise."""
-    if kind == KIND_LDCA and regs.nbytes % 8 == 0 and regs.nbytes < 8 << 32:
+    if kind == KIND_LDCA and regs.nbytes % 8 == 0:
         words = regs.view(np.uint64)
         set_words = words != 0  # numpy finds a bool array's nonzeros faster
-        if np.count_nonzero(set_words) * SPARSE_ENTRY < regs.nbytes:
+        blocks = -(-len(words) >> BLOCK_BITS)
+        if 2 * blocks + 2 * np.count_nonzero(set_words) < regs.nbytes:
             index = np.flatnonzero(set_words)
-            return ENCODING_SPARSE, (index.astype(np.uint32), words[index])
+            values = words[index]
+            below = values - 1  # a one-bit word's bit number is below's popcount
+            multi = np.flatnonzero((values & below) != 0)
+            if 2 * blocks + 2 * len(index) + 8 * len(multi) < regs.nbytes:
+                tags = np.bitwise_count(below)
+                tags[multi] = 64
+                ends = np.searchsorted(index, np.arange(blocks + 1) << BLOCK_BITS)
+                return ENCODING_SPARSE, (np.diff(ends).astype("<u2"), index.astype(np.uint8),
+                                         tags, values[multi])
     return ENCODING_RAW, (regs,)
 
 
@@ -148,9 +165,6 @@ def parse_frame(data: bytes | bytearray) -> SketchFrame:
     (crc,) = _CRC.unpack_from(view, end)
     if crc != zlib.crc32(view[:end]):
         raise FrameChecksumError("checksum mismatch")
-    if encoding == ENCODING_SPARSE and payload_len % SPARSE_ENTRY:
-        raise FrameTruncatedError(f"sparse payload of {payload_len} bytes is not whole "
-                                  f"{SPARSE_ENTRY}-byte entries")
     return SketchFrame(kind=kind, encoding=encoding, config_block=bytes(view[_HEADER.size:start]),
                        window_id=window_id, payload=view[start:end])
 
@@ -164,17 +178,36 @@ def _unpack(frame: SketchFrame, regs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if len(payload) != regs.nbytes:
             raise MergeError(f"{name} frame payload is {len(payload)} bytes, not {regs.nbytes}")
         return regs, slice(None), np.frombuffer(payload, regs.dtype)
-    if regs.nbytes % 8 or len(payload) % SPARSE_ENTRY:
-        raise MergeError(f"{name} frame has a sparse payload of {len(payload)} bytes "
-                         f"for {regs.nbytes} register bytes")
-    words = regs.view(np.uint64)
-    n = len(payload) // SPARSE_ENTRY
-    index = np.frombuffer(payload, np.uint32, n).astype(np.intp)  # numpy scatters intp
-    if n and index[-1] >= len(words):
-        raise MergeError(f"{name} frame names word {index[-1]} of {len(words)}")
+    if regs.nbytes % 8:
+        raise MergeError(f"{name} frame is sparse, but its {regs.nbytes} register bytes "
+                         "are not whole words")
+    words, size = regs.view(np.uint64), len(payload)
+    blocks = -(-len(words) >> BLOCK_BITS)
+    if size < 2 * blocks:
+        raise MergeError(f"{name} frame has a sparse payload of {size} bytes, shorter "
+                         f"than its {2 * blocks}-byte count table")
+    counts = np.frombuffer(payload, "<u2", blocks)
+    n = int(counts.sum())
+    at = 2 * blocks + n  # the tags; the low index bytes come before them
+    if size < at + n:
+        raise MergeError(f"{name} frame counts {n} words, more than its {size}-byte payload holds")
+    tags = np.frombuffer(payload, np.uint8, n, at)
+    if n and tags.max() > 64:
+        raise MergeError(f"{name} frame tags a word with bit {tags.max()}")
+    multi = tags == 64
+    m = int(np.count_nonzero(multi))
+    if size != at + n + 8 * m:
+        raise MergeError(f"{name} frame has a sparse payload of {size} bytes, not "
+                         f"{at + n + 8 * m} for {n} words, {m} of them multi-bit")
+    index = np.repeat(np.arange(blocks) << BLOCK_BITS, counts)
+    index += np.frombuffer(payload, np.uint8, n, 2 * blocks)
     if (index[1:] <= index[:-1]).any():
         raise MergeError(f"{name} frame word indexes do not strictly increase")
-    return words, index, np.frombuffer(payload, np.uint64, n, offset=4 * n)
+    if n and index[-1] >= len(words):
+        raise MergeError(f"{name} frame names word {index[-1]} of {len(words)}")
+    values = np.uint64(1) << tags  # a tag of 64 shifts the bit out
+    np.place(values, multi, np.frombuffer(payload, "<u8", m, at + n))
+    return words, index, values
 
 
 def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> DetectorState:

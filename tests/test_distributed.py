@@ -55,28 +55,49 @@ def test_round_trip_both_kinds():
 def test_frame_bytes_are_pinned():
     # The CRC each frame ends with.  zlib.crc32 over a whole frame, its
     # CRC included, is the CRC-32 residue 0x2144DF1C for every valid frame.
-    # The empty counter frame is sparse with no entries, the busy one raw.
+    # The empty counter frame is sparse with only its count table, the
+    # busy one sparse with entries, the dense one raw.
     empty = DetectorState.create(PARAMS)
     busy, _, _ = random_states()
-    frames = [serialize(s, 3) for s in (empty.seav, empty.ldca, busy.seav, busy.ldca)]
-    assert [(len(f), zlib.crc32(f[:-4])) for f in frames] == [
-        (32848, 0x81B748D9), (58, 0xC6B5AEC0), (32848, 0x100E3CA1), (65594, 0x64D0B239)]
+    dense, _, _ = random_states(n_pairs=20_000)
+    frames = [serialize(s, 3) for s in (empty.seav, empty.ldca, busy.seav, busy.ldca, dense.ldca)]
+    assert [(len(f), f[6], zlib.crc32(f[:-4])) for f in frames] == [
+        (32848, 0, 0xF21B9D7B), (122, 1, 0x1D52E442), (32848, 0, 0x63A2E903),
+        (41214, 1, 0xB6BC18E2), (65594, 0, 0xF6C5034D)]
     # Magic, version, kind, encoding, window id, payload and block lengths,
-    # then the block; no payload.
+    # then the block, then a count table of 32 zero u16 counts.
     block = b"lr=2 lc=40 k=1000 seed=5eed"
-    assert frames[1][:-4] == (b"SSPD\x03\x01\x01" + (3).to_bytes(8, "little") + bytes(8)
-                              + len(block).to_bytes(4, "little") + block)
+    assert frames[1][:-4] == (b"SSPD\x04\x01\x01" + (3).to_bytes(8, "little")
+                              + (64).to_bytes(8, "little") + len(block).to_bytes(4, "little")
+                              + block + bytes(64))
 
 
 ENVELOPE = 31  # 27 header bytes before the config block, 4 CRC bytes after the payload
 
 
-@pytest.mark.parametrize("n_pairs", [0, 100, 600, 8000])
+def sparse_payload(index, words, n_words, tags=None):
+    """The sparse payload naming ``words`` at ``index`` in a sketch of
+    ``n_words`` 64-bit words: per 256-word block a u16 count, then each
+    index mod 256, then each word's tag (its only set bit's number, else
+    64), then the words tagged 64.  ``tags`` replaces the computed tags."""
+    index, words = [int(i) for i in index], [int(w) for w in words]
+    counts = [0] * -(-n_words // 256)
+    for i in index:
+        counts[i // 256] += 1
+    if tags is None:
+        tags = [w.bit_length() - 1 if w & (w - 1) == 0 else 64 for w in words]
+    many = [w for w, tag in zip(words, tags) if tag == 64]
+    return (struct.pack(f"<{len(counts)}H", *counts) + bytes(i % 256 for i in index)
+            + bytes(tags) + struct.pack(f"<{len(many)}Q", *many))
+
+
+@pytest.mark.parametrize("n_pairs", [0, 100, 600, 8000, 20_000])
 def test_frame_size_follows_the_set_words(n_pairs):
     # A candidate frame is always raw; a counter frame is raw or sparse,
-    # whichever is smaller, and a sparse one lists its set words' indexes
-    # ascending, then the words.  The config block is the sketch config's
-    # init fields and the master seed, in hex.
+    # whichever is smaller, and a sparse one is 2 bytes per 256-word block,
+    # 2 per set word and 8 more per word with more than one set bit.  The
+    # config block is the sketch config's init fields and the master seed,
+    # in hex.
     st, _, _ = random_states(n_pairs=n_pairs)
     blob = serialize(st.seav, 0)
     seav = parse_frame(blob)
@@ -85,19 +106,66 @@ def test_frame_size_follows_the_set_words(n_pairs):
     assert len(blob) == ENVELOPE + len(seav.config_block) + st.seav.flat.nbytes
     words = st.ldca.flat.view(np.uint64)
     index = np.flatnonzero(words)
+    multi = np.count_nonzero(np.bitwise_count(words) > 1)
     blob = serialize(st.ldca, 0)
     ldca = parse_frame(blob)
     assert ldca.config_block == b"lr=2 lc=40 k=1000 seed=5eed"
     assert len(blob) == (ENVELOPE + len(ldca.config_block)
-                         + min(words.nbytes, 12 * len(index)))
+                         + min(words.nbytes, 2 * 32 + 2 * len(index) + 8 * multi))
     if ldca.encoding == distributed.ENCODING_SPARSE:
-        m = len(index)
-        assert np.array_equal(np.frombuffer(ldca.payload, "<u4", m), index)
-        assert np.array_equal(np.frombuffer(ldca.payload, "<u8", m, 4 * m), words[index])
+        assert bytes(ldca.payload) == sparse_payload(index, words[index], len(words))
     else:
         assert bytes(ldca.payload) == st.ldca.flat.tobytes()
-    assert ldca.encoding == (distributed.ENCODING_SPARSE if n_pairs < 8000
+    assert ldca.encoding == (distributed.ENCODING_SPARSE if n_pairs < 20_000
                              else distributed.ENCODING_RAW)
+
+
+FILLS = {
+    "empty": [],
+    "bit-0": [(5, 1)],
+    "bit-63": [(5, 1 << 63)],
+    "last-word": [(8191, 1 << 9)],
+    "full-block": [(i, 1 << (i % 64)) for i in range(256, 512)],
+    "mixed": [(i, (1 << (i % 64)) | (i % 3 == 0) << 7) for i in range(3, 8192, 37)],
+    "raw-wins": [(i, 3) for i in range(8192)],
+}
+
+
+@pytest.mark.parametrize("fill", FILLS)
+def test_counter_frame_round_trips_at_its_size(fill):
+    st = DetectorState.create(PARAMS)
+    words = st.ldca.flat.view(np.uint64)
+    for i, word in FILLS[fill]:
+        words[i] = word
+    frame = parse_frame(serialize(st.ldca, 0))
+    back = merge([parse_frame(serialize(st.seav, 0)), frame])
+    assert np.array_equal(back.ldca.flat, st.ldca.flat)
+    n, m = len(FILLS[fill]), np.count_nonzero(np.bitwise_count(words) > 1)
+    if fill == "raw-wins":
+        assert frame.encoding == distributed.ENCODING_RAW and len(frame.payload) == words.nbytes
+    else:
+        assert frame.encoding == distributed.ENCODING_SPARSE
+        assert len(frame.payload) == 2 * 32 + 2 * n + 8 * m < words.nbytes
+        index = np.flatnonzero(words)
+        assert bytes(frame.payload) == sparse_payload(index, words[index], len(words))
+
+
+def test_a_watch_point_at_distsim_load_ships_under_two_fifths_of_twelve_bytes_a_word():
+    # One of 16 watch points at perfbench's distsim load, default geometry:
+    # 18,750 pairs, half of them from 40 heavy hosts, half from 20,000
+    # light ones.  Most set words hold one bit, so the frame costs well
+    # under 12 bytes (an index and the word) per set word.
+    rng = np.random.default_rng(17)
+    heavy = rng.integers(0, 2**32, 40, dtype=np.uint64)
+    light = rng.integers(0, 2**32, 20_000, dtype=np.uint64)
+    hips = np.concatenate([heavy[rng.integers(0, 40, 9375)],
+                           light[rng.integers(0, 20_000, 9375)]])
+    oips = rng.integers(0, 2**32, len(hips), dtype=np.uint64)
+    st = DetectorState.create(DetectorParams())
+    st.process_batch(hips, oips)
+    frame = parse_frame(serialize(st.ldca, 0))
+    assert frame.encoding == distributed.ENCODING_SPARSE
+    assert len(frame.payload) <= 0.4 * 12 * np.count_nonzero(st.ldca.flat.view(np.uint64))
 
 
 def test_bad_magic():
@@ -123,17 +191,28 @@ def reseal(blob):
     return blob
 
 
-def test_v2_frame_is_refused():
-    # A candidate frame in the v2 layout: after the encoding byte a fixed
-    # 26-byte config block (r, SR, a, g, theta, k, LR, LC, seed), then the
-    # window id and the payload length in 32 bits each.
+@pytest.mark.parametrize("version", [2, 3])
+def test_v2_frame_is_refused(version):
     st, _, _ = random_states()
-    payload = st.seav.flat.tobytes()
-    v2 = (b"SSPD" + bytes([2, distributed.KIND_SEAV, distributed.ENCODING_RAW])
-          + struct.pack("<BBBBIIHIQ", 4, 4, 2, 8, 1024, 0, 0, 0, PARAMS.master_seed)
-          + struct.pack("<II", 0, len(payload)) + payload + bytes(4))
-    with pytest.raises(FrameVersionError, match="version 2"):
-        parse_frame(bytes(reseal(v2)))
+    if version == 2:
+        # A candidate frame in the v2 layout: after the encoding byte a fixed
+        # 26-byte config block (r, SR, a, g, theta, k, LR, LC, seed), then the
+        # window id and the payload length in 32 bits each.
+        payload = st.seav.flat.tobytes()
+        old = (b"SSPD" + bytes([2, distributed.KIND_SEAV, distributed.ENCODING_RAW])
+               + struct.pack("<BBBBIIHIQ", 4, 4, 2, 8, 1024, 0, 0, 0, PARAMS.master_seed)
+               + struct.pack("<II", 0, len(payload)) + payload + bytes(4))
+    else:
+        # A sparse counter frame in the v3 layout: today's header, then a
+        # u32 index and the u64 word for each set word.
+        words = st.ldca.flat.view(np.uint64)
+        index = np.flatnonzero(words)
+        payload = index.astype("<u4").tobytes() + words[index].astype("<u8").tobytes()
+        block = frames_for(st)[1].config_block
+        old = (b"SSPD" + bytes([3, distributed.KIND_LDCA, distributed.ENCODING_SPARSE])
+               + struct.pack("<QQI", 0, len(payload), len(block)) + block + payload + bytes(4))
+    with pytest.raises(FrameVersionError, match=f"version {version}"):
+        parse_frame(bytes(reseal(old)))
 
 
 def test_unknown_encoding_is_refused():
@@ -144,37 +223,64 @@ def test_unknown_encoding_is_refused():
         parse_frame(bytes(reseal(blob)))
 
 
+def with_payload(blob, payload):
+    """The frame ``blob`` with its payload replaced and its CRC resealed."""
+    start = len(blob) - 4 - int.from_bytes(blob[15:23], "little")
+    frame = bytearray(blob[:start]) + payload + bytes(4)
+    frame[15:23] = len(payload).to_bytes(8, "little")
+    return bytes(reseal(frame))
+
+
 def test_sparse_payload_of_a_bad_length_is_refused():
+    # The frame alone does not say how long a sparse payload must be; the
+    # receiver, which knows its register count, refuses it before any OR.
     st, _, _ = random_states(n_pairs=100)
     blob = serialize(st.ldca, 0)
     assert blob[6] == distributed.ENCODING_SPARSE
-    length = int.from_bytes(blob[15:23], "little")
-    short = blob[:-5] + blob[-4:]  # the payload, last before the CRC, loses a byte
-    short[15:23] = (length - 1).to_bytes(8, "little")
-    with pytest.raises(FrameTruncatedError, match="sparse payload"):
-        parse_frame(bytes(reseal(short)))
-
-
-def sparse_frame(frame, index, words):
-    """``frame`` with a sparse payload of the given word indexes and words."""
-    payload = (np.asarray(index, "<u4").tobytes() + np.asarray(words, "<u8").tobytes())
-    return replace(frame, encoding=distributed.ENCODING_SPARSE, payload=payload)
-
-
-@pytest.mark.parametrize("index, problem", [
-    ([0, 8192], "word 8192 of 8192"),
-    ([0, 5, 5], "strictly increase"),
-    ([7, 3], "strictly increase"),
-], ids=["past-the-last-word", "repeated", "descending"])
-def test_merge_refuses_a_bad_sparse_index(index, problem):
-    st, _, _ = random_states(n_pairs=100)
-    frames = frames_for(st)
-    bad = sparse_frame(frames[1], index, np.ones(len(index)))
+    seav, ldca = frames_for(st)
+    short = parse_frame(with_payload(blob, bytes(ldca.payload)[:-1]))
     receiver = DetectorState.create(PARAMS)
+    with pytest.raises(MergeError, match="sparse payload"):
+        merge_frames(receiver, [seav, short])
+    assert not receiver.seav.flat.any() and not receiver.ldca.flat.any()
+
+
+# A receiver whose counter sketch has 384 words: two blocks, the second
+# one half past the last word.
+SMALL = DetectorParams(theta=1024, k=4096, lr=2, v=6, design_n=10)
+
+
+def refused_by_the_merge(payload, problem):
+    """Merge a small sketch's frames plus a sparse counter frame carrying
+    ``payload``; the merge must refuse it and leave the receiver as it was."""
+    frames = frames_for(DetectorState.create(SMALL))
+    bad = replace(frames[1], encoding=distributed.ENCODING_SPARSE, payload=payload)
+    receiver = DetectorState.create(SMALL)
     with pytest.raises(MergeError, match=problem):
         merge_frames(receiver, frames + [bad])
     # Every frame is checked before any is merged.
     assert not receiver.seav.flat.any() and not receiver.ldca.flat.any()
+
+
+@pytest.mark.parametrize("index, problem", [
+    ([0, 384], "word 384 of 384"),
+    ([0, 5, 5], "strictly increase"),
+    ([7, 3], "strictly increase"),
+], ids=["past-the-last-word", "repeated", "descending"])
+def test_merge_refuses_a_bad_sparse_index(index, problem):
+    refused_by_the_merge(sparse_payload(index, [1] * len(index), 384), problem)
+
+
+@pytest.mark.parametrize("payload, problem", [
+    (bytes(3), "shorter than its 4-byte count table"),
+    (struct.pack("<2H", 3, 0) + bytes([1, 2, 0, 0]), "counts 3 words, more than"),
+    (sparse_payload([1, 2], [1, 2], 384, tags=[0, 65]), "tags a word with bit 65"),
+    (sparse_payload([1, 2], [1, 3], 384)[:-8], "not 16 for 2 words, 1 of them multi-bit"),
+    (sparse_payload([1, 2], [1, 3], 384) + bytes(8), "not 16 for 2 words, 1 of them multi-bit"),
+], ids=["short-of-the-count-table", "counts-past-the-payload", "tag-65",
+        "multi-bit-word-missing", "multi-bit-bytes-extra"])
+def test_merge_refuses_a_forged_sparse_payload(payload, problem):
+    refused_by_the_merge(payload, problem)
 
 
 def test_merge_refuses_a_sparse_payload_of_a_bad_length():
@@ -185,11 +291,37 @@ def test_merge_refuses_a_sparse_payload_of_a_bad_length():
         merge(frames[:1] + [bad])
 
 
+def test_corrupt_counter_frames_merge_or_are_refused():
+    # Resealed frames with flipped, cut or added payload bytes pass the
+    # frame checks; the merge then either refuses them or ORs them in, and
+    # raises nothing else.
+    rng = np.random.default_rng(16)
+    st, _, _ = random_states(n_pairs=600)
+    seav, ldca = frames_for(st)
+    blob, payload = serialize(st.ldca, 0), bytes(ldca.payload)
+    refused = 0
+    for trial in range(300):
+        body = bytearray(payload)
+        if trial % 3 == 0:  # flips, half of them in the 64-byte count table
+            for _ in range(rng.integers(1, 4)):
+                at = rng.integers(0, 64 if rng.random() < 0.5 else len(body))
+                body[at] ^= 1 << rng.integers(8)
+        elif trial % 3 == 1:
+            del body[rng.integers(0, len(body)):]
+        else:
+            body += rng.bytes(rng.integers(1, 24))
+        try:
+            merge([seav, parse_frame(with_payload(blob, body))])
+        except MergeError:
+            refused += 1
+    assert 200 <= refused < 300
+
+
 def test_raw_and_sparse_counter_frames_merge_to_the_single_scanner():
-    _, hips, oips = random_states(n_pairs=9000, seed=14)
+    _, hips, oips = random_states(n_pairs=25_000, seed=14)
     dense, light = DetectorState.create(PARAMS), DetectorState.create(PARAMS)
-    dense.process_batch(hips[:8000], oips[:8000])
-    light.process_batch(hips[8000:], oips[8000:])
+    dense.process_batch(hips[:24_000], oips[:24_000])
+    light.process_batch(hips[24_000:], oips[24_000:])
     frames = frames_for(dense) + frames_for(light)
     assert [f.encoding for f in frames[1::2]] == [distributed.ENCODING_RAW,
                                                   distributed.ENCODING_SPARSE]
@@ -235,7 +367,7 @@ def test_frames_carry_any_geometry_and_a_64_bit_window_id():
 
 
 def test_serialize_refuses_what_a_v1_frame_cannot_carry():
-    # Neither a v1 frame nor a v3 frame holds a negative window id or one
+    # Neither a v1 frame nor a v4 frame holds a negative window id or one
     # past 64 bits; serialize refuses both rather than wrap them.
     st = DetectorState.create(PARAMS)
     for sketch in (st.seav, st.ldca):
