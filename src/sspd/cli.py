@@ -23,7 +23,6 @@ import numpy as np
 from .distributed import DEFAULT_BUFFER_PAIRS, simulate_window
 from .errors import ConfigError, DataError, SeaOverflowWarning, SspdError
 from .evaluation import (
-    ExactOracle,
     TraceSpec,
     generate_trace,
     ip_from_str,
@@ -44,6 +43,8 @@ METRIC_COLUMNS = "window_id,FPR,FNR,FTR,detected,truth"
 
 # Sketch knob defaults: DetectorParams holds them, the flags read them.
 DEFAULTS = DetectorParams()
+# Trace defaults: TraceSpec holds them, the generate flags read them.
+SPEC = TraceSpec()
 
 
 @dataclass(frozen=True)
@@ -349,9 +350,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.theta < 1:
         raise ConfigError(f"theta must be >= 1, got {args.theta}")
     per_window, windows = _read_report_csv(Path(args.reports))
-    truth_map = read_truth(args.truth)
-    oracle = ExactOracle.from_mapping(truth_map)
-    truth = oracle.superpoints(args.theta)
+    truth = sorted(ip for ip, count in read_truth(args.truth).items() if count >= args.theta)
     lines = header_lines("eval", {"theta": args.theta,
                                   "reports": Path(args.reports).name,
                                   "truth": Path(args.truth).name})
@@ -387,15 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic trace plus truth sidecar")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-super", type=int, default=50)
-    p.add_argument("--super-card", type=int, nargs=2, default=[2048, 2048],
-                   metavar=("LO", "HI"))
-    p.add_argument("--n-background", type=int, default=100_000)
-    p.add_argument("--background-card", type=int, nargs=2, default=[1, 8],
-                   metavar=("LO", "HI"))
-    p.add_argument("--n-pairs", type=int, default=1_000_000)
-    p.add_argument("--slices", type=int, default=1)
-    p.add_argument("--gen-seed", type=int, default=1)
+    p.add_argument("--n-super", type=int, default=SPEC.n_super)
+    p.add_argument("--super-card", type=int, nargs=2,
+                   default=list(SPEC.super_cardinality_range), metavar=("LO", "HI"))
+    p.add_argument("--n-background", type=int, default=SPEC.n_background)
+    p.add_argument("--background-card", type=int, nargs=2,
+                   default=list(SPEC.background_cardinality_range), metavar=("LO", "HI"))
+    p.add_argument("--n-pairs", type=int, default=SPEC.n_pairs)
+    p.add_argument("--slices", type=int, default=SPEC.slices)
+    p.add_argument("--gen-seed", type=int, default=SPEC.seed)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("detect", help="discrete-window detection over a trace")

@@ -293,11 +293,15 @@ def simulate_window(params: DetectorParams, window_id: int,
     if frames_dir is not None:
         Path(frames_dir).mkdir(parents=True, exist_ok=True)
     local = threading.local()
+    # Each scanning thread takes one state built here, in the caller's
+    # malloc arena: a state a worker builds stays in the worker's arena,
+    # apart from the pages the caller frees between windows.
+    spare = [DetectorState.create(params) for _ in range(min(threads, n_wp))]
 
     def watch_point(w: int) -> list[SketchFrame]:
         state = getattr(local, "state", None)
         if state is None:
-            state = local.state = DetectorState.create(params)
+            state = local.state = spare.pop()
         stop = bounds[w + 1]
         # Bounded buffer per watch point: batch, scan, clear, repeat.
         for start in range(bounds[w], stop, buffer_pairs):

@@ -39,14 +39,6 @@ class ExactOracle:
         self.hosts = hosts.astype(np.uint32)
         self.counts = counts.astype(np.int64)
 
-    @classmethod
-    def from_mapping(cls, cardinalities: dict[int, int]) -> "ExactOracle":
-        oracle = cls.__new__(cls)
-        items = sorted(cardinalities.items())
-        oracle.hosts = np.array([ip for ip, _ in items], dtype=np.uint32)
-        oracle.counts = np.array([c for _, c in items], dtype=np.int64)
-        return oracle
-
     def superpoints(self, theta: int) -> list[int]:
         """Hosts with at least theta distinct opposite IPs, sorted."""
         return [int(ip) for ip in self.hosts[self.counts >= theta]]

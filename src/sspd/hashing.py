@@ -42,7 +42,6 @@ class Tag(IntEnum):
     H2 = 2        # bit position inside a short register
     H3 = 3        # bit position inside a long register
     ROUTE = 4     # watch-point routing of IP pairs
-    TRACE = 5     # synthetic trace generation
     LH_BASE = 16  # row hash i uses tag LH_BASE + i
 
 

@@ -4,7 +4,7 @@ coordinates alone.
 
 A host IP splits into a right part RP (low ``r`` bits, selecting one of
 2^r register arrays) and a left part LP (the remaining bits).  Each array
-has ``SR`` rows; row ``i`` indexes its registers by an ``IBN(i)``-bit
+has ``SR`` rows; row ``i`` indexes its ``SC`` registers by an ``IBN``-bit
 slice of LP starting at bit ``ISB(i)``, with consecutive rows overlapping
 in ``a`` bit positions.  Every distinct opposite IP that survives a
 geometric sampling test sets one bit in the host's register of every row.
@@ -44,10 +44,9 @@ def tau_from_theta(theta: int, g: int) -> int:
 
 
 def _register_dtype(g: int):
-    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if g <= np.dtype(dt).itemsize * 8:
-            return dt
-    raise ConfigError(f"register width g must be <= 64, got {g}")
+    if g > 64:
+        raise ConfigError(f"register width g must be <= 64, got {g}")
+    return np.min_scalar_type((1 << g) - 1)
 
 
 def _rotate_right(x, s: int, w: int):
@@ -61,22 +60,22 @@ def _rotate_right(x, s: int, w: int):
 
 @dataclass(frozen=True)
 class SeavConfig:
-    """Geometry of the candidate sketch.
+    """Geometry of the candidate sketch; ``DetectorParams`` chooses it.
 
+    Every row has the same index width ``ibn`` and so ``sc`` registers.
     ``addr_bits`` is normally 32 (IPv4); smaller widths exist so tests can
     brute-force the whole address space.
     """
 
-    r: int = 4
-    sr: int = 4
-    a: int = 2
-    theta: int = 1024
-    g: int = 8
+    r: int
+    sr: int
+    a: int
+    theta: int
+    g: int
     addr_bits: int = 32
     isb: tuple[int, ...] = field(init=False)
-    ibn: tuple[int, ...] = field(init=False)
-    sc: tuple[int, ...] = field(init=False)
-    row_base: tuple[int, ...] = field(init=False)
+    ibn: int = field(init=False)
+    sc: int = field(init=False)
     tau: int = field(init=False)
 
     def __post_init__(self):
@@ -97,10 +96,8 @@ class SeavConfig:
                 f"index width {c + self.a} exceeds left-part width {w} (SR too large or a too large)"
             )
         object.__setattr__(self, "isb", tuple(i * c for i in range(self.sr)))
-        object.__setattr__(self, "ibn", tuple(c + self.a for _ in range(self.sr)))
-        object.__setattr__(self, "sc", tuple(1 << n for n in self.ibn))
-        object.__setattr__(self, "row_base", tuple(
-            (1 << self.r) * sum(self.sc[:i]) for i in range(self.sr)))
+        object.__setattr__(self, "ibn", c + self.a)
+        object.__setattr__(self, "sc", 1 << self.ibn)
         object.__setattr__(self, "tau", tau_from_theta(self.theta, self.g))
         _register_dtype(self.g)
         self._verify_constraints()
@@ -111,7 +108,7 @@ class SeavConfig:
 
     def _row_positions(self, i: int) -> set[int]:
         w = self.lp_bits
-        return {(self.isb[i] + j) % w for j in range(self.ibn[i])}
+        return {(self.isb[i] + j) % w for j in range(self.ibn)}
 
     def _verify_constraints(self):
         w = self.lp_bits
@@ -135,17 +132,17 @@ class SeavConfig:
         lp_bits of the left part."""
         if not 0 <= row < self.sr:
             raise ConfigError(f"row {row} out of range [0, {self.sr})")
-        return _rotate_right(lp, self.isb[row], self.lp_bits) & np.uint64(self.sc[row] - 1)
+        return _rotate_right(lp, self.isb[row], self.lp_bits) & np.uint64(self.sc - 1)
 
     @property
     def n_registers(self) -> int:
-        return (1 << self.r) * sum(self.sc)
+        return (self.sr << self.r) * self.sc
 
     def registers(self, hips: np.ndarray):
         """Flat register number of each host, one row at a time.
 
         Rows lie back to back, each array by array, so a host's register
-        in row i is ``row_base[i] + rp * sc[i] + index_of_array(i, lp)``.  Each
+        in row i is ``(i << r | rp) * sc + index_of_array(i, lp)``.  Each
         row is a new array, which callers may change in place.
         """
         hips = hips.astype(np.uint64, copy=False)
@@ -153,7 +150,7 @@ class SeavConfig:
         lp = (hips >> np.uint64(self.r)) & np.uint64((1 << self.lp_bits) - 1)
         for i in range(self.sr):
             reg = self.index_of_array(i, lp)
-            reg += rp * np.uint64(self.sc[i]) + np.uint64(self.row_base[i])
+            reg += (rp | np.uint64(i << self.r)) * np.uint64(self.sc)
             yield reg.view(np.int64)
 
     def addresses(self, seeds: SeedFamily, hips: np.ndarray, oips: np.ndarray):
@@ -176,9 +173,9 @@ class SeavConfig:
     # mask), the inverse rotation of index_of_array.
     def _row_scatter(self, i: int) -> tuple[np.ndarray, int]:
         w, isb = self.lp_bits, self.isb[i]
-        cols = np.arange(self.sc[i], dtype=np.uint64)
+        cols = np.arange(self.sc, dtype=np.uint64)
         return (_rotate_right(cols, -isb, w),
-                int(_rotate_right(np.uint64(self.sc[i] - 1), -isb, w)))
+                int(_rotate_right(np.uint64(self.sc - 1), -isb, w)))
 
 
 class SeavSketch:
@@ -193,10 +190,11 @@ class SeavSketch:
         self.config = config
         self.seeds = seeds
         self.restore_cap = restore_cap
-        # Every register, rows back to back; rows[i] is a view of row i.
-        self.flat = np.zeros(config.n_registers, dtype=_register_dtype(config.g))
-        self.rows = [self.flat[base:base + (1 << config.r) * sc].reshape(1 << config.r, sc)
-                     for base, sc in zip(config.row_base, config.sc)]
+        # rows[i, rp] is row i of array rp; flat is the same registers in
+        # one dimension, in the order ``config.registers`` numbers them.
+        self.rows = np.zeros((config.sr, 1 << config.r, config.sc),
+                             dtype=_register_dtype(config.g))
+        self.flat = self.rows.reshape(-1)
         self._scatter = [config._row_scatter(i) for i in range(config.sr)]
 
     def clear(self):

@@ -24,12 +24,12 @@ SWEEP_BLOCK = 1 << 20
 
 
 def timestamp_dtype(window_slices: int):
-    """Smallest unsigned dtype whose modulus is >= 2*window + 2."""
-    need = 2 * window_slices + 2
-    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if need <= (1 << (8 * np.dtype(dt).itemsize)):
-            return dt
-    raise ConfigError(f"window of {window_slices} slices is too large to timestamp")
+    """Smallest unsigned dtype that holds 2*window + 1, so that its
+    modulus is >= 2*window + 2."""
+    dt = np.min_scalar_type(2 * window_slices + 1)
+    if dt.kind != "u":
+        raise ConfigError(f"window of {window_slices} slices is too large to timestamp")
+    return dt
 
 
 class TimestampPool:

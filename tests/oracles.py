@@ -100,7 +100,7 @@ def index_of(config: SeavConfig, row: int, lp: int) -> int:
         raise ConfigError(f"row {row} out of range [0, {config.sr})")
     w = config.lp_bits
     idx = 0
-    for j in range(config.ibn[row]):
+    for j in range(config.ibn):
         idx |= ((lp >> ((config.isb[row] + j) % w)) & 1) << j
     return idx
 
@@ -112,7 +112,7 @@ def lp_from_indexes(config: SeavConfig, indexes: list[int] | tuple[int, ...]) ->
     w = config.lp_bits
     lp = 0
     for i, idx in enumerate(indexes):
-        for j in range(config.ibn[i]):
+        for j in range(config.ibn):
             if (idx >> j) & 1:
                 lp |= 1 << ((config.isb[i] + j) % w)
     return lp

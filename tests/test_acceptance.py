@@ -52,7 +52,7 @@ def accuracy_trace():
 
 def test_criterion_01_index_round_trip():
     with criterion(1, "index round trip exact for 1e5 random left parts"):
-        cfg = SeavConfig()  # defaults: r=4, SR=4, a=2
+        cfg = DetectorParams().seav_config()  # r=4, SR=4, a=2
         rng = np.random.default_rng(101)
         lps = rng.integers(0, 1 << cfg.lp_bits, size=100_000, dtype=np.uint64)
         per_row = [cfg.index_of_array(i, lps).tolist() for i in range(cfg.sr)]
@@ -226,13 +226,13 @@ def test_criterion_09_memory_accounting():
         state = DetectorState.create(DetectorParams())
         seav_bytes, ldca_bytes = state.memory_bytes()
         cfg = state.seav.config
-        assert seav_bytes == (1 << cfg.r) * sum(cfg.sc) * cfg.g // 8 == 32768
+        assert seav_bytes == (1 << cfg.r) * cfg.sr * cfg.sc * cfg.g // 8 == 32768
         lcfg = state.ldca.config
         assert ldca_bytes == lcfg.lr * lcfg.lc * lcfg.k // 8 == 8 * 1024 * 1024
         assert sum(rows.nbytes for rows in state.seav.rows) == seav_bytes
         assert state.ldca.data.nbytes == ldca_bytes
         alt = SeavConfig(r=2, sr=3, a=2, theta=512, g=8)
-        assert alt.memory_bytes() == (1 << 2) * sum(alt.sc) * 1
+        assert alt.memory_bytes() == (1 << 2) * 3 * alt.sc * 1
 
 
 # --- criterion 10: no floating point on the scanning path ---------------------

@@ -15,7 +15,7 @@ import sspd
 from sspd import cli, distributed
 from sspd.cli import REPORT_COLUMNS, RunConfig, _config_from_args, build_parser, main
 from sspd.errors import ConfigError, SeaOverflowWarning
-from sspd.evaluation import read_trace, truth_path
+from sspd.evaluation import TraceSpec, generate_trace, read_trace, truth_path
 from sspd.long_sketch import LdcaSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
@@ -48,6 +48,19 @@ def test_generate_deterministic(tmp_path, trace_file):
          "--n-background", 500, "--background-card", 1, 8,
          "--n-pairs", 20000, "--slices", 1, "--gen-seed", 3])
     assert again.read_bytes() == trace_file.read_bytes()
+
+
+def test_generate_flags_default_to_the_trace_spec(tmp_path, monkeypatch):
+    # generate's flags, when left out, resolve to TraceSpec's own defaults.
+    specs = []
+
+    def tiny_trace(spec):
+        specs.append(spec)
+        return generate_trace(TraceSpec(n_super=1, n_background=0, n_pairs=2048))
+
+    monkeypatch.setattr(cli, "generate_trace", tiny_trace)
+    assert run(["generate", "--out", tmp_path / "x.bin"]) == 0
+    assert specs == [TraceSpec()]
 
 
 @pytest.mark.parametrize("name", ["t.bin", "t.txt"])

@@ -354,7 +354,7 @@ def test_flipped_payload_byte_fails_checksum():
 
 def test_frames_carry_any_geometry_and_a_64_bit_window_id():
     # No frame field bounds a sketch config; the window id is a u64.
-    small = SeavSketch(SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12), SEEDS)
+    small = SeavSketch(replace(DetectorParams().seav_config(), theta=64, addr_bits=12), SEEDS)
     rng = np.random.default_rng(15)
     small.update_batch(rng.integers(0, 1 << 12, 500, dtype=np.uint64),
                        rng.integers(0, 1 << 12, 500, dtype=np.uint64))

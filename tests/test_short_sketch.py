@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from sspd import short_sketch
 from sspd.errors import ConfigError, SeaOverflowWarning
 from sspd.hashing import SeedFamily
 from sspd.short_sketch import SeavConfig, SeavSketch, tau_from_theta
+from sspd.window_detector import DetectorParams
 
 from oracles import ShortEstimator, hash_full, hash_range, index_of, lp_from_indexes, lsb
 
 SEEDS = SeedFamily()
+DEFAULT_SEAV = DetectorParams().seav_config()
 
 
 def pairs_arrays(pairs):
@@ -134,40 +137,80 @@ def test_two_theta_distinct_oips_usually_hot():
 # --- configuration ----------------------------------------------------------
 
 def test_default_config_geometry():
-    cfg = SeavConfig(r=4, sr=4, a=2)
+    cfg = DEFAULT_SEAV
+    assert (cfg.r, cfg.sr, cfg.a, cfg.theta, cfg.g, cfg.addr_bits) == (4, 4, 2, 1024, 8, 32)
     assert cfg.isb == (0, 7, 14, 21)
-    assert cfg.ibn == (9, 9, 9, 9)
-    assert cfg.sc == (512, 512, 512, 512)
+    assert cfg.ibn == 9
+    assert cfg.sc == 512
+    assert cfg.n_registers == 16 * 4 * 512
     assert cfg.memory_bytes() == 16 * 4 * 512 * 1 == 32768
     assert cfg.tau == 7
 
 
 def test_r0_config_geometry():
-    cfg = SeavConfig(r=0, sr=4, a=2)
+    cfg = replace(DEFAULT_SEAV, r=0, sr=4, a=2)
     assert cfg.isb == (0, 8, 16, 24)
-    assert cfg.ibn == (10, 10, 10, 10)
+    assert cfg.ibn == 10
+    assert cfg.sc == 1024
+
+
+def test_config_has_no_defaults_of_its_own():
+    # DetectorParams alone sets the default geometry.
+    with pytest.raises(TypeError):
+        SeavConfig(r=4, sr=4, a=2)
+
+
+@pytest.mark.parametrize("geometry", [
+    {}, {"r": 0}, {"r": 2, "sr": 5, "a": 1}, {"addr_bits": 12},
+], ids=["default", "r0", "r2-sr5-a1", "addr12"])
+def test_rows_are_one_array_numbered_as_registers(geometry):
+    # rows is one (SR, 2^r, SC) array, flat its 1-D view, and a host's
+    # register in row i is (i << r | rp) * SC + index_of_array(i, lp).
+    cfg = replace(DEFAULT_SEAV, **geometry)
+    sk = SeavSketch(cfg, SEEDS)
+    assert sk.rows.shape == (cfg.sr, 1 << cfg.r, cfg.sc)
+    assert np.shares_memory(sk.rows, sk.flat)
+    assert sk.flat.shape == (cfg.n_registers,)
+    hips = np.random.default_rng(3).integers(0, 1 << cfg.addr_bits, 500, dtype=np.uint64)
+    rp = hips & np.uint64((1 << cfg.r) - 1)
+    lp = hips >> np.uint64(cfg.r)
+    for i, reg in enumerate(cfg.registers(hips)):
+        expect = (np.uint64(i << cfg.r) | rp) * np.uint64(cfg.sc) + cfg.index_of_array(i, lp)
+        assert reg.tolist() == expect.tolist()
+        # The number is the register's place in flat, read through rows too.
+        sk.flat[reg] = i + 1
+        assert (sk.rows[i][rp.astype(np.int64), cfg.index_of_array(i, lp).astype(np.int64)]
+                == i + 1).all()
+
+
+def test_register_dtype_is_the_narrowest_holding_g_bits():
+    for g, dtype in ((1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
+                     (17, np.uint32), (33, np.uint64), (64, np.uint64)):
+        assert SeavSketch(replace(DEFAULT_SEAV, g=g), SEEDS).rows.dtype == dtype, g
+    with pytest.raises(ConfigError, match="must be <= 64"):
+        replace(DEFAULT_SEAV, g=65)
 
 
 def test_sr1_invalid():
     with pytest.raises(ConfigError):
-        SeavConfig(sr=1)
+        replace(DEFAULT_SEAV, sr=1)
 
 
 def test_constraint2_violation_is_named():
     # 28 left-part bits cannot be split into 3 rows with exact 2-bit overlap.
     with pytest.raises(ConfigError, match="constraint 2"):
-        SeavConfig(r=4, sr=3, a=2)
+        replace(DEFAULT_SEAV, r=4, sr=3, a=2)
 
 
 def test_index_width_bound():
     with pytest.raises(ConfigError):
-        SeavConfig(r=16, sr=2, a=16)  # 8+16 > 16 left-part bits
+        replace(DEFAULT_SEAV, r=16, sr=2, a=16)  # 8+16 > 16 left-part bits
 
 
 def test_valid_alternate_geometries():
-    SeavConfig(r=2, sr=3, a=2)   # 30 bits / 3 rows
-    SeavConfig(r=2, sr=5, a=1)   # 30 bits / 5 rows
-    SeavConfig(r=0, sr=8, a=3)   # 32 bits / 8 rows
+    replace(DEFAULT_SEAV, r=2, sr=3, a=2)   # 30 bits / 3 rows
+    replace(DEFAULT_SEAV, r=2, sr=5, a=1)   # 30 bits / 5 rows
+    replace(DEFAULT_SEAV, r=0, sr=8, a=3)   # 32 bits / 8 rows
 
 
 # --- index extraction and reconstruction ------------------------------------
@@ -176,7 +219,7 @@ def naive_index(cfg: SeavConfig, row: int, lp: int) -> int:
     # Independent bit-extraction oracle: plain per-bit loop on strings of bits.
     w = cfg.lp_bits
     out = 0
-    for j in range(cfg.ibn[row]):
+    for j in range(cfg.ibn):
         src = (cfg.isb[row] + j) % w
         bit = (lp >> src) & 1
         out += bit * (2 ** j)
@@ -184,21 +227,21 @@ def naive_index(cfg: SeavConfig, row: int, lp: int) -> int:
 
 
 def test_index_of_trivial():
-    cfg = SeavConfig()
+    cfg = DEFAULT_SEAV
     for row in range(4):
         assert index_of(cfg, row, 0) == 0
-        assert index_of(cfg, row, (1 << cfg.lp_bits) - 1) == 2 ** cfg.ibn[row] - 1
+        assert index_of(cfg, row, (1 << cfg.lp_bits) - 1) == 2 ** cfg.ibn - 1
 
 
 def test_index_of_row1_matches_oracle():
-    cfg = SeavConfig(r=4, sr=4, a=2)
+    cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2)
     lp = 0b1011_0110_1001_1100_0101_1010_0011
     assert index_of(cfg, 1, lp) == naive_index(cfg, 1, lp)
 
 
 @given(st.integers(min_value=0, max_value=2**28 - 1))
 def test_index_of_matches_oracle(lp):
-    cfg = SeavConfig()
+    cfg = DEFAULT_SEAV
     for row in range(cfg.sr):
         assert index_of(cfg, row, lp) == naive_index(cfg, row, lp)
 
@@ -208,7 +251,7 @@ def test_index_of_matches_oracle(lp):
     {"r": 16}, {"addr_bits": 12},
 ], ids=["default", "r0-sr8-a3", "r2-sr5-a1", "r2-sr3-a2", "r16", "addr12"])
 def test_index_of_vectorized_matches_scalar(geometry):
-    cfg = SeavConfig(**geometry)
+    cfg = replace(DEFAULT_SEAV, **geometry)
     lps = np.random.default_rng(1).integers(0, 1 << cfg.lp_bits, size=2000, dtype=np.uint64)
     for row in range(cfg.sr):
         vec = cfg.index_of_array(row, lps)
@@ -216,14 +259,14 @@ def test_index_of_vectorized_matches_scalar(geometry):
         # The restore join's scatter table inverts the row mapping, and
         # each fragment sets only the bits the row reads.
         frags, mask = cfg._row_scatter(row)
-        cols = np.arange(cfg.sc[row], dtype=np.uint64)
+        cols = np.arange(cfg.sc, dtype=np.uint64)
         assert cfg.index_of_array(row, frags).tolist() == cols.tolist()
-        assert mask == sum(1 << ((cfg.isb[row] + j) % cfg.lp_bits) for j in range(cfg.ibn[row]))
+        assert mask == sum(1 << ((cfg.isb[row] + j) % cfg.lp_bits) for j in range(cfg.ibn))
         assert not (frags & ~np.uint64(mask)).any()
 
 
 def test_index_row_out_of_range():
-    cfg = SeavConfig()
+    cfg = DEFAULT_SEAV
     with pytest.raises(ConfigError):
         index_of(cfg, 4, 0)
     with pytest.raises(ConfigError):
@@ -232,13 +275,13 @@ def test_index_row_out_of_range():
 
 @given(st.integers(min_value=0, max_value=2**28 - 1))
 def test_lp_round_trip(lp):
-    cfg = SeavConfig()
+    cfg = DEFAULT_SEAV
     indexes = [index_of(cfg, i, lp) for i in range(cfg.sr)]
     assert lp_from_indexes(cfg, indexes) == lp
 
 
 def test_lp_round_trip_other_geometry():
-    cfg = SeavConfig(r=2, sr=3, a=2)
+    cfg = replace(DEFAULT_SEAV, r=2, sr=3, a=2)
     rng = np.random.default_rng(9)
     for lp in rng.integers(0, 2**30, size=500, dtype=np.uint64).tolist():
         indexes = [index_of(cfg, i, lp) for i in range(cfg.sr)]
@@ -260,7 +303,7 @@ def reference_update(cfg: SeavConfig, pairs, seeds: SeedFamily):
 
 
 def test_update_idempotent():
-    sk = SeavSketch(SeavConfig(theta=8), SEEDS)  # tau=0: every pair lands
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), SEEDS)  # tau=0: every pair lands
     sk.update_batch(*pairs_arrays([(123456, 789)]))
     snapshot = [r.copy() for r in sk.rows]
     sk.update_batch(*pairs_arrays([(123456, 789)]))
@@ -268,7 +311,7 @@ def test_update_idempotent():
 
 
 def test_rp_routing_separates_arrays():
-    sk = SeavSketch(SeavConfig(theta=8), SEEDS)
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), SEEDS)
     sk.update_batch(*pairs_arrays([(0x10, 5), (0x13, 5)]))  # rp=0 and rp=3
     for row in sk.rows:
         touched = {int(rp) for rp in np.nonzero(row)[0]}
@@ -276,7 +319,7 @@ def test_rp_routing_separates_arrays():
 
 
 def test_batch_matches_reference_bit_exactly():
-    cfg = SeavConfig(theta=64)  # tau=3 keeps some sampling in play
+    cfg = replace(DEFAULT_SEAV, theta=64)  # tau=3 keeps some sampling in play
     rng = np.random.default_rng(11)
     hips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
@@ -291,7 +334,7 @@ def test_batch_matches_reference_bit_exactly():
 
 
 def test_scalar_matches_batch():
-    cfg = SeavConfig(theta=64)
+    cfg = replace(DEFAULT_SEAV, theta=64)
     rng = np.random.default_rng(12)
     hips = rng.integers(0, 2**32, size=800, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=800, dtype=np.uint64)
@@ -308,7 +351,7 @@ def test_scalar_matches_batch():
                 min_size=0, max_size=60),
        st.randoms(use_true_random=False))
 def test_permutation_invariance(pairs, rnd):
-    cfg = SeavConfig(theta=8, r=2, sr=5, a=1)
+    cfg = replace(DEFAULT_SEAV, theta=8, r=2, sr=5, a=1)
     a = SeavSketch(cfg, SEEDS)
     b = SeavSketch(cfg, SEEDS)
     a.update_batch(*pairs_arrays(pairs))
@@ -323,7 +366,7 @@ def test_permutation_invariance(pairs, rnd):
                 min_size=1, max_size=80),
        st.lists(st.integers(0, 3), min_size=80, max_size=80))
 def test_shard_merge_equivalence(pairs, assignment):
-    cfg = SeavConfig(theta=8, r=2, sr=5, a=1)
+    cfg = replace(DEFAULT_SEAV, theta=8, r=2, sr=5, a=1)
     single = SeavSketch(cfg, SEEDS)
     shards = [SeavSketch(cfg, SEEDS) for _ in range(4)]
     single.update_batch(*pairs_arrays(pairs))
@@ -336,12 +379,12 @@ def test_shard_merge_equivalence(pairs, assignment):
 # --- restore ----------------------------------------------------------------
 
 def test_restore_empty():
-    sk = SeavSketch(SeavConfig(), SEEDS)
+    sk = SeavSketch(DEFAULT_SEAV, SEEDS)
     assert len(sk.restore()) == 0
 
 
 def test_restore_single_heavy_host():
-    sk = SeavSketch(SeavConfig(theta=1024), SEEDS)
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=1024), SEEDS)
     rng = np.random.default_rng(21)
     hip = 0xC0A80101
     oips = rng.integers(0, 2**32, size=4096, dtype=np.uint64)
@@ -382,7 +425,7 @@ def restored_arrays(sk: SeavSketch, skipped=()) -> set[int]:
 
 
 def test_restore_matches_brute_force_on_small_address_space():
-    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(33)
     # 12-bit host space: plant heavy hosts and background chatter.
@@ -403,7 +446,7 @@ def test_restore_matches_brute_force_on_small_address_space():
 def test_restore_brute_force_planted_scenario():
     # Planted supers (2*theta peers) among light hosts (<= 8 peers), full
     # enumeration of the shrunken space as the completeness oracle.
-    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(52)
     hosts = rng.permutation(1 << 12)[: 20 + 1500].astype(np.uint64)
@@ -429,7 +472,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
     # blocks from one partial tuple to all of them must neither change the
     # output nor the overflow point.
     monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
-    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(81)
     hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
@@ -454,7 +497,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
 
 
 def test_restore_output_sorted_and_unique():
-    sk = SeavSketch(SeavConfig(theta=8), SEEDS)
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), SEEDS)
     rng = np.random.default_rng(4)
     for hip in rng.integers(0, 2**32, size=5, dtype=np.uint64).tolist():
         oips = rng.integers(0, 2**32, size=64, dtype=np.uint64)
@@ -466,7 +509,7 @@ def test_restore_output_sorted_and_unique():
 
 
 def test_restore_overflow_names_the_array():
-    sk = SeavSketch(SeavConfig(), SEEDS, restore_cap=64)
+    sk = SeavSketch(DEFAULT_SEAV, SEEDS, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF  # every register of array rp=3 is hot
     with pytest.warns(SeaOverflowWarning) as caught:
@@ -480,7 +523,7 @@ def test_restore_skips_each_overflowed_array_alone(block, monkeypatch):
     # Two flooded arrays among chatter in every array; join blocks of 200
     # or more partial tuples span several arrays.
     monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
-    cfg = SeavConfig(r=4, sr=4, a=2, theta=64, addr_bits=12)
+    cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(52)
     hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
@@ -502,7 +545,7 @@ def test_restore_skips_each_overflowed_array_alone(block, monkeypatch):
 
 
 def test_restore_overflow_warns_and_continues():
-    sk = SeavSketch(SeavConfig(), SEEDS, restore_cap=64)
+    sk = SeavSketch(DEFAULT_SEAV, SEEDS, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF
     rng = np.random.default_rng(5)
@@ -517,7 +560,7 @@ def test_restore_overflow_warns_and_continues():
 def test_wide_registers_work_end_to_end():
     # g=16 stores registers in uint16; update, weight, and restore all
     # have to survive the wider dtype.
-    cfg = SeavConfig(theta=16, g=16)
+    cfg = replace(DEFAULT_SEAV, theta=16, g=16)
     assert cfg.memory_bytes() == 16 * 4 * 512 * 2
     sk = SeavSketch(cfg, SEEDS)
     rng = np.random.default_rng(61)

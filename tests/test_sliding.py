@@ -21,6 +21,13 @@ def test_dtype_selection():
     assert timestamp_dtype(127) == np.uint8
     assert timestamp_dtype(300) == np.uint16
     assert timestamp_dtype(40_000) == np.uint32
+    # Each dtype holds 2*window + 1: the edges on both sides of each.
+    edges = [(128, np.uint16), (32767, np.uint16), (32768, np.uint32),
+             (2**31 - 1, np.uint32), (2**31, np.uint64), (2**63 - 1, np.uint64)]
+    for window, dtype in edges:
+        assert timestamp_dtype(window) == dtype, window
+    with pytest.raises(ConfigError, match="too large to timestamp"):
+        timestamp_dtype(2**63)
 
 
 def test_touch_then_query_active():

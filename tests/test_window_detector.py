@@ -76,7 +76,7 @@ def test_detects_heavy_host_and_estimates():
 
 def lp_windows(cfg):
     w = cfg.lp_bits
-    return [[(cfg.isb[i] + j) % w for j in range(cfg.ibn[i])] for i in range(cfg.sr)]
+    return [[(cfg.isb[i] + j) % w for j in range(cfg.ibn)] for i in range(cfg.sr)]
 
 
 def test_register_sharing_candidate_filtered_by_counter_stage():
