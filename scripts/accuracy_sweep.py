@@ -14,6 +14,8 @@ import argparse
 from sspd.evaluation import ExactOracle, TraceSpec, generate_trace, metrics
 from sspd.window_detector import DetectorParams, DetectorState
 
+DEFAULTS = DetectorParams()
+
 
 def run_once(trace, theta, k, v, design_n, seed):
     params = DetectorParams(theta=theta, k=k, v=v, design_n=design_n, master_seed=seed)
@@ -27,12 +29,12 @@ def run_once(trace, theta, k, v, design_n, seed):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--theta", type=int, default=1024)
+    ap.add_argument("--theta", type=int, default=DEFAULTS.theta)
     ap.add_argument("--n-super", type=int, default=50)
     ap.add_argument("--n-background", type=int, default=100_000)
     ap.add_argument("--n-pairs", type=int, default=1_000_000)
-    ap.add_argument("--k", type=int, default=8192)
-    ap.add_argument("--seed", type=int, default=0x5EED)
+    ap.add_argument("--k", type=int, default=DEFAULTS.k)
+    ap.add_argument("--seed", type=int, default=DEFAULTS.master_seed)
     ap.add_argument("--gen-seed", type=int, default=1)
     args = ap.parse_args()
 

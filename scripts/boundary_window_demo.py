@@ -15,17 +15,19 @@ import numpy as np
 from sspd.sliding import SlidingDetector
 from sspd.window_detector import DetectorParams, DetectorState
 
+DEFAULTS = DetectorParams()
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--theta", type=int, default=1024)
+    ap.add_argument("--theta", type=int, default=DEFAULTS.theta)
     ap.add_argument("--window-slices", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0x5EED)
+    ap.add_argument("--seed", type=int, default=DEFAULTS.master_seed)
     args = ap.parse_args()
 
     w = args.window_slices
     half = args.theta // 2
-    params = DetectorParams(theta=args.theta, k=8192, lr=2, v=32,
+    params = DetectorParams(theta=args.theta, lr=2, v=32,
                             design_n=args.theta, master_seed=args.seed)
     rng = np.random.default_rng(7)
     hip = 0xC0A86401

@@ -11,13 +11,16 @@ diminishing-returns valley the optimum sits in.
 import argparse
 
 from sspd.long_sketch import noise_factor, plan_rows, psu
+from sspd.window_detector import DetectorParams
+
+DEFAULTS = DetectorParams()
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--v", type=int, default=8192)
-    ap.add_argument("--k", type=int, default=8192)
-    ap.add_argument("--n", type=float, default=1e6)
+    ap.add_argument("--v", type=int, default=DEFAULTS.v)
+    ap.add_argument("--k", type=int, default=DEFAULTS.k)
+    ap.add_argument("--n", type=float, default=DEFAULTS.design_n)
     ap.add_argument("--max-lr", type=int, default=16)
     args = ap.parse_args()
 

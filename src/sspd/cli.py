@@ -15,7 +15,7 @@ import argparse
 import sys
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,28 +247,33 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_slide(args: argparse.Namespace) -> int:
+    """Walk the trace one slice at a time from its first slice id, and
+    detect there and every ``detect_every`` slices after it.  The
+    detector's clock counts slices since the walk began; each detection is
+    labelled with its absolute slice id."""
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
     detector = SlidingDetector(cfg.params, cfg.window_slices)
-    order = np.argsort(trace.slices, kind="stable")
-    slices = trace.slices[order].astype(np.int64)
-    hips, oips = trace.hips[order], trace.oips[order]
-    last = int(slices[-1]) if len(slices) else 0
-    bounds = np.searchsorted(slices, np.arange(last + 2))
+    first = int(trace.slices.min()) if len(trace) else 0
     reports: list[DetectionReport] = []
     detected_at: list[int] = []
     overflowed: dict[int, list[int]] = {}
-    for s in range(last + 1):
-        lo, hi = bounds[s], bounds[s + 1]
-        if hi > lo:
-            detector.observe_batch(hips[lo:hi], oips[lo:hi])
-        if s % cfg.detect_every == 0:
+
+    def close_slice():
+        now = detector.pool.now
+        if now % cfg.detect_every == 0:
             found, skipped = skipped_arrays(detector.detect)
-            reports += found
-            detected_at.append(s)
+            reports.extend(replace(r, window_id=first + now) for r in found)
+            detected_at.append(first + now)
             if skipped:
-                overflowed[s] = skipped
+                overflowed[first + now] = skipped
         detector.advance_slice()
+
+    for sid, sel in split_windows(trace.slices, 1):
+        while first + detector.pool.now < sid:
+            close_slice()
+        detector.observe_batch(trace.hips[sel], trace.oips[sel])
+    close_slice()
     write_reports(Path(args.out), "sliding", cfg.detection_fields(), reports, detected_at,
                   overflowed)
     check_overflowed(Path(args.out), overflowed, cfg.params.restore_cap)

@@ -29,7 +29,7 @@ DEFAULT_V = 8192
 DEFAULT_DESIGN_N = 1_000_000
 DEFAULT_MAX_ROWS = 8
 
-# Hosts per gather in union_zero_counts.  A discrete gather holds k/8
+# Hosts per gather in union_estimates.  A discrete gather holds k/8
 # bytes per host (512 KiB with the union at the default k); a sliding
 # gather holds k stamps plus k flag bytes per host (6 MiB of uint16
 # stamps and flags, beside a 2 MiB union, at the default k and window).
@@ -40,7 +40,7 @@ DEFAULT_MAX_ROWS = 8
 # built through one popcount byte per register word (1 MiB at the defaults).
 ZERO_COUNT_CHUNK = 256
 
-# Rows ANDed before union_zero_counts drops the hosts already past its
+# Rows ANDed before union_estimates drops the hosts already past its
 # bound; checking after one row, or again after four, read slower.
 EARLY_EXIT_ROWS = 2
 
@@ -122,12 +122,13 @@ class LdcaConfig:
         return bit, self.registers(seeds, hips)
 
 
-def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
-                      cells: Callable[[np.ndarray], np.ndarray],
-                      bound: int | None = None,
-                      weights: np.ndarray | None = None) -> np.ndarray:
-    """Zero-bit count of each host's AND-union register: the one filter
-    read of both detection modes.
+def union_estimates(config: LdcaConfig, seeds: SeedFamily,
+                     cells: Callable[[np.ndarray], np.ndarray], hips: np.ndarray,
+                     cutoff: float | None = None,
+                     weights: Callable[[], np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and saturated flags of each host's AND-union register
+    (see ``ldc_estimates``): the one filter read of both detection modes.
 
     ``cells(reg)`` gathers the registers numbered ``reg`` as unsigned
     words whose set bits are the register's set bits.  Each row is hashed
@@ -135,28 +136,34 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
     popcounted per host, ``ZERO_COUNT_CHUNK`` hosts at a time, summed in
     the narrowest dtype that holds k.
 
-    With a ``bound``, a host whose zero count after ``EARLY_EXIT_ROWS``
-    rows is above it skips the remaining rows and gets that partial
-    count.  An AND only clears bits, so its final count would be above the
-    bound too; every host at or under the bound gets its exact count.
-    ``weights``, the set-bit count of every register, lets the bound act
-    before any gather: a host's AND weight is at most the least weight of
-    its registers, so a host for which k minus that least weight is above
-    the bound gets that count and is never gathered.
+    With a ``cutoff``, a host whose zero count after ``EARLY_EXIT_ROWS``
+    rows is above ``zero_count_bound(cutoff, k)`` skips the remaining rows
+    and gets the partial estimate, below the cutoff and never saturated.
+    An AND only clears bits, so its full estimate would be below the
+    cutoff too; every other host gets its exact estimate.  ``weights()``,
+    the set-bit count of every register, lets the bound act before any
+    gather: a host's AND weight is at most the least weight of its
+    registers, so a host for which k minus that least weight is above the
+    bound is never gathered.  The read takes it only where it pays: with
+    rows left after the first ``EARLY_EXIT_ROWS``, which would gather at
+    least as many registers as the table reads (``len(hips) *
+    EARLY_EXIT_ROWS >= v``).
     """
     hips = np.asarray(hips, dtype=np.uint64)
     rows = list(config.registers(seeds, hips))
     out = np.empty(len(hips), dtype=np.int64)
-    if bound is not None and weights is not None:
-        least = weights[rows[0]]
+    bound = None if cutoff is None else zero_count_bound(cutoff, config.k)
+    early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
+    if early < config.lr and weights is not None and len(hips) * early >= config.v:
+        table = weights()
+        least = table[rows[0]]
         for reg in rows[1:]:
-            np.minimum(least, weights[reg], out=least)
+            np.minimum(least, table[reg], out=least)
         out[:] = config.k - least
         hosts = np.flatnonzero(out <= bound)
         rows = [reg[hosts] for reg in rows]
     else:
         hosts = slice(None)
-    early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
     acc = np.min_scalar_type(config.k)  # holds any register's set-bit count
     read = np.empty(len(rows[0]), dtype=np.int64)
     for start in range(0, len(read), ZERO_COUNT_CHUNK):
@@ -177,7 +184,7 @@ def union_zero_counts(config: LdcaConfig, seeds: SeedFamily, hips: np.ndarray,
             np.bitwise_and(union, cells(reg[live]), out=union)
         read[live] = config.k - np.bitwise_count(union).sum(axis=1, dtype=acc)
     out[hosts] = read
-    return out
+    return ldc_estimates(out, config.k)
 
 
 class LdcaSketch:
@@ -215,33 +222,16 @@ class LdcaSketch:
             for pos, mask in groups:
                 self.flat[reg[pos]] |= mask
 
-    def zero_counts(self, hips: np.ndarray, bound: int | None = None) -> np.ndarray:
-        """Zero-bit count of each host's AND-union register, read as the
-        widest unsigned words that tile a register (see
-        ``union_zero_counts`` for ``bound``).
-
-        With a bound, the set-bit count of every register is taken in one
-        pass when the two-row read would gather more registers than that
-        pass reads: when ``len(hips) * EARLY_EXIT_ROWS >= v`` and there
-        are rows left after them."""
-        cfg = self.config
-        word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
-                    if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
-        words = self.data.reshape(cfg.v, -1).view(word)
-        weights = None
-        if bound is not None and cfg.lr > EARLY_EXIT_ROWS and len(hips) * EARLY_EXIT_ROWS >= cfg.v:
-            weights = np.bitwise_count(words).sum(axis=1, dtype=np.min_scalar_type(cfg.k))
-        return union_zero_counts(cfg, self.seeds, hips, words.__getitem__, bound, weights)
-
     def estimate(self, hips: np.ndarray,
                  cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Estimates and saturated flags of each host's AND-union register,
-        from one ``zero_counts`` call.  With a ``cutoff``, a host whose
-        estimate is below it may get a partial estimate instead, which is
-        below it too; every other host's is exact."""
-        k = self.config.k
-        bound = None if cutoff is None else zero_count_bound(cutoff, k)
-        return ldc_estimates(self.zero_counts(hips, bound), k)
+        """``union_estimates`` of this sketch's registers, read as the
+        widest unsigned words that tile a register."""
+        word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
+                    if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
+        words = self.data.reshape(self.config.v, -1).view(word)
+        acc = np.min_scalar_type(self.config.k)
+        return union_estimates(self.config, self.seeds, words.__getitem__, hips, cutoff,
+                               lambda: np.bitwise_count(words).sum(axis=1, dtype=acc))
 
 
 def psu(k: int, n_pairs: float, lc: float, lr: int) -> float:

@@ -81,8 +81,8 @@ class SeavConfig:
     def __post_init__(self):
         if not 0 <= self.r <= 16:
             raise ConfigError(f"r must be in [0, 16], got {self.r}")
-        if self.sr < 2:
-            raise ConfigError(f"SR must be >= 2 (row overlap needs a partner), got {self.sr}")
+        if self.sr < 3:  # with 2 rows, each row overlaps the other on both sides
+            raise ConfigError(f"SR must be >= 3, got {self.sr}")
         if self.a < 1:
             raise ConfigError(f"overlap a must be >= 1, got {self.a}")
         if not 2 <= self.addr_bits <= 32:
@@ -111,13 +111,9 @@ class SeavConfig:
         return {(self.isb[i] + j) % w for j in range(self.ibn)}
 
     def _verify_constraints(self):
-        w = self.lp_bits
-        covered: set[int] = set()
-        for i in range(self.sr):
-            covered |= self._row_positions(i)
-        if covered != set(range(w)):
-            missing = sorted(set(range(w)) - covered)
-            raise ConfigError(f"constraint 1 violated: left-part bits {missing} not covered by any row")
+        """Each row shares exactly ``a`` bit positions with the next (row
+        SR - 1 with row 0).  Coverage needs no check: left-part bit p is
+        bit p mod c of row p // c, which is below SR since SR * c >= w."""
         for i in range(self.sr):
             overlap = self._row_positions(i) & self._row_positions((i + 1) % self.sr)
             if len(overlap) != self.a:

@@ -10,11 +10,13 @@ wrapped age could alias as fresh; advancing a slice is O(1) otherwise.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError
 from .hashing import SeedFamily
-from .long_sketch import ldc_estimates, union_zero_counts, zero_count_bound
+from .long_sketch import union_estimates
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
 
@@ -158,22 +160,8 @@ class SlidingDetector:
         is a multiple of 8), each flag one set bit or none."""
         return self.pool.active_cells(self.ldca_base, self.ldca_config.k, reg).view(np.uint64)
 
-    def zero_counts(self, hips: np.ndarray, bound: int | None = None) -> np.ndarray:
-        """Zero-bit count of each host's active AND-union counter register
-        (see ``union_zero_counts`` for ``bound``)."""
-        return union_zero_counts(self.ldca_config, self.seeds, hips,
-                                 self.materialize_ldca_cell, bound)
-
-    def estimate(self, hips: np.ndarray,
-                 cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Estimates and saturated flags of each host's active AND-union
-        register, exact for every host whose estimate clears ``cutoff``
-        (see ``LdcaSketch.estimate``)."""
-        k = self.ldca_config.k
-        bound = None if cutoff is None else zero_count_bound(cutoff, k)
-        return ldc_estimates(self.zero_counts(hips, bound), k)
-
     def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
-        return report_candidates(self.materialize_seav(), self.estimate,
-                                 self.params, self.pool.now)
+        estimate = functools.partial(union_estimates, self.ldca_config, self.seeds,
+                                     self.materialize_ldca_cell)
+        return report_candidates(self.materialize_seav(), estimate, self.params, self.pool.now)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -187,6 +188,35 @@ def test_slide_command(tmp_path):
     assert {int(r.split(",")[0]) for r in rows} <= {0, 2, 4}
 
 
+def test_slide_walks_from_the_first_slice_and_labels_absolute_ids(tmp_path):
+    # Six slices just below 2^32: walking from slice 0 would need a bound
+    # per slice id, tens of GiB, so the run gets a 4 GiB address space.
+    # The heavy host sends 40 peers in slice 4294967290 and 40 more in
+    # 4294967292; a light one sends one a slice.
+    first = 2**32 - 6
+    lines = [f"{first + s},10.0.0.1,192.168.{s}.{j}" for s in (0, 2) for j in range(40)]
+    lines += [f"{first + s},10.0.0.2,172.16.0.{s}" for s in range(6)]
+    trace = tmp_path / "far.txt"
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "far.csv"
+    argv = ["slide", "--trace", trace, "--out", out, "--window-slices", 3, "--theta", 16,
+            *SMALL_FLAGS]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sspd.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text().splitlines()
+    assert f"# windows={' '.join(str(first + s) for s in range(6))}" in text
+    rows = [r.split(",") for r in text[text.index(REPORT_COLUMNS) + 1:]]
+    # Both bursts are live at 4294967292 only; none is at 4294967295.
+    assert [(int(w), ip) for w, ip, _, _ in rows] == \
+           [(first + s, "10.0.0.1") for s in range(5)]
+    estimates = [float(row[2]) for row in rows]
+    assert estimates[2] > 1.5 * max(estimates[:2] + estimates[3:])
+
+
 def test_plan_command(capsys):
     assert run(["plan", "--v", 8192, "--n", 1e6, "--k", 8192]) == 0
     out = capsys.readouterr().out
@@ -253,9 +283,9 @@ def test_seed_outside_64_bits_is_config_error(tmp_path, trace_file, capsys, seed
 
 def test_config_error_exit_code(tmp_path, trace_file, capsys):
     out = tmp_path / "x.csv"
-    code = run(["detect", "--trace", trace_file, "--out", out, "--sr", 1] + SMALL_FLAGS)
+    code = run(["detect", "--trace", trace_file, "--out", out, "--sr", 2] + SMALL_FLAGS)
     assert code == 2
-    assert "error: config" in capsys.readouterr().err
+    assert "error: config: SR must be >= 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, says", [

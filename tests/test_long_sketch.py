@@ -264,6 +264,43 @@ def test_union_estimate_never_exceeds_single_rows():
         assert union_ones <= int(np.unpackbits(cell).sum())
 
 
+def union_zero_counts(sk, hosts):
+    """Zero-bit count of each host's AND-union register, by the oracle."""
+    return np.array([sk.config.k - int(np.unpackbits(union_register(sk, int(h))).sum())
+                     for h in hosts], dtype=np.int64)
+
+
+def pairs(est, saturated):
+    return list(zip(est.tolist(), saturated.tolist()))
+
+
+def cutoff_at(bound, k):
+    """The least cutoff whose zero-count bound is ``bound``."""
+    if bound == 0:  # above the estimate of one zero bit, k*ln(k)
+        return math.nextafter(k * math.log(k), math.inf)
+    return -k * math.log(bound / k)
+
+
+def recorded_tables(mp):
+    """Patch the one read so that each call appends the weight table it
+    took, or None when it took none."""
+    tables = []
+    read = long_sketch.union_estimates
+
+    def recording(config, seeds, cells, hips, cutoff=None, weights=None):
+        call = len(tables)
+        tables.append(None)
+
+        def table():
+            tables[call] = weights()
+            return tables[call]
+
+        return read(config, seeds, cells, hips, cutoff, weights and table)
+
+    mp.setattr(long_sketch, "union_estimates", recording)
+    return tables
+
+
 @pytest.mark.parametrize("k", [512, 8 * 65])  # uint64 words, and bytes
 def test_zero_counts_match_scalar_union(k, monkeypatch):
     # Chunks of 7 hosts, so several chunks and a short last one.
@@ -279,16 +316,11 @@ def test_zero_counts_match_scalar_union(k, monkeypatch):
     probes = np.concatenate([stream_hosts, [saturated],
                              rng.integers(0, 2**32, size=40, dtype=np.uint64)])
 
-    z0 = sk.zero_counts(probes)
-    expected = [k - int(np.unpackbits(union_register(sk, int(p))).sum()) for p in probes]
-    assert z0.tolist() == expected
-    est, saturated = sk.estimate(probes)  # one batch
-    assert list(zip(est.tolist(), saturated.tolist())) == \
-           [ldc_estimate(z, k) for z in expected]
+    expected = union_zero_counts(sk, probes).tolist()
+    assert pairs(*sk.estimate(probes)) == [ldc_estimate(z, k) for z in expected]  # one batch
     assert 0 in expected and k in expected  # a saturated and an untouched host
     cells = {(i, row_column(sk, i, int(p))) for p in probes for i in range(sk.config.lr)}
     assert len(cells) < len(probes) * sk.config.lr  # hosts share cells
-    assert sk.zero_counts(np.array([], dtype=np.uint64)).tolist() == []
     assert [a.tolist() for a in sk.estimate(np.array([], dtype=np.uint64))] == [[], []]
 
 
@@ -328,38 +360,28 @@ def test_bounded_zero_counts_exact_at_or_under_the_bound(lr, chunk, seed, pick, 
     if table:  # v/2 hosts: a bounded read first drops hosts by cell weight
         probes = np.concatenate([probes, rng.integers(
             0, 2**32, size=max(0, sk.config.v // 2 - len(probes)), dtype=np.uint64)])
-    union_zero_counts = long_sketch.union_zero_counts
-    tables = []
-
-    def recording_union_zero_counts(*args):
-        tables.append(args[5] is not None)  # the weight table
-        return union_zero_counts(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(long_sketch, "ZERO_COUNT_CHUNK", chunk)
-        mp.setattr(long_sketch, "union_zero_counts", recording_union_zero_counts)
-        plain = sk.zero_counts(probes)
-        assert plain.tolist() == \
-               [64 - int(np.unpackbits(union_register(sk, int(p))).sum()) for p in probes]
+        tables = recorded_tables(mp)
+        plain = union_zero_counts(sk, probes)
+        full_est, full_sat = sk.estimate(probes)
+        assert pairs(full_est, full_sat) == [ldc_estimate(z, 64) for z in plain.tolist()]
         assert 0 in plain and 64 in plain  # a saturated and an untouched host
         levels = sorted(set(plain.tolist()))
         for bound in {levels[pick % len(levels)], 0, 64, 63, pick}:  # hosts exactly at it
-            bounded = sk.zero_counts(probes, bound)
-            if table:
-                assert tables[-1] == (lr > 2)
-            exact = plain <= bound
-            assert (bounded[exact] == plain[exact]).all()
-            assert (bounded[~exact] > bound).all()
-            assert (bounded[~exact] <= plain[~exact]).all()  # a partial count
-            if lr <= 2:
-                assert bounded.tolist() == plain.tolist()
-            cutoff = -64 * math.log(bound / 64) if bound else 64 * math.log(64)
+            cutoff = cutoff_at(bound, 64)
+            assert long_sketch.zero_count_bound(cutoff, 64) == bound
             est, sat = sk.estimate(probes, cutoff)
-            full_est, full_sat = sk.estimate(probes)
-            keep = full_sat | (full_est >= cutoff)
-            assert (keep == (sat | (est >= cutoff))).all()
-            assert (est[keep] == full_est[keep]).all() and (sat == full_sat).all()
-        assert sk.zero_counts(np.array([], dtype=np.uint64), 0).tolist() == []
+            if table:
+                assert (tables[-1] is not None) == (lr > 2)
+            exact = plain <= bound
+            assert (est[exact] == full_est[exact]).all() and (sat == full_sat).all()
+            assert (est[~exact] < cutoff).all()
+            assert (est[~exact] >= full_est[~exact]).all()  # a partial estimate
+            if lr <= 2:
+                assert est.tolist() == full_est.tolist()
+        assert [a.tolist() for a in sk.estimate(np.array([], dtype=np.uint64), 0.0)] == [[], []]
 
 
 def test_bounded_read_skips_the_rows_of_a_chunk_it_empties(monkeypatch):
@@ -376,8 +398,8 @@ def test_bounded_read_skips_the_rows_of_a_chunk_it_empties(monkeypatch):
         gathered.append(len(reg))
         return words[reg]
 
-    z0 = long_sketch.union_zero_counts(sk.config, SEEDS, probes, cells, bound=0)
-    assert z0.tolist() == [64] * 5 + [0]
+    est = long_sketch.union_estimates(sk.config, SEEDS, cells, probes, cutoff_at(0, 64))
+    assert pairs(*est) == [(0.0, False)] * 5 + [ldc_estimate(0, 64)]
     # Chunks of 2, 2 and 2 hosts: all read two rows; only the last, holding
     # the saturated host, reads its other two, for that host alone.
     assert gathered == [2, 2, 2, 2, 2, 2, 1, 1]
@@ -388,18 +410,19 @@ def test_weight_table_drops_hosts_before_any_gather():
     saturated = 0xFEEDF00D
     for i in range(4):
         sk.data[i, row_column(sk, i, saturated)] = 0xFF
-    probes = np.array(untouched_hosts(sk, 5, seed=3) + [saturated], dtype=np.uint64)
+    # v/2 hosts, so that two rows would gather as many registers as the
+    # table reads.
+    probes = np.array(untouched_hosts(sk, 31, seed=3) + [saturated], dtype=np.uint64)
     words = sk.data.reshape(sk.config.v, -1)
-    weights = np.unpackbits(words, axis=1).sum(axis=1)
     gathered = []
 
     def cells(reg):
         gathered.append(reg.tolist())
         return words[reg]
 
-    z0 = long_sketch.union_zero_counts(sk.config, SEEDS, probes, cells, bound=0,
-                                       weights=weights)
-    assert z0.tolist() == [64] * 5 + [0]
+    est = long_sketch.union_estimates(sk.config, SEEDS, cells, probes, cutoff_at(0, 64),
+                                      lambda: np.unpackbits(words, axis=1).sum(axis=1))
+    assert pairs(*est) == [(0.0, False)] * 31 + [ldc_estimate(0, 64)]
     # Only the saturated host is read, through all four rows.
     assert gathered == [[reg[-1]] for reg in sk.config.registers(SEEDS, probes)]
 
@@ -416,19 +439,13 @@ def test_weight_table_only_when_two_rows_gather_as_much(lr, n_hosts, bound, tabl
     rng = np.random.default_rng(9)
     sk.update_batch(rng.integers(0, 2**32, size=500, dtype=np.uint64),
                     rng.integers(0, 2**32, size=500, dtype=np.uint64))
-    union_zero_counts = long_sketch.union_zero_counts
-    weights = []
-
-    def recording_union_zero_counts(*args):
-        weights.append(args[5])
-        return union_zero_counts(*args)
-
-    monkeypatch.setattr(long_sketch, "union_zero_counts", recording_union_zero_counts)
-    sk.zero_counts(rng.integers(0, 2**32, size=n_hosts, dtype=np.uint64), bound)
-    assert (weights[0] is not None) == table
+    tables = recorded_tables(monkeypatch)
+    sk.estimate(rng.integers(0, 2**32, size=n_hosts, dtype=np.uint64),
+                None if bound is None else cutoff_at(bound, 64))
+    assert (tables[0] is not None) == table
     if table:
         words = sk.data.reshape(sk.config.v, -1)
-        assert weights[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1).tolist()
+        assert tables[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("k", [65528, 65536])
@@ -443,23 +460,16 @@ def test_popcount_sums_at_the_accumulator_edge(k, fill, monkeypatch):
         sk.data.fill(0xFF)
     else:
         sk.data[:] = rng.integers(0, 256, size=sk.data.shape, dtype=np.uint8)
-    union_zero_counts = long_sketch.union_zero_counts
-    weights = []
-
-    def recording_union_zero_counts(*args):
-        weights.append(args[5])
-        return union_zero_counts(*args)
-
-    monkeypatch.setattr(long_sketch, "union_zero_counts", recording_union_zero_counts)
+    tables = recorded_tables(monkeypatch)
     hosts = rng.integers(0, 2**32, size=3, dtype=np.uint64)
-    expected = [k - int(np.unpackbits(union_register(sk, int(h))).sum()) for h in hosts]
-    assert sk.zero_counts(hosts, bound=k).tolist() == expected  # takes the weight table
-    assert sk.zero_counts(hosts).tolist() == expected
+    expected = [ldc_estimate(z, k) for z in union_zero_counts(sk, hosts).tolist()]
+    assert pairs(*sk.estimate(hosts, 0.0)) == expected  # bound k: takes the weight table
+    assert pairs(*sk.estimate(hosts)) == expected
     if fill == "full":
-        assert expected == [0, 0, 0]
+        assert expected == [ldc_estimate(0, k)] * 3
     words = sk.data.reshape(sk.config.v, -1)
-    assert weights[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1, dtype=np.int64).tolist()
-    assert weights[1] is None
+    assert tables[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1, dtype=np.int64).tolist()
+    assert tables[1] is None
 
 
 def test_memory_accounting():

@@ -192,8 +192,11 @@ def test_register_dtype_is_the_narrowest_holding_g_bits():
 
 
 def test_sr1_invalid():
-    with pytest.raises(ConfigError):
-        replace(DEFAULT_SEAV, sr=1)
+    # With 2 rows each row neighbours the other on both sides, so no
+    # geometry has exactly a shared positions: SR < 3 is refused by name.
+    for sr in (1, 2):
+        with pytest.raises(ConfigError, match="SR must be >= 3"):
+            replace(DEFAULT_SEAV, sr=sr)
 
 
 def test_constraint2_violation_is_named():
@@ -203,8 +206,8 @@ def test_constraint2_violation_is_named():
 
 
 def test_index_width_bound():
-    with pytest.raises(ConfigError):
-        replace(DEFAULT_SEAV, r=16, sr=2, a=16)  # 8+16 > 16 left-part bits
+    with pytest.raises(ConfigError, match="index width"):
+        replace(DEFAULT_SEAV, r=16, sr=3, a=16)  # 6+16 > 16 left-part bits
 
 
 def test_valid_alternate_geometries():

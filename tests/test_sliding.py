@@ -211,13 +211,24 @@ def test_sliding_equals_discrete_for_one_window(g):
            [(r.ip, r.estimated_cardinality, r.saturated) for r in discrete_reports]
 
 
+def sliding_estimate(det, hips, cutoff=None):
+    """The one filter read over the detector's active counter bits, as
+    its ``detect`` runs it."""
+    return long_sketch.union_estimates(det.ldca_config, det.seeds, det.materialize_ldca_cell,
+                                       hips, cutoff)
+
+
+def pairs(est, saturated):
+    return list(zip(est.tolist(), saturated.tolist()))
+
+
 @pytest.mark.parametrize("k", [4096, 520])
 def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
     # At k = 520 a register is 65 bytes: the discrete reader gathers uint8
     # words, the sliding reader 65 uint64 words of flag bytes.  The small
     # design_n keeps the planner's noise warning quiet at that width.  At
     # LR = 4 the bounded read drops hosts after two rows: both readers must
-    # drop the same hosts with the same partial counts, and report alike.
+    # drop the same hosts with the same partial estimates, and report alike.
     monkeypatch.setattr(long_sketch, "ZERO_COUNT_CHUNK", 3)
     rng = np.random.default_rng(8)
     heavy = rng.integers(0, 2**32, size=3, dtype=np.uint64)
@@ -233,24 +244,21 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
         det.observe_batch(hips[:half], oips[:half])
         det.advance_slice()
         det.observe_batch(hips[half:], oips[half:])
-        expected = [k - int(np.unpackbits(union_register(discrete.ldca, int(p))).sum())
-                    for p in probes]
-        assert discrete.ldca.zero_counts(probes).tolist() == expected
-        assert det.zero_counts(probes).tolist() == expected
-        est, saturated = det.estimate(probes)
-        assert list(zip(est.tolist(), saturated.tolist())) == \
-               [ldc_estimate(z, k) for z in expected]
+        z0 = np.array([k - int(np.unpackbits(union_register(discrete.ldca, int(p))).sum())
+                       for p in probes])
+        expected = [ldc_estimate(z, k) for z in z0.tolist()]
+        full_est, full_sat = discrete.ldca.estimate(probes)
+        assert pairs(full_est, full_sat) == expected
+        assert pairs(*sliding_estimate(det, probes)) == expected
 
         cutoff = params.beta * params.theta
-        bound = long_sketch.zero_count_bound(cutoff, k)
-        bounded = discrete.ldca.zero_counts(probes, bound)
-        assert det.zero_counts(probes, bound).tolist() == bounded.tolist()
-        expected = np.array(expected)
-        exact = expected <= bound
+        bounded, saturated = discrete.ldca.estimate(probes, cutoff)
+        assert pairs(*sliding_estimate(det, probes, cutoff)) == pairs(bounded, saturated)
+        exact = z0 <= long_sketch.zero_count_bound(cutoff, k)
         assert exact.any() and not exact.all()
-        assert (bounded[exact] == expected[exact]).all()
-        assert (bounded[~exact] > bound).all()
-        assert (bounded < expected).any() == (lr > 2)  # partial counts, at LR = 4 only
+        assert (bounded[exact] == full_est[exact]).all()
+        assert (bounded[~exact] < cutoff).all() and not saturated[~exact].any()
+        assert (bounded > full_est).any() == (lr > 2)  # partial estimates, at LR = 4 only
 
         unbounded = report_candidates(discrete.seav, lambda ips, _: discrete.ldca.estimate(ips),
                                       params, 0)
@@ -259,7 +267,7 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
         assert reports[0] and reports[0] == reports[1] == reports[2]
         for _ in range(4):
             det.advance_slice()
-        assert det.zero_counts(probes).tolist() == [k] * len(probes)  # all expired
+        assert pairs(*sliding_estimate(det, probes)) == [(0.0, False)] * len(probes)  # expired
 
 
 @pytest.mark.parametrize("k", [65528, 65536])
@@ -269,8 +277,8 @@ def test_sliding_zero_counts_of_full_registers_at_the_accumulator_edge(k):
     det = SlidingDetector(replace(SMALL, k=k, lr=3, v=6, design_n=1), window_slices=4)
     det.pool.ts[:] = det.pool.now
     hosts = np.random.default_rng(13).integers(0, 2**32, size=3, dtype=np.uint64)
-    assert det.zero_counts(hosts).tolist() == [0, 0, 0]
-    assert det.zero_counts(hosts, bound=k).tolist() == [0, 0, 0]
+    assert pairs(*sliding_estimate(det, hosts)) == [ldc_estimate(0, k)] * 3
+    assert pairs(*sliding_estimate(det, hosts, 0.0)) == [ldc_estimate(0, k)] * 3
 
 
 def test_detect_memory_stays_small_at_default_geometry():
