@@ -34,7 +34,7 @@ def main():
     ap.add_argument("--n-background", type=int, default=100_000)
     ap.add_argument("--n-pairs", type=int, default=1_000_000)
     ap.add_argument("--k", type=int, default=DEFAULTS.k)
-    ap.add_argument("--seed", type=int, default=DEFAULTS.master_seed)
+    ap.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULTS.master_seed)
     ap.add_argument("--gen-seed", type=int, default=1)
     args = ap.parse_args()
 

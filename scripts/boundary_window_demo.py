@@ -22,7 +22,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--theta", type=int, default=DEFAULTS.theta)
     ap.add_argument("--window-slices", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=DEFAULTS.master_seed)
+    ap.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULTS.master_seed)
     args = ap.parse_args()
 
     w = args.window_slices

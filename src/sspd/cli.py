@@ -250,11 +250,13 @@ def cmd_slide(args: argparse.Namespace) -> int:
     """Walk the trace one slice at a time from its first slice id, and
     detect there and every ``detect_every`` slices after it.  The
     detector's clock counts slices since the walk began; each detection is
-    labelled with its absolute slice id."""
+    labelled with its absolute slice id.  A detection whose window holds
+    no pair (every stamp has expired) is not run, but its slice is listed."""
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
     detector = SlidingDetector(cfg.params, cfg.window_slices)
     first = int(trace.slices.min()) if len(trace) else 0
+    last = -cfg.window_slices  # clock slice of the last pair observed
     reports: list[DetectionReport] = []
     detected_at: list[int] = []
     overflowed: dict[int, list[int]] = {}
@@ -262,17 +264,19 @@ def cmd_slide(args: argparse.Namespace) -> int:
     def close_slice():
         now = detector.pool.now
         if now % cfg.detect_every == 0:
-            found, skipped = skipped_arrays(detector.detect)
-            reports.extend(replace(r, window_id=first + now) for r in found)
+            if now - last < cfg.window_slices:
+                found, skipped = skipped_arrays(detector.detect)
+                reports.extend(replace(r, window_id=first + now) for r in found)
+                if skipped:
+                    overflowed[first + now] = skipped
             detected_at.append(first + now)
-            if skipped:
-                overflowed[first + now] = skipped
         detector.advance_slice()
 
     for sid, sel in split_windows(trace.slices, 1):
         while first + detector.pool.now < sid:
             close_slice()
         detector.observe_batch(trace.hips[sel], trace.oips[sel])
+        last = detector.pool.now
     close_slice()
     write_reports(Path(args.out), "sliding", cfg.detection_fields(), reports, detected_at,
                   overflowed)

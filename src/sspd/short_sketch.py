@@ -223,11 +223,11 @@ class SeavSketch:
 
         An array with more than ``restore_cap`` consistent full tuples,
         whatever their AND weight, is skipped with a SeaOverflowWarning
-        that names it, one per array in array order.  An array whose
-        product of hot-register counts over the rows is above the cap may
-        pass it, so the join first runs over those arrays alone and only
-        counts their full tuples, dropping an array's partial tuples once
-        it is over the cap; no full tuple of an array over it is built.
+        that names it, one per array in array order.  The last row counts
+        each array's full tuples before it builds any, and an array once
+        over the cap is extended no further at any row; the IPs it found
+        before are dropped at the end.  So no more than ``restore_cap``
+        full tuples of an array are ever built.
         """
         cfg = self.config
         r, arrays = np.uint64(cfg.r), np.uint64((1 << cfg.r) - 1)
@@ -236,12 +236,10 @@ class SeavSketch:
         # with the rows before it), and its join keys sorted.
         hot = []
         fixed = 0  # left-part bits fixed by the rows before row i
-        most = np.ones(1 << cfg.r)  # a bound on each array's full tuples
         for i in range(cfg.sr):
             rps, cols = np.nonzero(np.bitwise_count(self.rows[i]) >= 3)
             if len(cols) == 0:
                 return np.empty(0, dtype=np.uint64)
-            most *= np.bincount(rps, minlength=len(most))
             frags, mask = self._scatter[i]
             bits = (frags[cols] << r) | rps.astype(np.uint64)
             key_mask = (np.uint64(fixed & mask) << r) | arrays
@@ -253,17 +251,17 @@ class SeavSketch:
         overflowed = np.zeros(1 << cfg.r, dtype=bool)
         found = [np.empty(0, dtype=np.uint64)]
 
-        def join(i: int, acc_ip: np.ndarray, acc_and: np.ndarray, build: bool):
+        def join(i: int, acc_ip: np.ndarray, acc_and: np.ndarray):
             row_bits, row_regs, key_mask, row_keys, order = hot[i]
             left_keys = acc_ip & key_mask
             lo = np.searchsorted(row_keys, left_keys, side="left")
             counts = np.searchsorted(row_keys, left_keys, side="right") - lo
+            rp = acc_ip & arrays
             last = i == cfg.sr - 1
-            if last and not build:
-                rp = (acc_ip & arrays).view(np.int64)
-                np.add(n_found, np.bincount(rp, counts, minlength=len(n_found)), out=n_found)
+            if last:  # count every full tuple before building any
+                np.add(n_found, np.bincount(rp.view(np.int64), counts, minlength=len(n_found)),
+                       out=n_found)
                 np.greater(n_found, self.restore_cap, out=overflowed)
-                return
             ends = np.cumsum(counts)
             stop = 0
             while stop < len(acc_ip):
@@ -271,9 +269,8 @@ class SeavSketch:
                 base = int(ends[start - 1]) if start else 0
                 stop = max(start + 1,
                            int(np.searchsorted(ends, base + RESTORE_BLOCK, side="right")))
-                c = counts[start:stop]
-                if not build:  # count nothing more of an array over the cap
-                    c = np.where(overflowed[acc_ip[start:stop] & arrays], 0, c)
+                # extend nothing more of an array over the cap
+                c = np.where(overflowed[rp[start:stop]], 0, counts[start:stop])
                 if not c.any():
                     continue
                 left = np.repeat(np.arange(start, stop), c)
@@ -285,13 +282,11 @@ class SeavSketch:
                     heavy = np.bitwise_count(next_and) >= 3
                     found.append(acc_ip[left[heavy]] | row_bits[right[heavy]])
                 else:
-                    join(i + 1, acc_ip[left] | row_bits[right], next_and, build)
+                    join(i + 1, acc_ip[left] | row_bits[right], next_and)
 
-        for build in (False, True):  # count what may pass the cap, then build
-            take = ~overflowed if build else most > self.restore_cap
-            first = take[hot[0][0] & arrays]
-            join(1, hot[0][0][first], hot[0][1][first], build)
+        join(1, hot[0][0], hot[0][1])
         for rp in np.flatnonzero(overflowed).tolist():
             warnings.warn(SeaOverflowWarning(rp, self.restore_cap), stacklevel=2)
+        found = np.concatenate(found)
         # IPs are unique: an IP fixes its array and its column in every row.
-        return np.sort(np.concatenate(found))
+        return np.sort(found[~overflowed[found & arrays]])

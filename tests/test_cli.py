@@ -217,6 +217,77 @@ def test_slide_walks_from_the_first_slice_and_labels_absolute_ids(tmp_path):
     assert estimates[2] > 1.5 * max(estimates[:2] + estimates[3:])
 
 
+def counted_detects(monkeypatch) -> list[int]:
+    """Patch ``SlidingDetector.detect`` to record the clock of each call."""
+    calls = []
+    detect = cli.SlidingDetector.detect
+
+    def counted(self):
+        calls.append(self.pool.now)
+        return detect(self)
+
+    monkeypatch.setattr(cli.SlidingDetector, "detect", counted)
+    return calls
+
+
+def test_slide_runs_no_detection_whose_window_holds_no_pair(tmp_path, monkeypatch):
+    # One pair at slice 0 and one at 20000: the default 300-slice window
+    # is empty from slice 300 to 19999, so only 301 detections run, while
+    # every slice is still listed.
+    trace = tmp_path / "gap.txt"
+    trace.write_text("0,10.0.0.1,192.168.0.1\n20000,10.0.0.1,192.168.0.2\n")
+    out = tmp_path / "gap.csv"
+    calls = counted_detects(monkeypatch)
+    assert run(["slide", "--trace", trace, "--out", out, "--detect-every", 1]) == 0
+    assert calls == [*range(300), 20000]
+    text = out.read_text().splitlines()
+    assert f"# windows={' '.join(map(str, range(20001)))}" in text
+    assert text[-1] == REPORT_COLUMNS
+
+
+def test_slide_skips_only_windows_without_pairs(tmp_path, monkeypatch):
+    # A heavy host sends 40 peers in slice 7 and 40 more in 17, where the
+    # walk ends; with a 3-slice window, slices 10-16 hold no pair, and
+    # every other slice reports the host.
+    lines = [f"{s},10.0.0.1,192.168.{s}.{j}" for s in (7, 17) for j in range(40)]
+    trace = tmp_path / "bursts.txt"
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bursts.csv"
+    calls = counted_detects(monkeypatch)
+    assert run(["slide", "--trace", trace, "--out", out, "--window-slices", 3, "--theta", 16,
+                "--detect-every", 1, *SMALL_FLAGS]) == 0
+    assert calls == [0, 1, 2, 10]
+    text = out.read_text().splitlines()
+    assert f"# windows={' '.join(map(str, range(7, 18)))}" in text
+    rows = [r.split(",")[:2] for r in text[text.index(REPORT_COLUMNS) + 1:]]
+    assert rows == [[str(w), "10.0.0.1"] for w in (7, 8, 9, 17)]
+
+
+def test_slide_of_an_empty_trace_lists_slice_0(tmp_path, monkeypatch):
+    trace = tmp_path / "empty.txt"
+    trace.write_text("")
+    out = tmp_path / "empty.csv"
+    calls = counted_detects(monkeypatch)
+    assert run(["slide", "--trace", trace, "--out", out]) == 0
+    assert calls == []
+    text = out.read_text().splitlines()
+    assert "# windows=0" in text and text[-1] == REPORT_COLUMNS
+
+
+@pytest.mark.parametrize("script, flags", [
+    ("boundary_window_demo.py", ["--theta", 64, "--window-slices", 4]),
+    ("accuracy_sweep.py", ["--theta", 64, "--n-super", 2, "--n-background", 200,
+                           "--n-pairs", 2000]),
+])
+def test_example_scripts_take_a_hex_seed(script, flags):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    proc = subprocess.run(
+        [sys.executable, str(path), "--seed", "0x5EED", *map(str, flags)],
+        env={**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_plan_command(capsys):
     assert run(["plan", "--v", 8192, "--n", 1e6, "--k", 8192]) == 0
     out = capsys.readouterr().out
