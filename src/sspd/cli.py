@@ -58,11 +58,9 @@ class RunConfig:
     detect_every: int = 1
     n_wp: int = 4
     route: str = "hash"
-    buffer_pairs: int = DEFAULT_BUFFER_PAIRS
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("window_slices", "detect_every", "n_wp", "buffer_pairs", "threads"):
+        for name in ("window_slices", "detect_every", "n_wp"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -94,12 +92,7 @@ class RunConfig:
         }
 
     def topology_fields(self) -> dict[str, object]:
-        return {
-            "n_wp": self.n_wp,
-            "route": self.route,
-            "buffer_pairs": self.buffer_pairs,
-            "threads": self.threads,
-        }
+        return {"n_wp": self.n_wp, "route": self.route}
 
 
 # Run knob defaults: RunConfig holds them, the flags read them.  A
@@ -219,8 +212,8 @@ def _detect_windows(cfg: RunConfig, trace) -> Iterator[tuple[np.ndarray, Detecto
     next window once the caller is done."""
     state = DetectorState.create(cfg.params)
     for wid, sel in split_windows(trace.slices, cfg.window_slices):
-        for start in range(0, len(sel), cfg.buffer_pairs):
-            batch = sel[start:start + cfg.buffer_pairs]
+        for start in range(0, len(sel), DEFAULT_BUFFER_PAIRS):
+            batch = sel[start:start + DEFAULT_BUFFER_PAIRS]
             state.process_batch(trace.hips[batch], trace.oips[batch])
         state.window_id = wid
         yield sel, state
@@ -247,37 +240,39 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_slide(args: argparse.Namespace) -> int:
-    """Walk the trace one slice at a time from its first slice id, and
-    detect there and every ``detect_every`` slices after it.  The
-    detector's clock counts slices since the walk began; each detection is
-    labelled with its absolute slice id.  A detection whose window holds
-    no pair (every stamp has expired) is not run, but its slice is listed."""
+    """Walk the trace from its first slice id, and detect there and every
+    ``detect_every`` slices after it.  The detector's clock counts slices
+    since the walk began; each detection is labelled with its absolute
+    slice id.  A detection whose window holds no pair (every stamp has
+    expired) is not run, but its slice is listed, and the clock jumps over
+    such slices."""
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
     detector = SlidingDetector(cfg.params, cfg.window_slices)
+    every = cfg.detect_every
     first = int(trace.slices.min()) if len(trace) else 0
     last = -cfg.window_slices  # clock slice of the last pair observed
     reports: list[DetectionReport] = []
     detected_at: list[int] = []
     overflowed: dict[int, list[int]] = {}
 
-    def close_slice():
-        now = detector.pool.now
-        if now % cfg.detect_every == 0:
-            if now - last < cfg.window_slices:
-                found, skipped = skipped_arrays(detector.detect)
-                reports.extend(replace(r, window_id=first + now) for r in found)
-                if skipped:
-                    overflowed[first + now] = skipped
-            detected_at.append(first + now)
-        detector.advance_slice()
+    def walk_to(stop: int):
+        """Close the clock's slices up to ``stop`` and move the clock there."""
+        start = -(-detector.pool.now // every) * every
+        for now in range(start, min(stop, last + cfg.window_slices), every):
+            detector.advance_slice(now - detector.pool.now)
+            found, skipped = skipped_arrays(detector.detect)
+            reports.extend(replace(r, window_id=first + now) for r in found)
+            if skipped:
+                overflowed[first + now] = skipped
+        detected_at.extend(range(first + start, first + stop, every))
+        detector.advance_slice(stop - detector.pool.now)
 
     for sid, sel in split_windows(trace.slices, 1):
-        while first + detector.pool.now < sid:
-            close_slice()
+        walk_to(sid - first)
         detector.observe_batch(trace.hips[sel], trace.oips[sel])
         last = detector.pool.now
-    close_slice()
+    walk_to(detector.pool.now + 1)
     write_reports(Path(args.out), "sliding", cfg.detection_fields(), reports, detected_at,
                   overflowed)
     check_overflowed(Path(args.out), overflowed, cfg.params.restore_cap)
@@ -306,8 +301,7 @@ def cmd_distsim(args: argparse.Namespace) -> int:
         # scanner's, on the same registers once the check passes, is dropped.
         res, skipped = skipped_arrays(lambda: simulate_window(
             cfg.params, single.window_id, trace.hips[sel], trace.oips[sel], cfg.n_wp,
-            route=cfg.route, buffer_pairs=cfg.buffer_pairs, threads=cfg.threads,
-            frames_dir=frames_dir))
+            route=cfg.route, frames_dir=frames_dir))
         if skipped:
             overflowed[res.window_id] = skipped
         seav_same = np.array_equal(res.global_seav.flat, single.seav.flat)
@@ -425,11 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n-wp", type=int, default=RUN.n_wp)
     p.add_argument("--route", choices=["hash", "round-robin"], default=RUN.route)
-    p.add_argument("--buffer-pairs", type=int, default=RUN.buffer_pairs)
     p.add_argument("--frames-dir", default=None)
     p.add_argument("--merge-log", default="merge_log.txt")
     _add_sketch_flags(p)
-    p.add_argument("--threads", type=int, default=RUN.threads, help="scanner thread cap")
     p.set_defaults(func=cmd_distsim)
 
     p = sub.add_parser("eval", help="score a report CSV against a truth sidecar")

@@ -44,9 +44,7 @@ receiver, not the frames, says which detector a window belongs to.
 from __future__ import annotations
 
 import struct
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -274,13 +272,14 @@ def simulate_window(params: DetectorParams, window_id: int,
                     frames_dir: Path | str | None = None) -> WindowResult:
     """Scan one window's pairs on n_wp simulated watch points and merge.
 
-    One call takes a watch point from its shard to its two frames: it
-    scans the shard in ``buffer_pairs`` batches into its thread's state,
-    serializes the candidate sketch, then the counter sketch, and zeroes
-    the state for the thread's next point, so ``threads`` states exist at
-    most.  Watch points share no state, so they may scan concurrently;
-    each point's frames are ORed into the receiver as they arrive.
+    The watch points are scanned in point order with one state: each
+    point's shard is scanned in ``buffer_pairs`` batches, its candidate
+    sketch and then its counter sketch are serialized, the state is zeroed
+    for the next point, and the point's frames are ORed into the receiver.
+    ``threads`` is accepted only as 1.
     """
+    if threads != 1:
+        raise ConfigError(f"watch points are scanned in one thread, got threads={threads}")
     receiver = DetectorState.create(params)
     assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
     # One stable sort shards the window: point w's pairs, in stream order,
@@ -292,35 +291,23 @@ def simulate_window(params: DetectorParams, window_id: int,
     del assignment, order
     if frames_dir is not None:
         Path(frames_dir).mkdir(parents=True, exist_ok=True)
-    local = threading.local()
-    # Each scanning thread takes one state built here, in the caller's
-    # malloc arena: a state a worker builds stays in the worker's arena,
-    # apart from the pages the caller frees between windows.
-    spare = [DetectorState.create(params) for _ in range(min(threads, n_wp))]
-
-    def watch_point(w: int) -> list[SketchFrame]:
-        state = getattr(local, "state", None)
-        if state is None:
-            state = local.state = spare.pop()
+    state = DetectorState.create(params)
+    frames = []
+    for w in range(n_wp):
         stop = bounds[w + 1]
         # Bounded buffer per watch point: batch, scan, clear, repeat.
         for start in range(bounds[w], stop, buffer_pairs):
             end = min(start + buffer_pairs, stop)
             state.process_batch(shard_hips[start:end], shard_oips[start:end])
-        frames = []
+        point = []
         for name, sketch in (("seav", state.seav), ("ldca", state.ldca)):
             data = serialize(sketch, window_id)
-            frames.append(parse_frame(data))
+            point.append(parse_frame(data))
             if frames_dir is not None:
                 (Path(frames_dir) / f"wp{w}_win{window_id}_{name}.sspd").write_bytes(data)
         state.reset()
-        return frames
-
-    frames = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for point in pool.map(watch_point, range(n_wp)):
-            merge_frames(receiver, point)
-            frames += point
+        merge_frames(receiver, point)
+        frames += point
     return WindowResult(window_id=window_id, reports=receiver.finalize_window(),
                         global_seav=receiver.seav, global_ldca=receiver.ldca,
                         frames=frames)

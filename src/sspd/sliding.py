@@ -71,10 +71,18 @@ class TimestampPool:
         """Stamp many slots with the current slice (newest always wins)."""
         self.ts[slot_indexes] = self._wrapped_now()
 
-    def advance_slice(self):
-        """Move to the next slice.  O(1) except the rare anti-alias sweep."""
-        self.now += 1
-        if self.now % self._sweep_period == 0:
+    def advance_slice(self, n: int = 1):
+        """Move n slices on.  O(1) unless a multiple of the sweep period
+        lies in (now, now + n]: then one anti-alias sweep runs at the new
+        slice, or, when n is a window or more, every slot has expired and
+        is set to just expired.  Either way ages stay below the modulus, so
+        active() reads as after n single steps."""
+        due = (self.now + n) // self._sweep_period > self.now // self._sweep_period
+        self.now += n
+        if due and n >= self.window_slices:
+            self.ts.fill((self.now - self.window_slices) & self._mask)
+            self.sweep_count += 1
+        elif due:
             self._sweep()
 
     def _sweep(self):
@@ -122,8 +130,8 @@ class SlidingDetector:
         self.ldca_base = cfg.n_registers * cfg.g
         self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices)
 
-    def advance_slice(self):
-        self.pool.advance_slice()
+    def advance_slice(self, n: int = 1):
+        self.pool.advance_slice(n)
 
     def observe_batch(self, hips: np.ndarray, oips: np.ndarray):
         """Stamp the bits both sketches would set for these pairs: bit b of

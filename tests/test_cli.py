@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,7 @@ def test_distsim_matches_detect_byte_for_byte(tmp_path, trace_file):
     text = log.read_text()
     assert "seav_identical=True ldca_identical=True reports_identical=True" in text
     assert "# n_wp=4" in text
+    assert "# threads=" not in text and "# buffer_pairs=" not in text
 
 
 def test_distsim_takes_a_theta_beyond_32_bits(tmp_path, trace_file):
@@ -263,6 +265,45 @@ def test_slide_skips_only_windows_without_pairs(tmp_path, monkeypatch):
     assert rows == [[str(w), "10.0.0.1"] for w in (7, 8, 9, 17)]
 
 
+def test_slide_jumps_over_a_gap_without_pairs(tmp_path, monkeypatch):
+    # With no detection due in the gap, the clock moves from the first
+    # pair's window to the second pair in one step, not 2,000,000.
+    trace = tmp_path / "gap.txt"
+    trace.write_text("0,10.0.0.1,192.168.0.1\n2000000,10.0.0.1,192.168.0.2\n")
+    out = tmp_path / "gap.csv"
+    calls = counted_detects(monkeypatch)
+    moves = []
+    advance = cli.SlidingDetector.advance_slice
+
+    def counted(self, n=1):
+        moves.append(n)
+        advance(self, n)
+
+    monkeypatch.setattr(cli.SlidingDetector, "advance_slice", counted)
+    assert run(["slide", "--trace", trace, "--out", out, "--detect-every", 1000]) == 0
+    assert calls == [0, 2000000]
+    assert len(moves) <= 8 and sum(moves) == 2000001
+    text = out.read_text().splitlines()
+    assert f"# windows={' '.join(map(str, range(0, 2000001, 1000)))}" in text
+
+
+def test_slide_spans_every_32_bit_slice_id(tmp_path):
+    # One pair at slice 0 and one at 2^32 - 1: a walk that stepped through
+    # the gap a slice at a time would take hours.
+    trace = tmp_path / "span.txt"
+    trace.write_text("0,10.0.0.1,192.168.0.1\n4294967295,10.0.0.1,192.168.0.2\n")
+    out = tmp_path / "span.csv"
+    argv = ["slide", "--trace", trace, "--out", out, "--detect-every", 10**9]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sspd.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    text = out.read_text().splitlines()
+    assert "# windows=0 1000000000 2000000000 3000000000 4000000000" in text
+    assert text[-1] == REPORT_COLUMNS
+
+
 def test_slide_of_an_empty_trace_lists_slice_0(tmp_path, monkeypatch):
     trace = tmp_path / "empty.txt"
     trace.write_text("")
@@ -361,7 +402,6 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
 
 @pytest.mark.parametrize("command, flag, says", [
     ("slide", ["--detect-every", 0], "detect_every must be >= 1"),
-    ("distsim", ["--buffer-pairs", 0], "buffer_pairs must be >= 1"),
     ("detect", ["--window-slices", 0], "window_slices must be >= 1"),
     ("detect", ["--window-slices", 2**63], "window_slices must be below 2^63"),
     ("detect", ["--beta", -1], "beta must be > 0"),
@@ -369,14 +409,13 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("detect", ["--restore-cap", 0], "restore_cap must be >= 1"),
     ("detect", ["--lr", 0], "lr must be >= 1"),
     ("detect", ["--lr", 8, "--v", 5], "v must be >= lr, got v=5, lr=8"),
-    ("distsim", ["--threads", 0], "threads must be >= 1"),
     ("detect", ["--lr", 1, "--v", 1, "--k", 10**400], "k must be below 2^63"),
     ("detect", ["--lr", 1, "--v", 1, "--k", 2**66], "k must be below 2^63"),
     ("detect", ["--lr", 1, "--v", 1, "--k", 2**62], "detector registers too large"),
     ("slide", ["--lr", 1, "--v", 1, "--k", 2**62], "timestamp pool of"),
-], ids=["detect-every", "buffer-pairs", "window-slices", "window-slices-beyond-int64",
+], ids=["detect-every", "window-slices", "window-slices-beyond-int64",
         "negative-beta", "nan-beta",
-        "zero-restore-cap", "zero-lr", "v-below-lr", "zero-threads",
+        "zero-restore-cap", "zero-lr", "v-below-lr",
         "k-beyond-a-float", "k-beyond-int64",
         "k-beyond-memory", "k-beyond-the-sliding-pool"])
 def test_zero_step_is_config_error(tmp_path, trace_file, command, flag, says):
@@ -399,10 +438,7 @@ def test_zero_step_is_config_error(tmp_path, trace_file, command, flag, says):
 @pytest.mark.parametrize("flags", [
     ["--n-wp", 0],
     ["--n-wp", -3],
-    ["--buffer-pairs", 0],
-    ["--threads", 0],
-], ids=["zero-n-wp", "negative-n-wp", "zero-buffer-pairs",
-        "zero-threads"])
+], ids=["zero-n-wp", "negative-n-wp"])
 def test_distsim_refuses_on_an_empty_trace(tmp_path, capsys, flags):
     # A trace with no windows never reaches a watch point; the refusal
     # must not depend on one.
@@ -530,12 +566,14 @@ def test_skipped_arrays_passes_other_warnings_on():
     assert [w.category for w in caught] == [UserWarning]
 
 
-@pytest.mark.parametrize("command", ["detect", "slide"])
-def test_threads_is_a_distsim_flag_only(tmp_path, trace_file, command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run([command, "--trace", trace_file, "--out", tmp_path / "x.csv", "--threads", 2])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+def test_distsim_has_no_scanner_knobs(capsys):
+    # Watch points are scanned one after another, in 65,536-pair batches.
+    assert [f.name for f in fields(RunConfig)] == [
+        "params", "window_slices", "detect_every", "n_wp", "route"]
+    with pytest.raises(SystemExit):
+        run(["distsim", "--help"])
+    out = capsys.readouterr().out
+    assert "--n-wp" in out and "--threads" not in out and "--buffer-pairs" not in out
 
 
 def test_default_detection_fields():
@@ -548,7 +586,7 @@ def test_default_detection_fields():
 
 @pytest.mark.parametrize("knob, value", [
     ("window_slices", 0), ("window_slices", 1 << 63), ("detect_every", 0),
-    ("n_wp", -3), ("buffer_pairs", 0), ("threads", 0),
+    ("n_wp", -3),
 ])
 def test_run_config_refuses_a_bad_run_knob(knob, value):
     with pytest.raises(ConfigError, match=knob):
@@ -673,8 +711,7 @@ FUZZ_SKETCH_FLAGS = {
 FUZZ_COMMAND_FLAGS = {
     "detect": {},
     "slide": {"--detect-every": [0, -1, 1, "x"]},
-    "distsim": {"--n-wp": [0, -1, 1, 16, "x"], "--buffer-pairs": [0, -1, 1, "x"],
-                "--threads": [0, -1, 1, 4, "x"]},
+    "distsim": {"--n-wp": [0, -1, 1, 16, "x"]},
 }
 
 
@@ -762,11 +799,9 @@ def test_fuzz_lists_build_at_most_64_mib():
     registers = (worst(["--r", "--sr", "--a", "--g"])
                  + worst(["--k", "--v", "--lr"]))
     # Sliding keeps a stamp of up to 8 bytes per register bit; distsim holds
-    # one window's n_wp frames, the receiver, `threads` scanner states and
-    # the single scanner.
-    distsim = {n: max(x for x in xs if isinstance(x, int))
-               for n, xs in FUZZ_COMMAND_FLAGS["distsim"].items()}
-    copies = max(8 * 8, distsim["--n-wp"] + distsim["--threads"] + 2)
+    # one window's n_wp frames, the receiver, one scanner state and the
+    # single scanner.
+    copies = max(8 * 8, largest(FUZZ_COMMAND_FLAGS["distsim"]["--n-wp"]) + 3)
     assert registers * copies <= 64 << 20, (registers, copies)
     # generate draws every planted pair, then the requested ones; a pair
     # costs well under 64 bytes at its peak.

@@ -114,6 +114,30 @@ def test_sweep_cadence_is_one_per_period():
         assert pool.sweep_count == pool.now // 56, pool.now
 
 
+@pytest.mark.parametrize("window", [1, 3, 127, 128, 300])
+def test_advance_by_n_equals_n_single_steps(window):
+    # 127 gives uint8 stamps and a sweep every 2 slices; 70000 slices pass
+    # the modulus of every dtype here.  Each jump is checked against n
+    # single steps and against the last touch of every slot.
+    jumped, stepped = TimestampPool(64, window), TimestampPool(64, window)
+    period = jumped._sweep_period
+    steps = [0, 1, window - 1, window, period, 3 * period + 1, 70000]
+    rng = np.random.default_rng(window)
+    last = np.full(64, -window)
+    for n in steps + rng.permutation(steps).tolist() + rng.permutation(steps).tolist():
+        slots = rng.integers(0, 64, size=5)
+        for pool in (jumped, stepped):
+            pool.touch_batch(slots)
+        last[slots] = jumped.now
+        jumped.advance_slice(n)
+        for _ in range(n):
+            stepped.advance_slice()
+        assert jumped.now == stepped.now
+        assert jumped.active().tolist() == stepped.active().tolist(), (n, jumped.now)
+        assert jumped.active().tolist() == (jumped.now - last < window).tolist()
+        assert jumped.sweep_count <= stepped.sweep_count
+
+
 def test_blocked_sweep_equals_whole_pool_sweep(monkeypatch):
     monkeypatch.setattr(sliding, "SWEEP_BLOCK", 5)  # 23 slots: four full blocks and a short one
     pool = TimestampPool(23, window_slices=10)
