@@ -45,6 +45,8 @@ METRIC_COLUMNS = "window_id,FPR,FNR,FTR,detected,truth"
 DEFAULTS = DetectorParams()
 # Trace defaults: TraceSpec holds them, the generate flags read them.
 SPEC = TraceSpec()
+# Most slices a slide run lists: listing and writing 2^20 ids takes 130 MB.
+MAX_SLIDES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         slices=args.slices,
         seed=args.gen_seed,
     )
-    trace = generate_trace(spec)
+    try:
+        trace = generate_trace(spec)
+    except MemoryError as exc:
+        raise ConfigError(f"trace too large: {exc}") from exc
     write_trace(trace, args.out)
     print(f"wrote {len(trace)} pairs to {args.out} "
           f"(+ truth sidecar {truth_path(args.out)})")
@@ -245,12 +250,16 @@ def cmd_slide(args: argparse.Namespace) -> int:
     since the walk began; each detection is labelled with its absolute
     slice id.  A detection whose window holds no pair (every stamp has
     expired) is not run, but its slice is listed, and the clock jumps over
-    such slices."""
+    such slices.  It refuses to list more than ``MAX_SLIDES`` slices."""
     cfg = _config_from_args(args)
     trace = read_trace(args.trace)
-    detector = SlidingDetector(cfg.params, cfg.window_slices)
     every = cfg.detect_every
-    first = int(trace.slices.min()) if len(trace) else 0
+    first, final = (int(trace.slices.min()), int(trace.slices.max())) if len(trace) else (0, 0)
+    n_slides = (final - first) // every + 1
+    if n_slides > MAX_SLIDES:
+        raise ConfigError(f"slices {first} to {final} at --detect-every {every} would list "
+                          f"{n_slides} slides, more than {MAX_SLIDES}; raise --detect-every")
+    detector = SlidingDetector(cfg.params, cfg.window_slices)
     last = -cfg.window_slices  # clock slice of the last pair observed
     reports: list[DetectionReport] = []
     detected_at: list[int] = []

@@ -19,8 +19,8 @@ Frame wire format, version 4 (little-endian):
     27+b    n     payload
     27+b+n  4     CRC-32 of everything before it
 
-The config block is ASCII text: the sketch config's init fields, then
-the master seed, as ``name=value`` with the values in hex, separated by
+The config block is ASCII text: the sketch config's init fields, the
+master seed last, as ``name=value`` with the values in hex, separated by
 spaces (a candidate sketch: ``r=4 sr=4 a=2 theta=400 g=8 addr_bits=20
 seed=5eed``).  A raw payload is the sketch's register bytes.  A sparse
 payload lists the u nonzero 64-bit words of those bytes in ascending
@@ -58,7 +58,7 @@ from .errors import (
     FrameVersionError,
     MergeError,
 )
-from .hashing import SeedFamily, hash_range_array
+from .hashing import Tag, derive_seed, hash_range_array
 from .long_sketch import LdcaSketch
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, DetectorState
@@ -93,9 +93,7 @@ class SketchFrame:
 def _config_block(sketch: SeavSketch | LdcaSketch) -> bytes:
     """The config block of a sketch: the only encoder of the block."""
     cfg = sketch.config
-    values = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.init]
-    values.append(("seed", sketch.seeds.master_seed))
-    return " ".join(f"{name}={value:x}" for name, value in values).encode()
+    return " ".join(f"{f.name}={getattr(cfg, f.name):x}" for f in fields(cfg) if f.init).encode()
 
 
 def _payload(kind: int, regs: np.ndarray) -> tuple[int, tuple[np.ndarray, ...]]:
@@ -238,8 +236,8 @@ def merge_frames(receiver: DetectorState, frames: list[SketchFrame]) -> Detector
 
 
 def route_pairs(hips: np.ndarray, oips: np.ndarray, n_wp: int, route: str,
-                seeds: SeedFamily) -> np.ndarray:
-    """Assign each pair to a watch point.
+                seed: int) -> np.ndarray:
+    """Assign each pair to a watch point; ``seed`` is the master seed.
 
     "hash" keys on the pair so one host's traffic still scatters across
     points; "round-robin" ignores content entirely.  Any partition works:
@@ -249,7 +247,7 @@ def route_pairs(hips: np.ndarray, oips: np.ndarray, n_wp: int, route: str,
         raise ConfigError(f"need at least one watch point, got {n_wp}")
     if route == "hash":
         key = (hips.astype(np.uint64) << np.uint64(32)) | oips.astype(np.uint64)
-        return hash_range_array(key, seeds.route, n_wp).astype(np.int64)
+        return hash_range_array(key, derive_seed(seed, Tag.ROUTE), n_wp).astype(np.int64)
     if route == "round-robin":
         return (np.arange(len(hips), dtype=np.int64) % n_wp)
     raise ConfigError(f"unknown route {route!r} (expected 'hash' or 'round-robin')")
@@ -281,7 +279,7 @@ def simulate_window(params: DetectorParams, window_id: int,
     if threads != 1:
         raise ConfigError(f"watch points are scanned in one thread, got threads={threads}")
     receiver = DetectorState.create(params)
-    assignment = route_pairs(hips, oips, n_wp, route, receiver.seav.seeds)
+    assignment = route_pairs(hips, oips, n_wp, route, params.master_seed)
     # One stable sort shards the window: point w's pairs, in stream order,
     # are bounds[w]:bounds[w + 1] of the sorted pairs.  The narrowest lane
     # type lets numpy radix-sort it.

@@ -11,8 +11,9 @@ Primitives:
 
 Every mapping is keyed by a (master seed, domain tag) pair.  Distinct tags
 give statistically independent mappings of the same key, which is what the
-sketches need from their H1/H2/H3/row-hash roles.  All seeds derive from a
-single master seed so a whole run is reproducible from one integer.
+sketches need from their H1/H2/H3/row-hash roles.  Each role's key is
+``derive_seed(master seed, tag)``, and each sketch config carries its
+master seed, so a whole run is reproducible from one integer.
 """
 
 from __future__ import annotations
@@ -75,24 +76,6 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
 def derive_seed(master_seed: int, domain_tag: int) -> int:
     """Expand the master seed into one 64-bit domain key per tag."""
     return mix64((master_seed & MASK64) ^ ((domain_tag & 0xFF) * _GOLDEN))
-
-
-class SeedFamily:
-    """All domain-tagged seeds a detector needs, from one master seed,
-    each the ``derive_seed`` integer of its role's tag."""
-
-    def __init__(self, master_seed: int = DEFAULT_MASTER_SEED):
-        self.master_seed = master_seed & MASK64
-        self.h1 = derive_seed(self.master_seed, Tag.H1)
-        self.h2 = derive_seed(self.master_seed, Tag.H2)
-        self.h3 = derive_seed(self.master_seed, Tag.H3)
-        self.route = derive_seed(self.master_seed, Tag.ROUTE)
-
-    def lh(self, row: int) -> int:
-        return derive_seed(self.master_seed, Tag.LH_BASE + row)
-
-    def __repr__(self) -> str:
-        return f"SeedFamily(0x{self.master_seed:X})"
 
 
 def hash64_array(keys: np.ndarray, seed: int) -> np.ndarray:

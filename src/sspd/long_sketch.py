@@ -17,12 +17,12 @@ import functools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import SeedFamily, hash_range_array
+from .hashing import MASK64, Tag, derive_seed, hash_range_array
 
 DEFAULT_K = 8192
 DEFAULT_V = 8192
@@ -83,9 +83,12 @@ def zero_count_bound(cutoff: float, k: int) -> int:
 
 @dataclass(frozen=True)
 class LdcaConfig:
+    """Geometry and seed of the counter sketch; ``DetectorParams`` chooses them."""
+
     lr: int
     lc: int
     k: int
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
         if self.lr < 1:
@@ -96,6 +99,8 @@ class LdcaConfig:
             raise ConfigError(f"k must be a positive multiple of 8, got {self.k}")
         if self.k >= 1 << 63:  # as in plan_rows: beyond this k overflows a float
             raise ConfigError(f"k must be below 2^63, got {self.k}")
+        if not 0 <= self.seed <= MASK64:  # so a config block names the seed hashed
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
 
     @property
     def v(self) -> int:
@@ -104,29 +109,28 @@ class LdcaConfig:
     def memory_bytes(self) -> int:
         return self.lr * self.lc * self.k // 8
 
-    def registers(self, seeds: SeedFamily, hips: np.ndarray):
+    def registers(self, hips: np.ndarray):
         """Flat register number ``row * lc + column`` of each host, one row
         at a time; the column is the row's hash of the host IP.  Each row
         is a new array, which callers may change in place."""
         for i in range(self.lr):
-            reg = hash_range_array(hips, seeds.lh(i), self.lc).view(np.int64)
-            reg += i * self.lc
-            yield reg
+            reg = hash_range_array(hips, derive_seed(self.seed, Tag.LH_BASE + i), self.lc)
+            reg += np.uint64(i * self.lc)
+            yield reg.view(np.int64)
 
-    def addresses(self, seeds: SeedFamily, hips: np.ndarray, oips: np.ndarray):
+    def addresses(self, hips: np.ndarray, oips: np.ndarray):
         """The bits a batch of IP pairs sets, as ``(bit, registers)``: each
         pair sets bit H3(oip) of its host's register in every row.  ``bit``
         holds one bit position per pair and ``registers`` yields the flat
         register numbers row by row (see ``registers``)."""
-        bit = hash_range_array(oips, seeds.h3, self.k).view(np.int64)
-        return bit, self.registers(seeds, hips)
+        bit = hash_range_array(oips, derive_seed(self.seed, Tag.H3), self.k).view(np.int64)
+        return bit, self.registers(hips)
 
 
-def union_estimates(config: LdcaConfig, seeds: SeedFamily,
-                     cells: Callable[[np.ndarray], np.ndarray], hips: np.ndarray,
-                     cutoff: float | None = None,
-                     weights: Callable[[], np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def union_estimates(config: LdcaConfig, cells: Callable[[np.ndarray], np.ndarray],
+                    hips: np.ndarray, cutoff: float | None = None,
+                    weights: Callable[[], np.ndarray] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and saturated flags of each host's AND-union register
     (see ``ldc_estimates``): the one filter read of both detection modes.
 
@@ -150,7 +154,7 @@ def union_estimates(config: LdcaConfig, seeds: SeedFamily,
     EARLY_EXIT_ROWS >= v``).
     """
     hips = np.asarray(hips, dtype=np.uint64)
-    rows = list(config.registers(seeds, hips))
+    rows = list(config.registers(hips))
     out = np.empty(len(hips), dtype=np.int64)
     bound = None if cutoff is None else zero_count_bound(cutoff, config.k)
     early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
@@ -194,9 +198,8 @@ class LdcaSketch:
     bit order), which is what numpy's packbits(bitorder="little") emits.
     """
 
-    def __init__(self, config: LdcaConfig, seeds: SeedFamily):
+    def __init__(self, config: LdcaConfig):
         self.config = config
-        self.seeds = seeds
         self.bytes_per_ldc = config.k // 8
         self.data = np.zeros((config.lr, config.lc, self.bytes_per_ldc), dtype=np.uint8)
         self.flat = self.data.reshape(-1)  # every register byte, as one view
@@ -212,7 +215,7 @@ class LdcaSketch:
         scatter.  That is exact even where a byte repeats in a group, since
         every copy of it writes the same value.
         """
-        bit, registers = self.config.addresses(self.seeds, hips, oips)
+        bit, registers = self.config.addresses(hips, oips)
         byte = bit >> 3
         bit &= 7
         groups = [(np.flatnonzero(bit == j), np.uint8(1 << j)) for j in range(8)]
@@ -230,7 +233,7 @@ class LdcaSketch:
                     if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
         words = self.data.reshape(self.config.v, -1).view(word)
         acc = np.min_scalar_type(self.config.k)
-        return union_estimates(self.config, self.seeds, words.__getitem__, hips, cutoff,
+        return union_estimates(self.config, words.__getitem__, hips, cutoff,
                                lambda: np.bitwise_count(words).sum(axis=1, dtype=acc))
 
 
@@ -254,6 +257,8 @@ def plan_rows(v: int, n_pairs: float, k: int,
     """
     if v < 1 or not n_pairs > 0 or k < 2:  # also refuses a NaN n_pairs
         raise ConfigError("plan_rows arguments must be positive (k >= 2)")
+    if not math.isfinite(n_pairs):
+        raise ConfigError(f"n_pairs must be finite, got {n_pairs:g}")
     if max(v, k) >= 1 << 63:  # beyond this they overflow a float
         raise ConfigError(f"plan_rows takes v and k below 2^63, got v={v}, k={k}")
     if max_rows is not None and max_rows < 1:

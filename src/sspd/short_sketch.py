@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SeaOverflowWarning
-from .hashing import SeedFamily, hash_full_array, hash_range_array, lsb_at_least
+from .hashing import MASK64, Tag, derive_seed, hash_full_array, hash_range_array, lsb_at_least
 
-DEFAULT_RESTORE_CAP = 1 << 20
 # Partial tuples built at once per row in the restore join: about 40
 # bytes each while built, so a third of a MiB per row.
 RESTORE_BLOCK = 1 << 13
@@ -60,7 +59,7 @@ def _rotate_right(x, s: int, w: int):
 
 @dataclass(frozen=True)
 class SeavConfig:
-    """Geometry of the candidate sketch; ``DetectorParams`` chooses it.
+    """Geometry and seed of the candidate sketch; ``DetectorParams`` chooses them.
 
     Every row has the same index width ``ibn`` and so ``sc`` registers.
     ``addr_bits`` is normally 32 (IPv4); smaller widths exist so tests can
@@ -72,7 +71,8 @@ class SeavConfig:
     a: int
     theta: int
     g: int
-    addr_bits: int = 32
+    addr_bits: int = field(default=32, kw_only=True)
+    seed: int = field(kw_only=True)
     isb: tuple[int, ...] = field(init=False)
     ibn: int = field(init=False)
     sc: int = field(init=False)
@@ -87,6 +87,8 @@ class SeavConfig:
             raise ConfigError(f"overlap a must be >= 1, got {self.a}")
         if not 2 <= self.addr_bits <= 32:
             raise ConfigError(f"addr_bits must be in [2, 32], got {self.addr_bits}")
+        if not 0 <= self.seed <= MASK64:  # so a config block names the seed hashed
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         w = self.lp_bits
         if w < 1:
             raise ConfigError(f"r={self.r} leaves no left-part bits for addr_bits={self.addr_bits}")
@@ -149,7 +151,7 @@ class SeavConfig:
             reg += (rp | np.uint64(i << self.r)) * np.uint64(self.sc)
             yield reg.view(np.int64)
 
-    def addresses(self, seeds: SeedFamily, hips: np.ndarray, oips: np.ndarray):
+    def addresses(self, hips: np.ndarray, oips: np.ndarray):
         """The bits a batch of IP pairs sets, as ``(bit, registers)``.
 
         A pair is kept when H1 of its opposite IP passes the sampling test;
@@ -158,9 +160,9 @@ class SeavConfig:
         yields their flat register numbers row by row (see ``registers``),
         so one row's numbers are held at a time.
         """
-        keep = lsb_at_least(hash_full_array(oips, seeds.h1), self.tau)
-        bit = hash_range_array(oips[keep], seeds.h2, self.g).view(np.int64)
-        return bit, self.registers(hips[keep])
+        keep = lsb_at_least(hash_full_array(oips, derive_seed(self.seed, Tag.H1)), self.tau)
+        bit = hash_range_array(oips[keep], derive_seed(self.seed, Tag.H2), self.g)
+        return bit.view(np.int64), self.registers(hips[keep])
 
     def memory_bytes(self) -> int:
         return self.n_registers * np.dtype(_register_dtype(self.g)).itemsize
@@ -181,10 +183,8 @@ class SeavSketch:
     followed by an OR-merge yields bit-identical state.
     """
 
-    def __init__(self, config: SeavConfig, seeds: SeedFamily,
-                 restore_cap: int = DEFAULT_RESTORE_CAP):
+    def __init__(self, config: SeavConfig, restore_cap: int):
         self.config = config
-        self.seeds = seeds
         self.restore_cap = restore_cap
         # rows[i, rp] is row i of array rp; flat is the same registers in
         # one dimension, in the order ``config.registers`` numbers them.
@@ -198,7 +198,7 @@ class SeavSketch:
 
     def update_batch(self, hips: np.ndarray, oips: np.ndarray):
         """Record a batch of IP pairs (vectorized, integer arithmetic only)."""
-        bit, registers = self.config.addresses(self.seeds, hips, oips)
+        bit, registers = self.config.addresses(hips, oips)
         mask = np.left_shift(1, bit).astype(self.flat.dtype)
         for reg in registers:
             np.bitwise_or.at(self.flat, reg, mask)

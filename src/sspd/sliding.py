@@ -15,7 +15,6 @@ import functools
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import SeedFamily
 from .long_sketch import union_estimates
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
@@ -122,7 +121,6 @@ class SlidingDetector:
 
     def __init__(self, params: DetectorParams, window_slices: int):
         self.params = params
-        self.seeds = SeedFamily(self.params.master_seed)
         self.seav_config = self.params.seav_config()
         self.ldca_config = self.params.ldca_config()
         # Flat slot numbering: candidate-sketch bits first, then counter bits.
@@ -139,7 +137,7 @@ class SlidingDetector:
         base + n * width + b."""
         for base, width, cfg in ((0, self.seav_config.g, self.seav_config),
                                  (self.ldca_base, self.ldca_config.k, self.ldca_config)):
-            bit, registers = cfg.addresses(self.seeds, hips, oips)
+            bit, registers = cfg.addresses(hips, oips)
             bit += base
             for reg in registers:
                 reg *= width
@@ -154,7 +152,7 @@ class SlidingDetector:
         (when g is narrower), so one flat little-endian packbits yields
         every register's bytes in order."""
         cfg = self.seav_config
-        sketch = SeavSketch(cfg, self.seeds, restore_cap=self.params.restore_cap)
+        sketch = SeavSketch(cfg, restore_cap=self.params.restore_cap)
         bits = self.pool.active(0, self.ldca_base).reshape(cfg.n_registers, cfg.g)
         width = sketch.flat.dtype.itemsize
         if cfg.g < 8 * width:
@@ -170,6 +168,6 @@ class SlidingDetector:
 
     def detect(self) -> list[DetectionReport]:
         """Run restore + filter over the active view at the current slice."""
-        estimate = functools.partial(union_estimates, self.ldca_config, self.seeds,
+        estimate = functools.partial(union_estimates, self.ldca_config,
                                      self.materialize_ldca_cell)
         return report_candidates(self.materialize_seav(), estimate, self.params, self.pool.now)

@@ -7,13 +7,14 @@ floating point appears only when a window is finalized.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .hashing import DEFAULT_MASTER_SEED, MASK64, SeedFamily
+from .hashing import DEFAULT_MASTER_SEED
 from .long_sketch import (
     DEFAULT_DESIGN_N,
     DEFAULT_K,
@@ -23,7 +24,7 @@ from .long_sketch import (
     check_noise,
     plan_rows,
 )
-from .short_sketch import DEFAULT_RESTORE_CAP, SeavConfig, SeavSketch
+from .short_sketch import SeavConfig, SeavSketch
 
 DEFAULT_BETA = 0.8
 
@@ -94,19 +95,24 @@ class DetectorParams:
     design_n: float = DEFAULT_DESIGN_N
     beta: float = DEFAULT_BETA
     master_seed: int = DEFAULT_MASTER_SEED
-    restore_cap: int = DEFAULT_RESTORE_CAP
+    restore_cap: int = 1 << 20
     _seav: SeavConfig = field(init=False, repr=False, compare=False)
     _ldca: LdcaConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= MASK64:  # so a report header names the seed hashed
-            raise ConfigError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if not self.beta > 0:  # also refuses NaN
             raise ConfigError(f"beta must be > 0, got {self.beta:g}")
+        try:
+            cutoff = self.beta * self.theta
+        except OverflowError:  # a theta beyond any float
+            cutoff = math.inf
+        if not math.isfinite(cutoff):  # an infinite cutoff would keep no candidate
+            raise ConfigError(f"beta * theta must be finite, got beta={self.beta:g}, "
+                              f"theta={self.theta}")
         if self.v < 1:
             raise ConfigError(f"v must be >= 1, got {self.v}")
-        if not self.design_n > 0:
-            raise ConfigError(f"design_n must be > 0, got {self.design_n:g}")
+        if not 0 < self.design_n < math.inf:  # also refuses NaN
+            raise ConfigError(f"design_n must be finite and > 0, got {self.design_n:g}")
         if self.restore_cap < 1:
             raise ConfigError(f"restore_cap must be >= 1, got {self.restore_cap}")
         if self.lr is not None and self.lr < 1:
@@ -114,12 +120,12 @@ class DetectorParams:
         if self.lr is not None and self.v < self.lr:
             raise ConfigError(f"v must be >= lr, got v={self.v}, lr={self.lr}")
         object.__setattr__(self, "_seav", SeavConfig(
-            r=self.r, sr=self.sr, a=self.a, theta=self.theta, g=self.g))
+            r=self.r, sr=self.sr, a=self.a, theta=self.theta, g=self.g, seed=self.master_seed))
         if self.lr is None:
             lr, lc = plan_rows(self.v, self.design_n, self.k)
         else:
             lr, lc = self.lr, self.v // self.lr
-        object.__setattr__(self, "_ldca", LdcaConfig(lr=lr, lc=lc, k=self.k))
+        object.__setattr__(self, "_ldca", LdcaConfig(lr, lc, self.k, seed=self.master_seed))
         check_noise(self.k, self.design_n, lc, lr)
 
     def seav_config(self) -> SeavConfig:
@@ -139,10 +145,9 @@ class DetectorState:
     @classmethod
     def create(cls, params: DetectorParams | None = None) -> "DetectorState":
         params = params or DetectorParams()
-        seeds = SeedFamily(params.master_seed)
         try:
-            seav = SeavSketch(params.seav_config(), seeds, restore_cap=params.restore_cap)
-            ldca = LdcaSketch(params.ldca_config(), seeds)
+            seav = SeavSketch(params.seav_config(), restore_cap=params.restore_cap)
+            ldca = LdcaSketch(params.ldca_config())
         except MemoryError as exc:
             raise ConfigError(f"detector registers too large: {exc}") from exc
         return cls(seav=seav, ldca=ldca, params=params)
@@ -163,7 +168,7 @@ class DetectorState:
         return report_candidates(self.seav, self.ldca.estimate, self.params, self.window_id)
 
     def reset(self):
-        """Zero all registers for the next window; config and seeds stay."""
+        """Zero all registers for the next window; the configs stay."""
         self.seav.clear()
         self.ldca.clear()
         self.window_id += 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from sspd.errors import ConfigError
 from sspd.evaluation import ExactOracle
-from sspd.hashing import MASK32, MASK64, SeedFamily, _mix64_in_place, mix64
+from sspd.hashing import MASK32, MASK64, Tag, _mix64_in_place, derive_seed, mix64
 from sspd.long_sketch import DEFAULT_K, LdcaSketch
 from sspd.short_sketch import SeavConfig
 from sspd.sliding import SlidingDetector, TimestampPool
@@ -66,10 +66,11 @@ class ShortEstimator:
         if not 0 <= self.bits < (1 << self.g):
             raise ConfigError(f"register value {self.bits} out of range for g={self.g}")
 
-    def update(self, oip: int, tau: int, seeds: SeedFamily) -> "ShortEstimator":
+    def update(self, oip: int, tau: int, seed: int) -> "ShortEstimator":
         """Record one opposite IP; a bit is set only if the sampling test passes."""
-        if lsb(hash_full(oip, seeds.h1)) >= tau:
-            return ShortEstimator(self.bits | (1 << hash_range(oip, seeds.h2, self.g)), self.g)
+        if lsb(hash_full(oip, derive_seed(seed, Tag.H1))) >= tau:
+            bit = hash_range(oip, derive_seed(seed, Tag.H2), self.g)
+            return ShortEstimator(self.bits | (1 << bit), self.g)
         return self
 
     def weight(self) -> int:
@@ -130,8 +131,8 @@ class Ldc:
         self.k = k
         self.bits = 0
 
-    def update(self, oip: int, seeds: SeedFamily):
-        self.bits |= 1 << hash_range(oip, seeds.h3, self.k)
+    def update(self, oip: int, seed: int):
+        self.bits |= 1 << hash_range(oip, derive_seed(seed, Tag.H3), self.k)
 
     def zero_count(self) -> int:
         return self.k - bin(self.bits).count("1")
@@ -149,7 +150,8 @@ def ldc_estimate(z0: int, k: int) -> tuple[float, bool]:
 
 def row_column(sketch: LdcaSketch, row: int, hip: int) -> int:
     """Column of the host's counter in ``row``."""
-    return hash_range(hip, sketch.seeds.lh(row), sketch.config.lc)
+    cfg = sketch.config
+    return hash_range(hip, derive_seed(cfg.seed, Tag.LH_BASE + row), cfg.lc)
 
 
 def union_register(sketch: LdcaSketch, hip: int) -> np.ndarray:

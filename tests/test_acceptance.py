@@ -22,7 +22,6 @@ import sspd.window_detector
 from sspd.cli import RunConfig, write_reports
 from sspd.distributed import simulate_window
 from sspd.evaluation import ExactOracle, TraceSpec, generate_trace, metrics
-from sspd.hashing import SeedFamily
 from sspd.long_sketch import LdcaConfig, LdcaSketch, plan_rows, psu
 from sspd.short_sketch import SeavConfig
 from sspd.sliding import SlidingDetector
@@ -113,7 +112,7 @@ def test_criterion_04_estimator_error():
         rng = np.random.default_rng(404)
         rel, signed = [], []
         for t in range(trials):
-            sk = LdcaSketch(LdcaConfig(lr=1, lc=1, k=k), SeedFamily(master_seed=9000 + t))
+            sk = LdcaSketch(LdcaConfig(lr=1, lc=1, k=k, seed=9000 + t))
             oips = np.unique(rng.integers(0, 2**32, size=n + 64, dtype=np.uint64))[:n]
             sk.update_batch(np.zeros(n, dtype=np.uint64), oips)
             (est,), (saturated,) = sk.estimate(np.zeros(1, dtype=np.uint64))
@@ -130,7 +129,7 @@ def test_criterion_05_union_fill_probability():
         k, n, lc = 1024, 100_000, 128
         for lr in (1, 2, 3):
             rng = np.random.default_rng(500 + lr)
-            sk = LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k), SeedFamily())
+            sk = LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k, seed=sspd.hashing.DEFAULT_MASTER_SEED))
             hips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
             oips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
             sk.update_batch(hips, oips)
@@ -231,7 +230,7 @@ def test_criterion_09_memory_accounting():
         assert ldca_bytes == lcfg.lr * lcfg.lc * lcfg.k // 8 == 8 * 1024 * 1024
         assert sum(rows.nbytes for rows in state.seav.rows) == seav_bytes
         assert state.ldca.data.nbytes == ldca_bytes
-        alt = SeavConfig(r=2, sr=3, a=2, theta=512, g=8)
+        alt = SeavConfig(r=2, sr=3, a=2, theta=512, g=8, seed=cfg.seed)
         assert alt.memory_bytes() == (1 << 2) * 3 * alt.sc * 1
 
 

@@ -29,6 +29,24 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def run_bounded(argv, timeout=60):
+    """Run the CLI in a separate interpreter with a 4 GiB address space,
+    so an allocation without bound fails fast there, and an uncaught
+    exception shows as exit 1 and a traceback."""
+    return subprocess.run(
+        [sys.executable, "-m", "sspd.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)),
+        capture_output=True, text=True, timeout=timeout)
+
+
+def assert_config_error(proc, says):
+    """``proc`` exited 2 with one ``error: config:`` line that starts with ``says``."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: config: {says}")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "demo.bin"
@@ -201,13 +219,8 @@ def test_slide_walks_from_the_first_slice_and_labels_absolute_ids(tmp_path):
     trace = tmp_path / "far.txt"
     trace.write_text("\n".join(lines) + "\n")
     out = tmp_path / "far.csv"
-    argv = ["slide", "--trace", trace, "--out", out, "--window-slices", 3, "--theta", 16,
-            *SMALL_FLAGS]
-    proc = subprocess.run(
-        [sys.executable, "-m", "sspd.cli", *map(str, argv)],
-        env={**os.environ, "PYTHONPATH": str(Path(sspd.__file__).parents[1])},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)),
-        capture_output=True, text=True, timeout=60)
+    proc = run_bounded(["slide", "--trace", trace, "--out", out, "--window-slices", 3,
+                        "--theta", 16, *SMALL_FLAGS])
     assert proc.returncode == 0, proc.stderr
     text = out.read_text().splitlines()
     assert f"# windows={' '.join(str(first + s) for s in range(6))}" in text
@@ -304,6 +317,45 @@ def test_slide_spans_every_32_bit_slice_id(tmp_path):
     assert text[-1] == REPORT_COLUMNS
 
 
+def test_slide_refuses_a_listing_beyond_max_slides(tmp_path):
+    # Slices 0 and 2^32 - 1 at every slice would list 2^32 slice ids, far
+    # more memory than the bounded interpreter has.
+    trace = tmp_path / "span.txt"
+    trace.write_text("0,10.0.0.1,192.168.0.1\n4294967295,10.0.0.1,192.168.0.2\n")
+    out = tmp_path / "span.csv"
+    proc = run_bounded(["slide", "--trace", trace, "--out", out, "--detect-every", 1])
+    assert_config_error(proc, "slices 0 to 4294967295 at --detect-every 1 would list "
+                              "4294967296 slides")
+    assert proc.stderr.rstrip().endswith("raise --detect-every")
+    assert not out.exists()
+
+
+def test_slide_lists_up_to_max_slides(tmp_path, monkeypatch, capsys):
+    # With the bound at 4, slices 0 to 3 are listed, 0 to 4 are refused,
+    # and 0 to 6 at every second slice are listed again.
+    monkeypatch.setattr(cli, "MAX_SLIDES", 4)
+    trace, out = tmp_path / "t.txt", tmp_path / "t.csv"
+    for stop, every, code in ((3, 1, 0), (4, 1, 2), (6, 2, 0)):
+        trace.write_text(f"0,10.0.0.1,192.168.0.1\n{stop},10.0.0.1,192.168.0.2\n")
+        assert run(["slide", "--trace", trace, "--out", out, "--detect-every", every,
+                    *SMALL_FLAGS]) == code, (stop, every)
+        if code:
+            assert "would list 5 slides, more than 4" in capsys.readouterr().err
+        else:
+            windows = " ".join(map(str, range(0, stop + 1, every)))
+            assert f"# windows={windows}" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("sizes", [
+    ["--n-pairs", 10**12, "--n-super", 1, "--n-background", 10],
+    ["--n-background", 10**11],
+], ids=["pairs", "background-hosts"])
+def test_generate_refuses_a_trace_too_large_to_allocate(tmp_path, sizes):
+    out = tmp_path / "big.bin"
+    assert_config_error(run_bounded(["generate", "--out", out, *sizes]), "trace too large")
+    assert not out.exists()
+
+
 def test_slide_of_an_empty_trace_lists_slice_0(tmp_path, monkeypatch):
     trace = tmp_path / "empty.txt"
     trace.write_text("")
@@ -365,11 +417,13 @@ def test_plan_zero_max_rows_is_config_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["plan", "--v", 8192, "--n", "nan", "--k", 8192],
+    ["plan", "--v", 8192, "--n", "inf", "--k", 8192],
     ["generate", "--out", "x.bin", "--slices", 5_000_000_000, "--n-pairs", 10,
      "--n-super", 1, "--super-card", 2, 2, "--n-background", 0],
     ["eval", "--reports", "r.csv", "--truth", "t.bin.truth", "--out", "m.csv", "--theta", 0],
     ["eval", "--reports", "r.csv", "--truth", "t.bin.truth", "--out", "m.csv", "--theta", -5],
-], ids=["plan-nan-n", "generate-slices-beyond-u32", "eval-zero-theta", "eval-negative-theta"])
+], ids=["plan-nan-n", "plan-inf-n", "generate-slices-beyond-u32", "eval-zero-theta",
+        "eval-negative-theta"])
 def test_out_of_range_value_is_config_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
@@ -387,7 +441,8 @@ def test_seed_outside_64_bits_is_config_error(tmp_path, trace_file, capsys, seed
                 *SMALL_FLAGS]) == code
     err = capsys.readouterr().err
     if code:
-        assert err.startswith("error: config: master_seed") and len(err.splitlines()) == 1
+        assert err.startswith("error: config: seed must be in [0, 2^64)")
+        assert len(err.splitlines()) == 1
         assert not out.exists()
     else:
         assert f"# seed=0x{seed:X}" in out.read_text().splitlines()
@@ -406,6 +461,10 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("detect", ["--window-slices", 2**63], "window_slices must be below 2^63"),
     ("detect", ["--beta", -1], "beta must be > 0"),
     ("detect", ["--beta", "nan"], "beta must be > 0"),
+    ("detect", ["--beta", "inf"], "beta * theta must be finite"),
+    ("detect", ["--beta", 1e308], "beta * theta must be finite"),
+    ("detect", ["--theta", 10**400], "beta * theta must be finite"),
+    ("detect", ["--design-n", "inf"], "design_n must be finite"),
     ("detect", ["--restore-cap", 0], "restore_cap must be >= 1"),
     ("detect", ["--lr", 0], "lr must be >= 1"),
     ("detect", ["--lr", 8, "--v", 5], "v must be >= lr, got v=5, lr=8"),
@@ -414,7 +473,8 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("detect", ["--lr", 1, "--v", 1, "--k", 2**62], "detector registers too large"),
     ("slide", ["--lr", 1, "--v", 1, "--k", 2**62], "timestamp pool of"),
 ], ids=["detect-every", "window-slices", "window-slices-beyond-int64",
-        "negative-beta", "nan-beta",
+        "negative-beta", "nan-beta", "infinite-beta", "beta-times-theta-beyond-a-float",
+        "theta-beyond-a-float", "infinite-design-n",
         "zero-restore-cap", "zero-lr", "v-below-lr",
         "k-beyond-a-float", "k-beyond-int64",
         "k-beyond-memory", "k-beyond-the-sliding-pool"])

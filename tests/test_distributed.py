@@ -22,12 +22,10 @@ from sspd.errors import (
     FrameVersionError,
     MergeError,
 )
-from sspd.hashing import SeedFamily
-from sspd.long_sketch import LdcaConfig
+from sspd.long_sketch import LdcaConfig, LdcaSketch
 from sspd.short_sketch import SeavConfig, SeavSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
-SEEDS = SeedFamily()
 PARAMS = DetectorParams(theta=1024, k=4096, lr=2, v=128, design_n=4e3)
 
 
@@ -353,13 +351,14 @@ def test_flipped_payload_byte_fails_checksum():
 
 def test_frames_carry_any_geometry_and_a_64_bit_window_id():
     # No frame field bounds a sketch config; the window id is a u64.
-    small = SeavSketch(replace(DetectorParams().seav_config(), theta=64, addr_bits=12), SEEDS)
+    small = SeavSketch(replace(DetectorParams().seav_config(), theta=64, addr_bits=12),
+                       PARAMS.restore_cap)
     rng = np.random.default_rng(15)
     small.update_batch(rng.integers(0, 1 << 12, 500, dtype=np.uint64),
                        rng.integers(0, 1 << 12, 500, dtype=np.uint64))
     ldca = DetectorState.create(PARAMS).ldca
     frames = frames_for(DetectorState(seav=small, ldca=ldca), window_id=1 << 32)
-    receiver = DetectorState(seav=SeavSketch(small.config, SEEDS), ldca=ldca)
+    receiver = DetectorState(seav=SeavSketch(small.config, PARAMS.restore_cap), ldca=ldca)
     merged = merge_frames(receiver, frames)
     assert merged.window_id == 1 << 32
     assert small.flat.any() and np.array_equal(merged.seav.flat, small.flat)
@@ -451,9 +450,9 @@ def test_merge_rejects_cross_kind_geometry():
 
 # A value other than PARAMS's for each init field of the two sketch configs.
 OTHER_CONFIG = {"r": 0, "sr": 7, "a": 3, "theta": 2048, "g": 16, "addr_bits": 28,
-                "lr": 3, "lc": 32, "k": 8192}
+                "lr": 3, "lc": 32, "k": 8192, "seed": PARAMS.master_seed + 1}
 IDENTITY = [(kind, f.name) for kind, cls in (("seav", SeavConfig), ("ldca", LdcaConfig))
-            for f in fields(cls) if f.init] + [("seav", "seed"), ("ldca", "seed")]
+            for f in fields(cls) if f.init]
 
 
 @pytest.mark.parametrize("kind, name", IDENTITY, ids=[f"{k}-{n}" for k, n in IDENTITY])
@@ -461,10 +460,8 @@ def test_merge_refuses_a_sketch_that_differs_in_one_config_field(kind, name):
     # The last frame's sketch differs from the receiver's only in ``name``.
     st, _, _ = random_states()
     sketch = getattr(st, kind)
-    if name == "seed":
-        other = type(sketch)(sketch.config, SeedFamily(PARAMS.master_seed + 1))
-    else:
-        other = type(sketch)(replace(sketch.config, **{name: OTHER_CONFIG[name]}), SEEDS)
+    config = replace(sketch.config, **{name: OTHER_CONFIG[name]})
+    other = SeavSketch(config, PARAMS.restore_cap) if kind == "seav" else LdcaSketch(config)
     frames = frames_for(st)
     odd = parse_frame(serialize(other, 0))
     receiver = DetectorState.create(PARAMS)
@@ -475,6 +472,17 @@ def test_merge_refuses_a_sketch_that_differs_in_one_config_field(kind, name):
     assert repr(odd.config_block) in str(refused.value) and repr(own) in str(refused.value)
     # Every frame is checked before any is merged.
     assert not receiver.seav.flat.any() and not receiver.ldca.flat.any()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "beyond-64-bits"])
+def test_configs_refuse_a_seed_outside_64_bits(seed):
+    # Role keys hash the seed mod 2^64, so a block naming any other seed
+    # would not name the one hashed.
+    for config in (PARAMS.seav_config(), PARAMS.ldca_config()):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
+            replace(config, seed=seed)
+    top = LdcaSketch(replace(PARAMS.ldca_config(), seed=2**64 - 1))
+    assert parse_frame(serialize(top, 0)).config_block.endswith(b" seed=ffffffffffffffff")
 
 
 def test_merge_config_block_compares_bytes():
@@ -500,20 +508,20 @@ def test_route_assignments_cover_all_points():
     hips = rng.integers(0, 2**32, size=10_000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=10_000, dtype=np.uint64)
     for route in ("hash", "round-robin"):
-        lanes = route_pairs(hips, oips, 8, route, SEEDS)
+        lanes = route_pairs(hips, oips, 8, route, PARAMS.master_seed)
         assert set(np.unique(lanes)) == set(range(8))
     with pytest.raises(ConfigError):
-        route_pairs(hips, oips, 0, "hash", SEEDS)
+        route_pairs(hips, oips, 0, "hash", PARAMS.master_seed)
     with pytest.raises(ConfigError):
-        route_pairs(hips, oips, 2, "zigzag", SEEDS)
+        route_pairs(hips, oips, 2, "zigzag", PARAMS.master_seed)
 
 
 def test_hash_route_is_content_deterministic():
     rng = np.random.default_rng(5)
     hips = rng.integers(0, 2**32, size=1000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=1000, dtype=np.uint64)
-    a = route_pairs(hips, oips, 4, "hash", SEEDS)
-    b = route_pairs(hips, oips, 4, "hash", SEEDS)
+    a = route_pairs(hips, oips, 4, "hash", PARAMS.master_seed)
+    b = route_pairs(hips, oips, 4, "hash", PARAMS.master_seed)
     assert (a == b).all()
 
 

@@ -7,7 +7,6 @@ from scipy import stats
 from sspd.errors import ConfigError
 from sspd.hashing import (
     DEFAULT_MASTER_SEED,
-    SeedFamily,
     Tag,
     derive_seed,
     hash_full_array,
@@ -63,10 +62,8 @@ def test_distinct_tags_uncorrelated():
 
 
 def test_different_tags_differ():
-    seeds = SeedFamily()
-    values = {seeds.h1, seeds.h2, seeds.h3, seeds.route}
-    values |= {seeds.lh(i) for i in range(8)}
-    assert len(values) == 12
+    tags = [Tag.H1, Tag.H2, Tag.H3, Tag.ROUTE] + [Tag.LH_BASE + i for i in range(8)]
+    assert len({derive_seed(DEFAULT_MASTER_SEED, tag) for tag in tags}) == 12
 
 
 def test_hash_range_single_bucket():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sspd import long_sketch
 from sspd.errors import ConfigError
-from sspd.hashing import SeedFamily
+from sspd.hashing import DEFAULT_MASTER_SEED, Tag, derive_seed
 from sspd.long_sketch import (
     LdcaConfig,
     LdcaSketch,
@@ -20,7 +20,8 @@ from sspd.long_sketch import (
 
 from oracles import Ldc, hash_range, ldc_estimate, row_column, union_register
 
-SEEDS = SeedFamily()
+SEED = DEFAULT_MASTER_SEED
+H3 = derive_seed(SEED, Tag.H3)
 
 
 # --- single-register estimator ----------------------------------------------
@@ -97,13 +98,13 @@ def test_zero_count_bound_matches_brute_force(k):
 
 def test_ldc_idempotent_and_pigeonhole():
     ldc = Ldc(k=8)
-    ldc.update(1234, SEEDS)
+    ldc.update(1234, SEED)
     once = ldc.bits
-    ldc.update(1234, SEEDS)
+    ldc.update(1234, SEED)
     assert ldc.bits == once
     assert bin(once).count("1") == 1
     for oip in range(8):
-        ldc.update(oip, SEEDS)
+        ldc.update(oip, SEED)
     assert 1 <= 8 - ldc.zero_count() <= 8
 
 
@@ -128,7 +129,7 @@ def test_occupancy_matches_theory():
         oips = np.unique(rng.integers(0, 2**32, size=n + 40, dtype=np.uint64))[:n]
         ldc = Ldc(k=k)
         for oip in oips.tolist():
-            ldc.update(oip, SEEDS)
+            ldc.update(oip, SEED)
         zeros.append(ldc.zero_count())
     mean = np.mean(zeros)
     assert expected == pytest.approx(7229, abs=1)
@@ -138,7 +139,7 @@ def test_occupancy_matches_theory():
 # --- array sketch -----------------------------------------------------------
 
 def small_sketch(lr=2, lc=16, k=64):
-    return LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k), SEEDS)
+    return LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k, seed=SEED))
 
 
 def one_pair(hip, oip):
@@ -164,7 +165,7 @@ def test_pair_idempotent():
 def reference_update(sk: LdcaSketch, hip: int, oip: int):
     """Scalar reimplementation: set bit H3(oip) of the host's cell in every row."""
     cfg = sk.config
-    bit = hash_range(oip, sk.seeds.h3, cfg.k)
+    bit = hash_range(oip, derive_seed(cfg.seed, Tag.H3), cfg.k)
     for i in range(cfg.lr):
         sk.data[i, row_column(sk, i, hip), bit >> 3] |= 1 << (bit & 7)
 
@@ -194,7 +195,7 @@ def test_batch_with_repeated_bytes_matches_scalar(lc, k):
     oips = rng.integers(0, 2**32, size=len(hips), dtype=np.uint64)
     order = rng.permutation(np.repeat(np.arange(len(hips)), 20))
     hips, oips = hips[order], oips[order]
-    assert {hash_range(o, SEEDS.h3, k) & 7 for o in oips.tolist()} == set(range(8))
+    assert {hash_range(o, H3, k) & 7 for o in oips.tolist()} == set(range(8))
     a = small_sketch(lr=3, lc=lc, k=k)
     b = small_sketch(lr=3, lc=lc, k=k)
     a.update_batch(hips, oips)
@@ -237,7 +238,7 @@ def test_single_host_estimate_accuracy():
     rel_errors = []
     signed = []
     for t in range(trials):
-        sk = LdcaSketch(LdcaConfig(lr=2, lc=64, k=k), SeedFamily(master_seed=t))
+        sk = LdcaSketch(LdcaConfig(lr=2, lc=64, k=k, seed=t))
         hip = int(rng.integers(0, 2**32))
         oips = np.unique(rng.integers(0, 2**32, size=n + 40, dtype=np.uint64))[:n]
         sk.update_batch(np.full(n, hip, dtype=np.uint64), oips)
@@ -287,7 +288,7 @@ def recorded_tables(mp):
     tables = []
     read = long_sketch.union_estimates
 
-    def recording(config, seeds, cells, hips, cutoff=None, weights=None):
+    def recording(config, cells, hips, cutoff=None, weights=None):
         call = len(tables)
         tables.append(None)
 
@@ -295,7 +296,7 @@ def recorded_tables(mp):
             tables[call] = weights()
             return tables[call]
 
-        return read(config, seeds, cells, hips, cutoff, weights and table)
+        return read(config, cells, hips, cutoff, weights and table)
 
     mp.setattr(long_sketch, "union_estimates", recording)
     return tables
@@ -332,7 +333,7 @@ def untouched_hosts(sk, n, seed):
     while len(found) < n:
         cand = rng.integers(0, 2**32, size=4096, dtype=np.uint64)
         used = np.zeros(len(cand), dtype=bool)
-        for reg in sk.config.registers(SEEDS, cand):
+        for reg in sk.config.registers(cand):
             used |= words[reg].any(axis=1)
         found.extend(cand[~used][:n - len(found)].tolist())
     return found
@@ -398,7 +399,7 @@ def test_bounded_read_skips_the_rows_of_a_chunk_it_empties(monkeypatch):
         gathered.append(len(reg))
         return words[reg]
 
-    est = long_sketch.union_estimates(sk.config, SEEDS, cells, probes, cutoff_at(0, 64))
+    est = long_sketch.union_estimates(sk.config, cells, probes, cutoff_at(0, 64))
     assert pairs(*est) == [(0.0, False)] * 5 + [ldc_estimate(0, 64)]
     # Chunks of 2, 2 and 2 hosts: all read two rows; only the last, holding
     # the saturated host, reads its other two, for that host alone.
@@ -420,11 +421,11 @@ def test_weight_table_drops_hosts_before_any_gather():
         gathered.append(reg.tolist())
         return words[reg]
 
-    est = long_sketch.union_estimates(sk.config, SEEDS, cells, probes, cutoff_at(0, 64),
+    est = long_sketch.union_estimates(sk.config, cells, probes, cutoff_at(0, 64),
                                       lambda: np.unpackbits(words, axis=1).sum(axis=1))
     assert pairs(*est) == [(0.0, False)] * 31 + [ldc_estimate(0, 64)]
     # Only the saturated host is read, through all four rows.
-    assert gathered == [[reg[-1]] for reg in sk.config.registers(SEEDS, probes)]
+    assert gathered == [[reg[-1]] for reg in sk.config.registers(probes)]
 
 
 @pytest.mark.parametrize("lr, n_hosts, bound, table", [
@@ -473,9 +474,9 @@ def test_popcount_sums_at_the_accumulator_edge(k, fill, monkeypatch):
 
 
 def test_memory_accounting():
-    cfg = LdcaConfig(lr=8, lc=1024, k=8192)
+    cfg = LdcaConfig(lr=8, lc=1024, k=8192, seed=SEED)
     assert cfg.memory_bytes() == 8 * 1024 * 8192 // 8 == 8 * 1024 * 1024
-    assert LdcaSketch(cfg, SEEDS).data.nbytes == cfg.memory_bytes()
+    assert LdcaSketch(cfg).data.nbytes == cfg.memory_bytes()
     assert cfg.v == 8192
 
 
@@ -499,7 +500,7 @@ def test_psu_empirical_agreement():
     # One triple here; the acceptance suite sweeps LR in {1,2,3}.
     k, n, lc, lr = 1024, 10**5, 128, 2
     rng = np.random.default_rng(7)
-    sk = LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k), SEEDS)
+    sk = LdcaSketch(LdcaConfig(lr=lr, lc=lc, k=k, seed=SEED))
     hips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=n, dtype=np.uint64)
     sk.update_batch(hips, oips)

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from sspd import short_sketch
 from sspd.errors import ConfigError, SeaOverflowWarning
-from sspd.hashing import SeedFamily
+from sspd.hashing import DEFAULT_MASTER_SEED, Tag, derive_seed
 from sspd.short_sketch import SeavConfig, SeavSketch, tau_from_theta
 from sspd.window_detector import DetectorParams
 
 from oracles import ShortEstimator, hash_full, hash_range, index_of, lp_from_indexes, lsb
 
-SEEDS = SeedFamily()
+SEED = DEFAULT_MASTER_SEED
+H1, H2 = derive_seed(SEED, Tag.H1), derive_seed(SEED, Tag.H2)
+CAP = DetectorParams().restore_cap
 DEFAULT_SEAV = DetectorParams().seav_config()
 
 
@@ -55,24 +57,24 @@ def test_register_update_sampling():
     se = ShortEstimator()
     accepted = rejected = None
     for oip in range(10_000):
-        if lsb(hash_full(oip, SEEDS.h1)) >= tau and accepted is None:
+        if lsb(hash_full(oip, H1)) >= tau and accepted is None:
             accepted = oip
-        if lsb(hash_full(oip, SEEDS.h1)) < tau and rejected is None:
+        if lsb(hash_full(oip, H1)) < tau and rejected is None:
             rejected = oip
         if accepted is not None and rejected is not None:
             break
-    assert se.update(rejected, tau, SEEDS) == se
-    updated = se.update(accepted, tau, SEEDS)
+    assert se.update(rejected, tau, SEED) == se
+    updated = se.update(accepted, tau, SEED)
     assert updated.weight() == 1
-    assert updated.bits == 1 << hash_range(accepted, SEEDS.h2, 8)
+    assert updated.bits == 1 << hash_range(accepted, H2, 8)
     # idempotent per opposite IP
-    assert updated.update(accepted, tau, SEEDS) == updated
+    assert updated.update(accepted, tau, SEED) == updated
 
 
 def test_tau_zero_always_sets_a_bit():
     se = ShortEstimator()
     for oip in (0, 1, 99, 2**32 - 1):
-        assert se.update(oip, 0, SEEDS).weight() == 1
+        assert se.update(oip, 0, SEED).weight() == 1
 
 
 def test_weight_and_hot():
@@ -108,8 +110,8 @@ def register_weight_after(oips: np.ndarray, tau: int) -> int:
     # Same sampling test and bit choice the register makes, vectorized.
     from sspd.hashing import hash_full_array, hash_range_array, lsb_at_least
 
-    sampled = lsb_at_least(hash_full_array(oips, SEEDS.h1), tau)
-    positions = hash_range_array(oips[sampled], SEEDS.h2, 8)
+    sampled = lsb_at_least(hash_full_array(oips, H1), tau)
+    positions = hash_range_array(oips[sampled], H2, 8)
     bits = 0
     for p in np.unique(positions).tolist():
         bits |= 1 << p
@@ -128,7 +130,7 @@ def test_two_theta_distinct_oips_usually_hot():
         if t == 0:  # tie the vectorized oracle to the scalar register once
             se = ShortEstimator()
             for oip in oips.tolist():
-                se = se.update(oip, tau, SEEDS)
+                se = se.update(oip, tau, SEED)
             assert se.weight() == weight
         hot += weight >= 3
     assert hot >= 0.95 * trials
@@ -167,7 +169,7 @@ def test_rows_are_one_array_numbered_as_registers(geometry):
     # rows is one (SR, 2^r, SC) array, flat its 1-D view, and a host's
     # register in row i is (i << r | rp) * SC + index_of_array(i, lp).
     cfg = replace(DEFAULT_SEAV, **geometry)
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     assert sk.rows.shape == (cfg.sr, 1 << cfg.r, cfg.sc)
     assert np.shares_memory(sk.rows, sk.flat)
     assert sk.flat.shape == (cfg.n_registers,)
@@ -186,7 +188,7 @@ def test_rows_are_one_array_numbered_as_registers(geometry):
 def test_register_dtype_is_the_narrowest_holding_g_bits():
     for g, dtype in ((1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16),
                      (17, np.uint32), (33, np.uint64), (64, np.uint64)):
-        assert SeavSketch(replace(DEFAULT_SEAV, g=g), SEEDS).rows.dtype == dtype, g
+        assert SeavSketch(replace(DEFAULT_SEAV, g=g), CAP).rows.dtype == dtype, g
     with pytest.raises(ConfigError, match="must be <= 64"):
         replace(DEFAULT_SEAV, g=65)
 
@@ -293,7 +295,7 @@ def test_lp_round_trip_other_geometry():
 
 # --- sketch update ----------------------------------------------------------
 
-def reference_update(cfg: SeavConfig, pairs, seeds: SeedFamily):
+def reference_update(cfg: SeavConfig, pairs):
     """Straightforward dict-of-registers reimplementation."""
     regs: dict[tuple[int, int, int], ShortEstimator] = {}
     for hip, oip in pairs:
@@ -301,12 +303,12 @@ def reference_update(cfg: SeavConfig, pairs, seeds: SeedFamily):
         lp = hip >> cfg.r
         for i in range(cfg.sr):
             key = (i, rp, index_of(cfg, i, lp))
-            regs[key] = regs.get(key, ShortEstimator(0, cfg.g)).update(oip, cfg.tau, seeds)
+            regs[key] = regs.get(key, ShortEstimator(0, cfg.g)).update(oip, cfg.tau, cfg.seed)
     return {k: v for k, v in regs.items() if v.bits}
 
 
 def test_update_idempotent():
-    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), SEEDS)  # tau=0: every pair lands
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), CAP)  # tau=0: every pair lands
     sk.update_batch(*pairs_arrays([(123456, 789)]))
     snapshot = [r.copy() for r in sk.rows]
     sk.update_batch(*pairs_arrays([(123456, 789)]))
@@ -314,7 +316,7 @@ def test_update_idempotent():
 
 
 def test_rp_routing_separates_arrays():
-    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), SEEDS)
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), CAP)
     sk.update_batch(*pairs_arrays([(0x10, 5), (0x13, 5)]))  # rp=0 and rp=3
     for row in sk.rows:
         touched = {int(rp) for rp in np.nonzero(row)[0]}
@@ -326,10 +328,10 @@ def test_batch_matches_reference_bit_exactly():
     rng = np.random.default_rng(11)
     hips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=5000, dtype=np.uint64)
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     sk.update_batch(hips, oips)
 
-    ref = reference_update(cfg, zip(hips.tolist(), oips.tolist()), SEEDS)
+    ref = reference_update(cfg, zip(hips.tolist(), oips.tolist()))
     expected_bits = sum(se.weight() for se in ref.values())
     assert np.bitwise_count(sk.flat).sum() == expected_bits
     for (i, rp, col), se in ref.items():
@@ -341,8 +343,8 @@ def test_scalar_matches_batch():
     rng = np.random.default_rng(12)
     hips = rng.integers(0, 2**32, size=800, dtype=np.uint64)
     oips = rng.integers(0, 2**32, size=800, dtype=np.uint64)
-    a = SeavSketch(cfg, SEEDS)
-    b = SeavSketch(cfg, SEEDS)
+    a = SeavSketch(cfg, CAP)
+    b = SeavSketch(cfg, CAP)
     a.update_batch(hips, oips)
     for j in range(len(hips)):
         b.update_batch(hips[j:j + 1], oips[j:j + 1])
@@ -355,8 +357,8 @@ def test_scalar_matches_batch():
        st.randoms(use_true_random=False))
 def test_permutation_invariance(pairs, rnd):
     cfg = replace(DEFAULT_SEAV, theta=8, r=2, sr=5, a=1)
-    a = SeavSketch(cfg, SEEDS)
-    b = SeavSketch(cfg, SEEDS)
+    a = SeavSketch(cfg, CAP)
+    b = SeavSketch(cfg, CAP)
     a.update_batch(*pairs_arrays(pairs))
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
@@ -370,8 +372,8 @@ def test_permutation_invariance(pairs, rnd):
        st.lists(st.integers(0, 3), min_size=80, max_size=80))
 def test_shard_merge_equivalence(pairs, assignment):
     cfg = replace(DEFAULT_SEAV, theta=8, r=2, sr=5, a=1)
-    single = SeavSketch(cfg, SEEDS)
-    shards = [SeavSketch(cfg, SEEDS) for _ in range(4)]
+    single = SeavSketch(cfg, CAP)
+    shards = [SeavSketch(cfg, CAP) for _ in range(4)]
     single.update_batch(*pairs_arrays(pairs))
     for wp, shard in enumerate(shards):
         shard.update_batch(*pairs_arrays([p for p, a in zip(pairs, assignment) if a == wp]))
@@ -382,12 +384,12 @@ def test_shard_merge_equivalence(pairs, assignment):
 # --- restore ----------------------------------------------------------------
 
 def test_restore_empty():
-    sk = SeavSketch(DEFAULT_SEAV, SEEDS)
+    sk = SeavSketch(DEFAULT_SEAV, CAP)
     assert len(sk.restore()) == 0
 
 
 def test_restore_single_heavy_host():
-    sk = SeavSketch(replace(DEFAULT_SEAV, theta=1024), SEEDS)
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=1024), CAP)
     rng = np.random.default_rng(21)
     hip = 0xC0A80101
     oips = rng.integers(0, 2**32, size=4096, dtype=np.uint64)
@@ -429,7 +431,7 @@ def restored_arrays(sk: SeavSketch, skipped=()) -> set[int]:
 
 def test_restore_matches_brute_force_on_small_address_space():
     cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     rng = np.random.default_rng(33)
     # 12-bit host space: plant heavy hosts and background chatter.
     heavy = rng.integers(0, 1 << 12, size=6, dtype=np.uint64)
@@ -450,7 +452,7 @@ def test_restore_brute_force_planted_scenario():
     # Planted supers (2*theta peers) among light hosts (<= 8 peers), full
     # enumeration of the shrunken space as the completeness oracle.
     cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     rng = np.random.default_rng(52)
     hosts = rng.permutation(1 << 12)[: 20 + 1500].astype(np.uint64)
     supers, background = hosts[:20], hosts[20:]
@@ -476,7 +478,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
     # output nor the overflow point.
     monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
     cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     rng = np.random.default_rng(81)
     hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
     sk.update_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
@@ -500,7 +502,7 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
 
 
 def test_restore_output_sorted_and_unique():
-    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), SEEDS)
+    sk = SeavSketch(replace(DEFAULT_SEAV, theta=8), CAP)
     rng = np.random.default_rng(4)
     for hip in rng.integers(0, 2**32, size=5, dtype=np.uint64).tolist():
         oips = rng.integers(0, 2**32, size=64, dtype=np.uint64)
@@ -512,7 +514,7 @@ def test_restore_output_sorted_and_unique():
 
 
 def test_restore_overflow_names_the_array():
-    sk = SeavSketch(DEFAULT_SEAV, SEEDS, restore_cap=64)
+    sk = SeavSketch(DEFAULT_SEAV, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF  # every register of array rp=3 is hot
     with pytest.warns(SeaOverflowWarning) as caught:
@@ -527,7 +529,7 @@ def test_restore_skips_each_overflowed_array_alone(block, monkeypatch):
     # or more partial tuples span several arrays.
     monkeypatch.setattr(short_sketch, "RESTORE_BLOCK", block)
     cfg = replace(DEFAULT_SEAV, r=4, sr=4, a=2, theta=64, addr_bits=12)
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     rng = np.random.default_rng(52)
     hips = rng.integers(0, 1 << 12, size=12_000, dtype=np.uint64)
     sk.update_batch(hips, rng.integers(0, 2**32, size=len(hips), dtype=np.uint64))
@@ -548,7 +550,7 @@ def test_restore_skips_each_overflowed_array_alone(block, monkeypatch):
 
 
 def test_restore_overflow_warns_and_continues():
-    sk = SeavSketch(DEFAULT_SEAV, SEEDS, restore_cap=64)
+    sk = SeavSketch(DEFAULT_SEAV, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF
     rng = np.random.default_rng(5)
@@ -565,7 +567,7 @@ def test_wide_registers_work_end_to_end():
     # have to survive the wider dtype.
     cfg = replace(DEFAULT_SEAV, theta=16, g=16)
     assert cfg.memory_bytes() == 16 * 4 * 512 * 2
-    sk = SeavSketch(cfg, SEEDS)
+    sk = SeavSketch(cfg, CAP)
     rng = np.random.default_rng(61)
     hip = 0x0A0A0A0A
     oips = rng.integers(0, 2**32, size=256, dtype=np.uint64)

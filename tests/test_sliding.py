@@ -238,8 +238,8 @@ def test_sliding_equals_discrete_for_one_window(g):
 def sliding_estimate(det, hips, cutoff=None):
     """The one filter read over the detector's active counter bits, as
     its ``detect`` runs it."""
-    return long_sketch.union_estimates(det.ldca_config, det.seeds, det.materialize_ldca_cell,
-                                       hips, cutoff)
+    return long_sketch.union_estimates(det.ldca_config, det.materialize_ldca_cell, hips,
+                                       cutoff)
 
 
 def pairs(est, saturated):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sspd.errors import ConfigError
+from sspd.hashing import DEFAULT_MASTER_SEED
 from sspd.long_sketch import LdcaConfig
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
 
@@ -121,8 +122,9 @@ def test_lower_beta_never_removes_reports():
 
 
 @pytest.mark.parametrize("knobs", [
-    {"beta": 0}, {"beta": -1}, {"beta": float("nan")}, {"v": 0}, {"design_n": 0},
-    {"design_n": float("nan")}, {"restore_cap": 0}, {"lr": 0}, {"lr": -2},
+    {"beta": 0}, {"beta": -1}, {"beta": float("nan")}, {"beta": float("inf")},
+    {"beta": 1e308}, {"v": 0}, {"design_n": 0}, {"design_n": float("nan")},
+    {"design_n": float("inf")}, {"restore_cap": 0}, {"lr": 0}, {"lr": -2},
     {"lr": 2, "v": 1}, {"lr": 9000}, {"sr": 1}, {"k": 12, "lr": 2},
 ], ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()))
 def test_params_refuse_bad_knobs_at_construction(knobs):
@@ -144,9 +146,10 @@ def test_lr_and_v_spell_every_geometry():
     # recovering LC exactly, whether or not LC is a power of two.
     for lr, lc, k in itertools.product((1, 2, 3, 8, 13), (1, 5, 64, 1000, 1024), (8, 4096)):
         cfg = DetectorParams(lr=lr, v=lr * lc, k=k).ldca_config()
-        assert cfg == LdcaConfig(lr, lc, k), (lr, lc, k)
+        assert cfg == LdcaConfig(lr, lc, k, seed=DEFAULT_MASTER_SEED), (lr, lc, k)
     # A v that lr does not divide drops the remainder: 8190 registers at lr=3.
-    assert DetectorParams(lr=3).ldca_config() == LdcaConfig(3, 2730, 8192)
+    assert DetectorParams(lr=3).ldca_config() == LdcaConfig(3, 2730, 8192,
+                                                            seed=DEFAULT_MASTER_SEED)
     assert DetectorParams(lr=3).ldca_config().memory_bytes() == 8190 * 8192 // 8
 
 
