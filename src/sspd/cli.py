@@ -34,7 +34,7 @@ from .evaluation import (
     truth_path,
     write_trace,
 )
-from .long_sketch import DEFAULT_MAX_ROWS, noise_factor, plan_rows
+from .long_sketch import DEFAULT_MAX_ROWS, filter_cutoff, noise_factor, plan_rows
 from .sliding import SlidingDetector
 from .window_detector import DetectionReport, DetectorParams, DetectorState, split_windows
 
@@ -78,7 +78,7 @@ class RunConfig:
         return {
             "seed": f"0x{p.master_seed:X}",
             "theta": p.theta,
-            "beta": p.beta,
+            "cutoff": f"{filter_cutoff(p.theta, p.k):.6f}",
             "r": p.r,
             "sr": p.sr,
             "a": p.a,
@@ -164,8 +164,6 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULTS.master_seed,
                    help="master seed (all hash roles derive from it)")
     p.add_argument("--theta", type=int, default=DEFAULTS.theta, help="super-point threshold")
-    p.add_argument("--beta", type=float, default=DEFAULTS.beta,
-                   help="filter slack: keep candidates with estimate >= beta*theta")
     p.add_argument("--r", type=int, default=DEFAULTS.r, help="register-array selector bits")
     p.add_argument("--sr", type=int, default=DEFAULTS.sr, help="rows per register array")
     p.add_argument("--a", type=int, default=DEFAULTS.a, help="index overlap bits between rows")
@@ -184,9 +182,8 @@ def _add_sketch_flags(p: argparse.ArgumentParser):
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     params = DetectorParams(
-        theta=args.theta, r=args.r, sr=args.sr, a=args.a, g=args.g, k=args.k,
-        lr=args.lr, v=args.v, design_n=args.design_n, beta=args.beta,
-        master_seed=args.seed, restore_cap=args.restore_cap)
+        theta=args.theta, r=args.r, sr=args.sr, a=args.a, g=args.g, k=args.k, lr=args.lr,
+        v=args.v, design_n=args.design_n, master_seed=args.seed, restore_cap=args.restore_cap)
     run = {name: value for name, value in vars(args).items() if name in RUN_KNOBS}
     return RunConfig(params=params, **run)
 

@@ -93,14 +93,15 @@ class TraceSpec:
     seed: int = 1
 
     def __post_init__(self):
-        for name, (lo, hi) in (("super", self.super_cardinality_range),
-                               ("background", self.background_cardinality_range)):
-            if lo < 1 or hi < lo:
-                raise ConfigError(f"bad {name} cardinality range ({lo}, {hi})")
-        if self.n_super < 0 or self.n_background < 0 or self.slices < 1:
-            raise ConfigError("counts must be non-negative and slices >= 1")
-        if self.slices > 1 << 32:  # slice ids are stored as <u4
-            raise ConfigError(f"slices must be <= 2^32, got {self.slices}")
+        for name in ("n_super", "n_background", "n_pairs"):
+            if not 0 <= getattr(self, name) < 1 << 63:  # numpy counts are int64
+                raise ConfigError(f"{name} must be in [0, 2^63), got {getattr(self, name)}")
+        for name in ("super_cardinality_range", "background_cardinality_range"):
+            lo, hi = getattr(self, name)
+            if not 1 <= lo <= hi < 1 << 63:
+                raise ConfigError(f"{name} must have 1 <= lo <= hi < 2^63, got ({lo}, {hi})")
+        if not 1 <= self.slices <= 1 << 32:  # slice ids are stored as <u4
+            raise ConfigError(f"slices must be in [1, 2^32], got {self.slices}")
 
 
 def _distinct_u32(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,6 +29,8 @@ DEFAULT_V = 8192
 DEFAULT_DESIGN_N = 1_000_000
 DEFAULT_MAX_ROWS = 8
 
+CUTOFF_SIGMAS = 3  # standard errors below theta at which filter_cutoff cuts
+
 # Hosts per gather in union_estimates.  A discrete gather holds k/8
 # bytes per host (512 KiB with the union at the default k); a sliding
 # gather holds k stamps plus k flag bytes per host (6 MiB of uint16
@@ -63,6 +65,19 @@ def _estimate(z0: int, k: int) -> float:
     """Estimate of a register with ``z0 > 0`` zero bits: the one expression
     behind both ``ldc_estimates`` and ``zero_count_bound``."""
     return -k * math.log(z0 / k)
+
+
+@functools.lru_cache(maxsize=64)
+def filter_cutoff(theta: int, k: int) -> float:
+    """The estimate a reported host must reach: theta less CUTOFF_SIGMAS standard
+    errors sqrt(k * (e^t - t - 1)), t = theta / k, of a k-bit linear counter at n = theta
+    (Whang et al., 1990); inf, for saturated registers only, where that is not above 0."""
+    try:
+        t = theta / k
+        cutoff = theta - CUTOFF_SIGMAS * math.sqrt(k * (math.expm1(t) - t))
+    except OverflowError:
+        return math.inf
+    return cutoff if cutoff > 0 else math.inf
 
 
 @functools.lru_cache(maxsize=64)

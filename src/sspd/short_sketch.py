@@ -32,8 +32,8 @@ def tau_from_theta(theta: int, g: int) -> int:
 
     Integer-exact equivalent of ceil(log2(theta / g)) floored at 0.
     """
-    if theta < 1:
-        raise ConfigError(f"theta must be >= 1, got {theta}")
+    if not 1 <= theta < 1 << 63:  # so that theta / k is a float
+        raise ConfigError(f"theta must be in [1, 2^63), got {theta}")
     if g < 1:
         raise ConfigError(f"register width g must be >= 1, got {g}")
     t = 0

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .errors import ConfigError
-from .long_sketch import union_estimates
+from .long_sketch import filter_cutoff, union_estimates
 from .short_sketch import SeavSketch
 from .window_detector import DetectionReport, DetectorParams, report_candidates
 
@@ -170,4 +170,5 @@ class SlidingDetector:
         """Run restore + filter over the active view at the current slice."""
         estimate = functools.partial(union_estimates, self.ldca_config,
                                      self.materialize_ldca_cell)
-        return report_candidates(self.materialize_seav(), estimate, self.params, self.pool.now)
+        cutoff = filter_cutoff(self.seav_config.theta, self.ldca_config.k)
+        return report_candidates(self.materialize_seav(), estimate, cutoff, self.pool.now)

@@ -22,11 +22,10 @@ from .long_sketch import (
     LdcaConfig,
     LdcaSketch,
     check_noise,
+    filter_cutoff,
     plan_rows,
 )
 from .short_sketch import SeavConfig, SeavSketch
-
-DEFAULT_BETA = 0.8
 
 
 @dataclass(frozen=True)
@@ -41,19 +40,17 @@ class DetectionReport:
 
 def report_candidates(seav: SeavSketch,
                       estimate: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]],
-                      params: DetectorParams, window_id: int) -> list[DetectionReport]:
-    """Restore candidates and keep those whose counter estimate clears
-    beta * theta (or saturates), sorted by IP.
+                      cutoff: float, window_id: int) -> list[DetectionReport]:
+    """Restore candidates and keep those whose counter estimate reaches
+    ``cutoff``, ``filter_cutoff`` of theta and k, or saturates, sorted by IP.
 
-    ``estimate(ips, cutoff)`` maps an array of host IPs to the estimates
-    and saturated flags of their AND-union registers in one batch; both
-    detection modes share this loop and differ only in where those
-    registers are read from.  It is handed the cutoff so that it may stop
-    reading a host early: such a host's estimate is a partial one below
-    the cutoff, never saturated, so this one test still decides every
-    host.  Per-array restore overflows surface as warnings, not failures.
+    ``estimate(ips, cutoff)`` maps host IPs to the estimates and saturated
+    flags of their AND-union registers in one batch; the two detection
+    modes differ only in where it reads them.  It may stop reading a host
+    early: that host's estimate is then a partial one below the cutoff,
+    never saturated, so this one test still decides every host.  Per-array
+    restore overflows surface as warnings, not failures.
     """
-    cutoff = params.beta * params.theta
     ips = seav.restore()
     est, saturated = estimate(ips, cutoff)
     keep = saturated | (est >= cutoff)
@@ -78,7 +75,7 @@ def split_windows(slices: np.ndarray, window_slices: int):
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Every detector knob; both sketches share theta.
+    """Every detector knob.  Both sketches share theta; with k it fixes the filter cutoff.
 
     Construction validates the knobs and builds both sketch geometries
     once, so a bad value fails here rather than mid-run.
@@ -93,22 +90,12 @@ class DetectorParams:
     lr: int | None = None       # None: planned from (v, design_n, k); else lc = v // lr
     v: int = DEFAULT_V
     design_n: float = DEFAULT_DESIGN_N
-    beta: float = DEFAULT_BETA
     master_seed: int = DEFAULT_MASTER_SEED
     restore_cap: int = 1 << 20
     _seav: SeavConfig = field(init=False, repr=False, compare=False)
     _ldca: LdcaConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.beta > 0:  # also refuses NaN
-            raise ConfigError(f"beta must be > 0, got {self.beta:g}")
-        try:
-            cutoff = self.beta * self.theta
-        except OverflowError:  # a theta beyond any float
-            cutoff = math.inf
-        if not math.isfinite(cutoff):  # an infinite cutoff would keep no candidate
-            raise ConfigError(f"beta * theta must be finite, got beta={self.beta:g}, "
-                              f"theta={self.theta}")
         if self.v < 1:
             raise ConfigError(f"v must be >= 1, got {self.v}")
         if not 0 < self.design_n < math.inf:  # also refuses NaN
@@ -140,17 +127,15 @@ class DetectorState:
     seav: SeavSketch
     ldca: LdcaSketch
     window_id: int = 0
-    params: DetectorParams = field(default_factory=DetectorParams)
 
     @classmethod
-    def create(cls, params: DetectorParams | None = None) -> "DetectorState":
-        params = params or DetectorParams()
+    def create(cls, params: DetectorParams) -> "DetectorState":
         try:
             seav = SeavSketch(params.seav_config(), restore_cap=params.restore_cap)
             ldca = LdcaSketch(params.ldca_config())
         except MemoryError as exc:
             raise ConfigError(f"detector registers too large: {exc}") from exc
-        return cls(seav=seav, ldca=ldca, params=params)
+        return cls(seav=seav, ldca=ldca)
 
     @property
     def theta(self) -> int:
@@ -165,7 +150,8 @@ class DetectorState:
 
     def finalize_window(self) -> list[DetectionReport]:
         """This window's reports (see ``report_candidates``)."""
-        return report_candidates(self.seav, self.ldca.estimate, self.params, self.window_id)
+        cutoff = filter_cutoff(self.theta, self.ldca.config.k)
+        return report_candidates(self.seav, self.ldca.estimate, cutoff, self.window_id)
 
     def reset(self):
         """Zero all registers for the next window; the configs stay."""

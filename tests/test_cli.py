@@ -356,6 +356,29 @@ def test_generate_refuses_a_trace_too_large_to_allocate(tmp_path, sizes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, field", [
+    (["--n-pairs", 10**19], "n_pairs"),
+    (["--n-super", 10**19], "n_super"),
+    (["--n-background", 10**19], "n_background"),
+    (["--super-card", 1, 10**19], "super_cardinality_range"),
+    (["--background-card", 1, 10**19], "background_cardinality_range"),
+], ids=["n-pairs", "n-super", "n-background", "super-card", "background-card"])
+def test_generate_refuses_a_count_beyond_int64_by_name(tmp_path, flag, field):
+    # numpy holds no count of 2^63 or more; the spec refuses it before
+    # anything is drawn.
+    out = tmp_path / "big.bin"
+    assert_config_error(run_bounded(["generate", "--out", out, *flag]), field)
+    assert not out.exists()
+
+
+def test_detect_has_no_beta_flag(tmp_path, trace_file, capsys):
+    # The filter cutoff follows from theta and k; no flag sets it.
+    with pytest.raises(SystemExit) as exc:
+        run(["detect", "--trace", trace_file, "--out", tmp_path / "x.csv", "--beta", 0.8])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --beta" in capsys.readouterr().err
+
+
 def test_slide_of_an_empty_trace_lists_slice_0(tmp_path, monkeypatch):
     trace = tmp_path / "empty.txt"
     trace.write_text("")
@@ -459,11 +482,7 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("slide", ["--detect-every", 0], "detect_every must be >= 1"),
     ("detect", ["--window-slices", 0], "window_slices must be >= 1"),
     ("detect", ["--window-slices", 2**63], "window_slices must be below 2^63"),
-    ("detect", ["--beta", -1], "beta must be > 0"),
-    ("detect", ["--beta", "nan"], "beta must be > 0"),
-    ("detect", ["--beta", "inf"], "beta * theta must be finite"),
-    ("detect", ["--beta", 1e308], "beta * theta must be finite"),
-    ("detect", ["--theta", 10**400], "beta * theta must be finite"),
+    ("detect", ["--theta", 10**400], "theta must be in [1, 2^63)"),
     ("detect", ["--design-n", "inf"], "design_n must be finite"),
     ("detect", ["--restore-cap", 0], "restore_cap must be >= 1"),
     ("detect", ["--lr", 0], "lr must be >= 1"),
@@ -473,7 +492,6 @@ def test_config_error_exit_code(tmp_path, trace_file, capsys):
     ("detect", ["--lr", 1, "--v", 1, "--k", 2**62], "detector registers too large"),
     ("slide", ["--lr", 1, "--v", 1, "--k", 2**62], "timestamp pool of"),
 ], ids=["detect-every", "window-slices", "window-slices-beyond-int64",
-        "negative-beta", "nan-beta", "infinite-beta", "beta-times-theta-beyond-a-float",
         "theta-beyond-a-float", "infinite-design-n",
         "zero-restore-cap", "zero-lr", "v-below-lr",
         "k-beyond-a-float", "k-beyond-int64",
@@ -638,7 +656,7 @@ def test_distsim_has_no_scanner_knobs(capsys):
 
 def test_default_detection_fields():
     assert RunConfig().detection_fields() == {
-        "seed": "0x5EED", "theta": 1024, "beta": 0.8, "r": 4, "sr": 4, "a": 2, "g": 8,
+        "seed": "0x5EED", "theta": 1024, "cutoff": "999.489407", "r": 4, "sr": 4, "a": 2, "g": 8,
         "k": 8192, "lr": 8, "lc": 1024, "design_n": "1e+06", "window_slices": 300,
         "restore_cap": 1 << 20, "seav_bytes": 32768, "ldca_bytes": 8388608,
     }
@@ -756,7 +774,6 @@ FUZZ_SLICES = 3  # of the fuzz trace, so at most 3 windows
 FUZZ_SKETCH_FLAGS = {
     "--seed": [0, -1, 1, 2**64, "x"],
     "--theta": [0, -1, 1, 2**32, "x"],
-    "--beta": [0, -1, 1, "nan", "inf", "x"],
     "--r": [0, -1, 1, 256, "x"],
     "--sr": [0, -1, 1, 256, "x"],
     "--a": [0, -1, 1, 256, "x"],

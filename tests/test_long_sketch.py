@@ -79,11 +79,20 @@ def largest_passing_zero_count(cutoff, k):
     return max((z for z in range(1, k + 1) if est[z] >= cutoff), default=0)
 
 
+def test_filter_cutoff_is_three_standard_errors_below_theta():
+    # sigma = sqrt(k * (e^t - t - 1)) at t = theta / k: 8.17 at the defaults.
+    assert long_sketch.filter_cutoff(1024, 8192) == pytest.approx(999.489, abs=1e-3)
+    assert long_sketch.CUTOFF_SIGMAS == 3
+    # Where the counter cannot resolve theta, only saturated hosts pass.
+    assert long_sketch.filter_cutoff(1024, 64) == math.inf  # 3 sigma exceed theta
+    assert long_sketch.filter_cutoff(2**32, 4096) == math.inf  # e^t overflows
+
+
 @pytest.mark.parametrize("k", [8, 520, 8192])
 def test_zero_count_bound_matches_brute_force(k):
     ties = [-k * math.log(z / k) for z in (1, k // 3, k - 1, k)]
     cutoffs = ties + [math.nextafter(t, math.inf) for t in ties] + [
-        0.8 * 1024,                              # the default beta * theta
+        long_sketch.filter_cutoff(1024, 8192),   # the default cutoff
         -1.0, 0.0,                               # at or below every estimate: bound k
         k * math.log(k), k * math.log(k) + 1.0,  # only saturated registers clear it
         math.inf,

@@ -275,7 +275,7 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
         assert pairs(full_est, full_sat) == expected
         assert pairs(*sliding_estimate(det, probes)) == expected
 
-        cutoff = params.beta * params.theta
+        cutoff = long_sketch.filter_cutoff(params.theta, k)
         bounded, saturated = discrete.ldca.estimate(probes, cutoff)
         assert pairs(*sliding_estimate(det, probes, cutoff)) == pairs(bounded, saturated)
         exact = z0 <= long_sketch.zero_count_bound(cutoff, k)
@@ -285,7 +285,7 @@ def test_sliding_zero_counts_match_discrete_union(k, monkeypatch):
         assert (bounded > full_est).any() == (lr > 2)  # partial estimates, at LR = 4 only
 
         unbounded = report_candidates(discrete.seav, lambda ips, _: discrete.ldca.estimate(ips),
-                                      params, 0)
+                                      cutoff, 0)
         reports = [[(r.ip, r.estimated_cardinality, r.saturated) for r in rs]
                    for rs in (det.detect(), discrete.finalize_window(), unbounded)]
         assert reports[0] and reports[0] == reports[1] == reports[2]

@@ -1,13 +1,13 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sspd.errors import ConfigError
+from sspd.evaluation import TraceSpec, generate_trace
 from sspd.hashing import DEFAULT_MASTER_SEED
-from sspd.long_sketch import LdcaConfig
-from sspd.window_detector import DetectorParams, DetectorState, split_windows
+from sspd.long_sketch import LdcaConfig, filter_cutoff
+from sspd.window_detector import DetectorParams, DetectorState, report_candidates, split_windows
 
 PARAMS = DetectorParams(design_n=2e5)
 
@@ -72,7 +72,7 @@ def test_detects_heavy_host_and_estimates():
     rep = reports[0]
     assert not rep.saturated
     assert rep.estimated_cardinality == pytest.approx(2048, rel=0.1)
-    assert rep.estimated_cardinality >= st.params.beta * st.theta
+    assert rep.estimated_cardinality >= filter_cutoff(st.theta, st.ldca.config.k)
 
 
 def lp_windows(cfg):
@@ -111,19 +111,49 @@ def test_register_sharing_candidate_filtered_by_counter_stage():
     assert set(heavies) <= reported
 
 
-def test_lower_beta_never_removes_reports():
-    st = fresh(replace(PARAMS, beta=1.0))
+def test_lower_cutoff_never_removes_reports():
+    st = fresh()
     rng = np.random.default_rng(30)
     for hip in rng.integers(0, 2**32, size=6, dtype=np.uint64).tolist():
         heavy_host(st, hip, int(rng.integers(700, 3000)), rng)
-    loose = DetectorState(seav=st.seav, ldca=st.ldca, params=replace(PARAMS, beta=0.5))
-    strict = {r.ip for r in st.finalize_window()}
-    assert strict <= {r.ip for r in loose.finalize_window()}
+    strict = {r.ip for r in report_candidates(st.seav, st.ldca.estimate, st.theta, 0)}
+    loose = {r.ip for r in report_candidates(st.seav, st.ldca.estimate, st.theta / 2, 0)}
+    assert strict and strict <= loose
+
+
+def planted(n_peers, seed):
+    """A default-geometry state after one window of 200 hosts with exactly
+    ``n_peers`` distinct peers each, and those hosts."""
+    trace = generate_trace(TraceSpec(n_super=200, super_cardinality_range=(n_peers, n_peers),
+                                     n_background=0, n_pairs=200 * n_peers, seed=seed))
+    st = DetectorState.create(DetectorParams())
+    st.process_batch(trace.hips, trace.oips)
+    return st, set(trace.truth)
+
+
+def test_cutoff_keeps_hosts_at_theta():
+    # A host with exactly theta peers falls below the cutoff with
+    # probability about Phi(-3) = 0.13 %: about 0.8 of ~580 candidates.
+    kept = dropped = 0
+    for seed in (1, 2, 3):
+        st, hosts = planted(DetectorParams().theta, seed)
+        candidates = hosts & set(st.seav.restore().tolist())
+        reported = {r.ip for r in st.finalize_window()}
+        assert reported <= hosts
+        kept += len(candidates)
+        dropped += len(candidates - reported)
+    assert kept > 500 and dropped <= 3, (kept, dropped)
+
+
+def test_cutoff_drops_hosts_at_nine_tenths_of_theta():
+    # beta * theta with beta = 0.8 kept nearly all of these.
+    st, hosts = planted(921, 1)
+    assert len(hosts & set(st.seav.restore().tolist())) > 100
+    assert st.finalize_window() == []
 
 
 @pytest.mark.parametrize("knobs", [
-    {"beta": 0}, {"beta": -1}, {"beta": float("nan")}, {"beta": float("inf")},
-    {"beta": 1e308}, {"v": 0}, {"design_n": 0}, {"design_n": float("nan")},
+    {"v": 0}, {"design_n": 0}, {"design_n": float("nan")},
     {"design_n": float("inf")}, {"restore_cap": 0}, {"lr": 0}, {"lr": -2},
     {"lr": 2, "v": 1}, {"lr": 9000}, {"sr": 1}, {"k": 12, "lr": 2},
 ], ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()))
