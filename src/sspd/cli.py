@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .distributed import DEFAULT_BUFFER_PAIRS, simulate_window
-from .errors import ConfigError, DataError, SeaOverflowWarning, SspdError
+from .errors import ConfigError, DataError, SspdError
 from .evaluation import (
     TraceSpec,
     generate_trace,
@@ -144,22 +143,6 @@ def check_overflowed(path: Path, overflowed: dict[int, list[int]], cap: int):
                         f"{format_overflowed(overflowed)}); raise --restore-cap")
 
 
-def skipped_arrays(finalize: Callable[[], object]) -> tuple[object, list[int]]:
-    """Run a report call; return its result and the register arrays its
-    restore skipped (its SeaOverflowWarnings), ascending.  Every other
-    warning it raises is passed on."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = finalize()
-    rps = []
-    for w in caught:
-        if isinstance(w.message, SeaOverflowWarning):
-            rps.append(w.message.rp)
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result, sorted(rps)
-
-
 def _add_sketch_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULTS.master_seed,
                    help="master seed (all hash roles derive from it)")
@@ -229,10 +212,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     windows: list[int] = []
     overflowed: dict[int, list[int]] = {}
     for _, state in _detect_windows(cfg, trace):
-        found, skipped = skipped_arrays(state.finalize_window)
-        reports += found
+        reports += state.finalize_window()
         windows.append(state.window_id)
-        if skipped:
+        if skipped := state.seav.overflowed_arrays:
             overflowed[state.window_id] = skipped
     write_reports(Path(args.out), "discrete", cfg.detection_fields(), reports, windows,
                   overflowed)
@@ -267,9 +249,8 @@ def cmd_slide(args: argparse.Namespace) -> int:
         start = -(-detector.pool.now // every) * every
         for now in range(start, min(stop, last + cfg.window_slices), every):
             detector.advance_slice(now - detector.pool.now)
-            found, skipped = skipped_arrays(detector.detect)
-            reports.extend(replace(r, window_id=first + now) for r in found)
-            if skipped:
+            reports.extend(replace(r, window_id=first + now) for r in detector.detect())
+            if skipped := detector.seav.overflowed_arrays:
                 overflowed[first + now] = skipped
         detected_at.extend(range(first + start, first + stop, every))
         detector.advance_slice(stop - detector.pool.now)
@@ -304,15 +285,14 @@ def cmd_distsim(args: argparse.Namespace) -> int:
     ok = True
     for sel, single in _detect_windows(cfg, trace):
         # The receiver's restore gives the skipped arrays; the single
-        # scanner's, on the same registers once the check passes, is dropped.
-        res, skipped = skipped_arrays(lambda: simulate_window(
-            cfg.params, single.window_id, trace.hips[sel], trace.oips[sel], cfg.n_wp,
-            route=cfg.route, frames_dir=frames_dir))
-        if skipped:
+        # scanner's, on the same registers once the check passes, is not read.
+        res = simulate_window(cfg.params, single.window_id, trace.hips[sel], trace.oips[sel],
+                              cfg.n_wp, route=cfg.route, frames_dir=frames_dir)
+        if skipped := res.global_seav.overflowed_arrays:
             overflowed[res.window_id] = skipped
         seav_same = np.array_equal(res.global_seav.flat, single.seav.flat)
         ldca_same = np.array_equal(res.global_ldca.flat, single.ldca.flat)
-        reports_same = res.reports == skipped_arrays(single.finalize_window)[0]
+        reports_same = res.reports == single.finalize_window()
         ok &= seav_same and ldca_same and reports_same
         log_lines.append(
             f"window {res.window_id}: seav_identical={seav_same} "

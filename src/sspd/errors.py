@@ -40,15 +40,5 @@ class MergeError(DataError):
     """Frames cannot be merged (config/window mismatch or missing kind)."""
 
 
-class SeaOverflowWarning(RuntimeWarning):
-    """Candidate enumeration for one register array exceeded the tuple cap,
-    so restore skipped that array."""
-
-    def __init__(self, rp: int, cap: int):
-        self.rp = rp
-        self.cap = cap
-        super().__init__(f"candidate tuples for register array rp={rp} exceeded cap {cap}")
-
-
 class UndefinedMetricError(DataError):
     """Accuracy metrics are undefined (empty ground-truth set)."""

@@ -20,6 +20,10 @@ from .hashing import MASK32, mix64
 
 TRACE_DTYPE = np.dtype([("slice", "<u4"), ("hip", "<u4"), ("oip", "<u4")])
 
+# Pairs a trace may hold or plant: below this numpy can hold one uint64
+# per pair in an array below its 2^63-byte limit.
+MAX_PAIRS = 1 << 60
+
 
 def ip_to_str(ip: int) -> str:
     return str(ipaddress.IPv4Address(ip))
@@ -93,13 +97,22 @@ class TraceSpec:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("n_super", "n_background", "n_pairs"):
+        for name in ("n_super", "n_background"):
             if not 0 <= getattr(self, name) < 1 << 63:  # numpy counts are int64
                 raise ConfigError(f"{name} must be in [0, 2^63), got {getattr(self, name)}")
-        for name in ("super_cardinality_range", "background_cardinality_range"):
+        if not 0 <= self.n_pairs < MAX_PAIRS:
+            raise ConfigError(f"n_pairs must be in [0, 2^60), got {self.n_pairs}")
+        planted = []  # the most pairs each host group plants, in Python ints
+        for name, count in (("super_cardinality_range", self.n_super),
+                            ("background_cardinality_range", self.n_background)):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi < 1 << 63:
                 raise ConfigError(f"{name} must have 1 <= lo <= hi < 2^63, got ({lo}, {hi})")
+            planted.append((count * hi, name))
+        total = sum(pairs for pairs, _ in planted)
+        if total >= MAX_PAIRS:
+            raise ConfigError(f"{max(planted)[1]}: the hosts plant up to {total} pairs, "
+                              "which must be below 2^60")
         if not 1 <= self.slices <= 1 << 32:  # slice ids are stored as <u4
             raise ConfigError(f"slices must be in [1, 2^32], got {self.slices}")
 

@@ -86,14 +86,17 @@ def zero_count_bound(cutoff: float, k: int) -> int:
     or 0 when there is none (then only saturated registers clear it).
 
     Every count above the bound has an estimate below the cutoff, bit for
-    bit as ``ldc_estimates`` computes it: the counts are tried from k down.
-    Since k - k*exp(-cutoff/k) <= cutoff, that takes at most
-    min(k, cutoff + 1) logs, once per (cutoff, k).
+    bit as ``ldc_estimates`` computes it: the search starts where the
+    estimate crosses the cutoff in exact arithmetic, floor(k*exp(-cutoff/k)),
+    and steps by one against ``_estimate``, so it takes a few logs once
+    per (cutoff, k).
     """
-    for z0 in range(k, 0, -1):
-        if _estimate(z0, k) >= cutoff:
-            return z0
-    return 0
+    z0 = k if cutoff <= 0 else max(1, math.floor(k * math.exp(-cutoff / k)))
+    while z0 < k and _estimate(z0 + 1, k) >= cutoff:
+        z0 += 1
+    while z0 and _estimate(z0, k) < cutoff:
+        z0 -= 1
+    return z0
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,7 @@ class LdcaConfig:
 
 
 def union_estimates(config: LdcaConfig, cells: Callable[[np.ndarray], np.ndarray],
-                    hips: np.ndarray, cutoff: float | None = None,
+                    hips: np.ndarray, cutoff: float,
                     weights: Callable[[], np.ndarray] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and saturated flags of each host's AND-union register
@@ -155,11 +158,11 @@ def union_estimates(config: LdcaConfig, cells: Callable[[np.ndarray], np.ndarray
     popcounted per host, ``ZERO_COUNT_CHUNK`` hosts at a time, summed in
     the narrowest dtype that holds k.
 
-    With a ``cutoff``, a host whose zero count after ``EARLY_EXIT_ROWS``
-    rows is above ``zero_count_bound(cutoff, k)`` skips the remaining rows
-    and gets the partial estimate, below the cutoff and never saturated.
-    An AND only clears bits, so its full estimate would be below the
-    cutoff too; every other host gets its exact estimate.  ``weights()``,
+    A host whose zero count after ``EARLY_EXIT_ROWS`` rows is above
+    ``zero_count_bound(cutoff, k)`` skips the remaining rows and gets the
+    partial estimate, below the cutoff and never saturated.  An AND only
+    clears bits, so its full estimate would be below the cutoff too; every
+    other host gets its exact estimate.  ``weights()``,
     the set-bit count of every register, lets the bound act before any
     gather: a host's AND weight is at most the least weight of its
     registers, so a host for which k minus that least weight is above the
@@ -171,8 +174,8 @@ def union_estimates(config: LdcaConfig, cells: Callable[[np.ndarray], np.ndarray
     hips = np.asarray(hips, dtype=np.uint64)
     rows = list(config.registers(hips))
     out = np.empty(len(hips), dtype=np.int64)
-    bound = None if cutoff is None else zero_count_bound(cutoff, config.k)
-    early = EARLY_EXIT_ROWS if bound is not None and config.lr > EARLY_EXIT_ROWS else config.lr
+    bound = zero_count_bound(cutoff, config.k)
+    early = min(EARLY_EXIT_ROWS, config.lr)
     if early < config.lr and weights is not None and len(hips) * early >= config.v:
         table = weights()
         least = table[rows[0]]
@@ -240,10 +243,10 @@ class LdcaSketch:
             for pos, mask in groups:
                 self.flat[reg[pos]] |= mask
 
-    def estimate(self, hips: np.ndarray,
-                 cutoff: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def estimate(self, hips: np.ndarray, cutoff: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """``union_estimates`` of this sketch's registers, read as the
-        widest unsigned words that tile a register."""
+        widest unsigned words that tile a register.  The default cutoff,
+        0, is below every estimate, so every host is read in full."""
         word = next(dt for dt in (np.uint64, np.uint32, np.uint16, np.uint8)
                     if self.bytes_per_ldc % np.dtype(dt).itemsize == 0)
         words = self.data.reshape(self.config.v, -1).view(word)

@@ -14,12 +14,11 @@ and LPs are reassembled from consistent hot-column tuples.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SeaOverflowWarning
+from .errors import ConfigError
 from .hashing import MASK64, Tag, derive_seed, hash_full_array, hash_range_array, lsb_at_least
 
 # Partial tuples built at once per row in the restore join: about 40
@@ -192,6 +191,7 @@ class SeavSketch:
                              dtype=_register_dtype(config.g))
         self.flat = self.rows.reshape(-1)
         self._scatter = [config._row_scatter(i) for i in range(config.sr)]
+        self.overflowed_arrays: list[int] = []  # arrays the last restore skipped
 
     def clear(self):
         self.flat.fill(0)
@@ -222,14 +222,15 @@ class SeavSketch:
         keeps only tuples whose AND weight is >= 3.
 
         An array with more than ``restore_cap`` consistent full tuples,
-        whatever their AND weight, is skipped with a SeaOverflowWarning
-        that names it, one per array in array order.  The last row counts
+        whatever their AND weight, is skipped, and ``overflowed_arrays``
+        lists the skipped arrays in ascending order.  The last row counts
         each array's full tuples before it builds any, and an array once
         over the cap is extended no further at any row; the IPs it found
         before are dropped at the end.  So no more than ``restore_cap``
         full tuples of an array are ever built.
         """
         cfg = self.config
+        self.overflowed_arrays = []
         r, arrays = np.uint64(cfg.r), np.uint64((1 << cfg.r) - 1)
         # Per row: the IP bits each hot register fixes and its value, the
         # join key mask (array number and the left-part bits the row shares
@@ -285,8 +286,7 @@ class SeavSketch:
                     join(i + 1, acc_ip[left] | row_bits[right], next_and)
 
         join(1, hot[0][0], hot[0][1])
-        for rp in np.flatnonzero(overflowed).tolist():
-            warnings.warn(SeaOverflowWarning(rp, self.restore_cap), stacklevel=2)
+        self.overflowed_arrays = np.flatnonzero(overflowed).tolist()
         found = np.concatenate(found)
         # IPs are unique: an IP fixes its array and its column in every row.
         return np.sort(found[~overflowed[found & arrays]])

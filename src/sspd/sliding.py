@@ -127,6 +127,7 @@ class SlidingDetector:
         cfg, lcfg = self.seav_config, self.ldca_config
         self.ldca_base = cfg.n_registers * cfg.g
         self.pool = TimestampPool(self.ldca_base + lcfg.v * lcfg.k, window_slices)
+        self.seav = SeavSketch(cfg, restore_cap=params.restore_cap)  # see materialize_seav
 
     def advance_slice(self, n: int = 1):
         self.pool.advance_slice(n)
@@ -145,14 +146,15 @@ class SlidingDetector:
                 self.pool.touch_batch(reg)
 
     def materialize_seav(self) -> SeavSketch:
-        """Active-bit view of the candidate sketch as a regular sketch.
+        """Active-bit view of the candidate sketch, written into ``self.seav``
+        and returned; after ``detect`` its ``overflowed_arrays`` lists the
+        register arrays that detection's restore skipped.
 
         Reads only the candidate-sketch prefix of the pool.  Each
         register's g flags are padded with zero flags to its dtype's width
         (when g is narrower), so one flat little-endian packbits yields
         every register's bytes in order."""
-        cfg = self.seav_config
-        sketch = SeavSketch(cfg, restore_cap=self.params.restore_cap)
+        cfg, sketch = self.seav_config, self.seav
         bits = self.pool.active(0, self.ldca_base).reshape(cfg.n_registers, cfg.g)
         width = sketch.flat.dtype.itemsize
         if cfg.g < 8 * width:

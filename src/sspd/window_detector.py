@@ -48,8 +48,8 @@ def report_candidates(seav: SeavSketch,
     flags of their AND-union registers in one batch; the two detection
     modes differ only in where it reads them.  It may stop reading a host
     early: that host's estimate is then a partial one below the cutoff,
-    never saturated, so this one test still decides every host.  Per-array
-    restore overflows surface as warnings, not failures.
+    never saturated, so this one test still decides every host.  The
+    register arrays restore skipped are left in ``seav.overflowed_arrays``.
     """
     ips = seav.restore()
     est, saturated = estimate(ips, cutoff)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import sspd
 from sspd import cli, distributed
 from sspd.cli import REPORT_COLUMNS, RunConfig, _config_from_args, build_parser, main
-from sspd.errors import ConfigError, SeaOverflowWarning
+from sspd.errors import ConfigError
 from sspd.evaluation import TraceSpec, generate_trace, read_trace, truth_path
 from sspd.long_sketch import LdcaSketch
 from sspd.window_detector import DetectorParams, DetectorState, split_windows
@@ -362,10 +362,14 @@ def test_generate_refuses_a_trace_too_large_to_allocate(tmp_path, sizes):
     (["--n-background", 10**19], "n_background"),
     (["--super-card", 1, 10**19], "super_cardinality_range"),
     (["--background-card", 1, 10**19], "background_cardinality_range"),
-], ids=["n-pairs", "n-super", "n-background", "super-card", "background-card"])
+    (["--super-card", 2**63 - 1, 2**63 - 1], "super_cardinality_range"),
+    (["--n-pairs", 2**63 - 1], "n_pairs"),
+    (["--n-super", 1, "--super-card", 1, 2**63 - 1], "super_cardinality_range"),
+], ids=["n-pairs", "n-super", "n-background", "super-card", "background-card",
+        "planted-sum-beyond-int64", "n-pairs-beyond-2^60", "planted-beyond-2^60"])
 def test_generate_refuses_a_count_beyond_int64_by_name(tmp_path, flag, field):
-    # numpy holds no count of 2^63 or more; the spec refuses it before
-    # anything is drawn.
+    # numpy holds no count of 2^63 or more, nor one uint64 for each of 2^60
+    # pairs; the spec refuses either before anything is drawn.
     out = tmp_path / "big.bin"
     assert_config_error(run_bounded(["generate", "--out", out, *flag]), field)
     assert not out.exists()
@@ -632,16 +636,23 @@ def test_skipped_array_writes_its_line_and_exits_3(tmp_path, overflow_trace, com
     assert 0 < len(lines) - at - 3 < 40
 
 
-def test_skipped_arrays_passes_other_warnings_on():
-    def finalize():
-        warnings.warn(SeaOverflowWarning(9, 4))
-        warnings.warn(SeaOverflowWarning(2, 4))
-        warnings.warn("unrelated", UserWarning)
-        return "reports"
-
-    with pytest.warns(UserWarning, match="unrelated") as caught:
-        assert cli.skipped_arrays(finalize) == ("reports", [2, 9])
-    assert [w.category for w in caught] == [UserWarning]
+@pytest.mark.parametrize("command", ["detect", "slide", "distsim"])
+def test_skipped_arrays_of_every_window_are_written(tmp_path, command):
+    # The overflow trace over two one-slice windows: restore skips arrays
+    # in both, and the line names each window with its own arrays.
+    trace = tmp_path / "two.bin"
+    run(["generate", "--out", trace, "--n-super", 40, "--super-card", 1200, 1200,
+         "--n-background", 1000, "--n-pairs", 60000, "--slices", 2])
+    argv = [command, "--trace", trace, "--out", tmp_path / "x.csv", "--window-slices", 1,
+            "--restore-cap", 4]
+    if command == "distsim":
+        argv += ["--merge-log", tmp_path / "log.txt", "--frames-dir", tmp_path / "frames"]
+    assert run(argv) == 3
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    [line] = [l for l in lines if l.startswith("# overflowed_arrays=")]
+    windows = line.split("=", 1)[1].split()
+    assert [w.split(":")[0] for w in windows] == ["0", "1"]
+    assert all(w.split(":")[1] for w in windows)
 
 
 def test_distsim_has_no_scanner_knobs(capsys):

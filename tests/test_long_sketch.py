@@ -105,6 +105,29 @@ def test_zero_count_bound_matches_brute_force(k):
     assert long_sketch.zero_count_bound(0.8 * 1024, 8192) == 7412
 
 
+def test_zero_count_bound_steps_from_the_crossing():
+    # The search starts at floor(k * exp(-cutoff / k)), not at k: at
+    # k = 2^24 a cutoff above every estimate answers 0 after one log, not 2^24.
+    k = 1 << 24
+    calls = [0]
+
+    def counted(z0, k):
+        calls[0] += 1
+        return -k * math.log(z0 / k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(long_sketch, "_estimate", counted)
+        long_sketch.zero_count_bound.cache_clear()
+        assert long_sketch.zero_count_bound(math.inf, k) == 0
+        assert calls[0] <= 2
+        cutoff = long_sketch.filter_cutoff(1 << 20, k)
+        bound = long_sketch.zero_count_bound(cutoff, k)
+        assert calls[0] <= 5
+    (at, past), _ = ldc_estimates(np.array([bound, bound + 1]), k)
+    assert at >= cutoff > past  # the largest count whose estimate clears the cutoff
+    long_sketch.zero_count_bound.cache_clear()
+
+
 def test_ldc_idempotent_and_pigeonhole():
     ldc = Ldc(k=8)
     ldc.update(1234, SEED)
@@ -297,7 +320,7 @@ def recorded_tables(mp):
     tables = []
     read = long_sketch.union_estimates
 
-    def recording(config, cells, hips, cutoff=None, weights=None):
+    def recording(config, cells, hips, cutoff, weights=None):
         call = len(tables)
         tables.append(None)
 
@@ -440,7 +463,6 @@ def test_weight_table_drops_hosts_before_any_gather():
 @pytest.mark.parametrize("lr, n_hosts, bound, table", [
     (4, 32, 7, True),      # v/2 hosts: two rows gather v registers
     (4, 31, 7, False),
-    (4, 32, None, False),  # a full read has no bound to drop hosts by
     (2, 16, 7, False),     # two rows are every row
 ])
 def test_weight_table_only_when_two_rows_gather_as_much(lr, n_hosts, bound, table,
@@ -450,8 +472,7 @@ def test_weight_table_only_when_two_rows_gather_as_much(lr, n_hosts, bound, tabl
     sk.update_batch(rng.integers(0, 2**32, size=500, dtype=np.uint64),
                     rng.integers(0, 2**32, size=500, dtype=np.uint64))
     tables = recorded_tables(monkeypatch)
-    sk.estimate(rng.integers(0, 2**32, size=n_hosts, dtype=np.uint64),
-                None if bound is None else cutoff_at(bound, 64))
+    sk.estimate(rng.integers(0, 2**32, size=n_hosts, dtype=np.uint64), cutoff_at(bound, 64))
     assert (tables[0] is not None) == table
     if table:
         words = sk.data.reshape(sk.config.v, -1)
@@ -474,12 +495,10 @@ def test_popcount_sums_at_the_accumulator_edge(k, fill, monkeypatch):
     hosts = rng.integers(0, 2**32, size=3, dtype=np.uint64)
     expected = [ldc_estimate(z, k) for z in union_zero_counts(sk, hosts).tolist()]
     assert pairs(*sk.estimate(hosts, 0.0)) == expected  # bound k: takes the weight table
-    assert pairs(*sk.estimate(hosts)) == expected
     if fill == "full":
         assert expected == [ldc_estimate(0, k)] * 3
     words = sk.data.reshape(sk.config.v, -1)
     assert tables[0].tolist() == np.unpackbits(words, axis=1).sum(axis=1, dtype=np.int64).tolist()
-    assert tables[1] is None
 
 
 def test_memory_accounting():

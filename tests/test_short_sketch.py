@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sspd import short_sketch
-from sspd.errors import ConfigError, SeaOverflowWarning
+from sspd.errors import ConfigError
 from sspd.hashing import DEFAULT_MASTER_SEED, Tag, derive_seed
 from sspd.short_sketch import SeavConfig, SeavSketch, tau_from_theta
 from sspd.window_detector import DetectorParams
@@ -488,16 +487,13 @@ def test_restore_cap_is_exact_count_of_consistent_tuples(block, monkeypatch):
     assert n > len(brute_force_restore(sk, rp)) > 0  # some tuples have a light AND
 
     sk.restore_cap = n
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no array overflows
-        got = set(sk.restore().tolist())
+    got = set(sk.restore().tolist())
+    assert sk.overflowed_arrays == []  # no array overflows
     assert got == restored_arrays(sk) >= brute_force_restore(sk, rp)
     sk.restore_cap = n - 1
     over = [a for a in range(1 << cfg.r) if counts[a] > n - 1]
-    with pytest.warns(SeaOverflowWarning) as caught:
-        got = set(sk.restore().tolist())
-    assert [w.message.rp for w in caught] == over and rp in over
-    assert all(w.message.cap == n - 1 for w in caught)
+    got = set(sk.restore().tolist())
+    assert sk.overflowed_arrays == over and rp in over
     assert got == restored_arrays(sk, skipped=over)
 
 
@@ -517,10 +513,8 @@ def test_restore_overflow_names_the_array():
     sk = SeavSketch(DEFAULT_SEAV, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF  # every register of array rp=3 is hot
-    with pytest.warns(SeaOverflowWarning) as caught:
-        assert len(sk.restore()) == 0
-    assert [(w.message.rp, w.message.cap) for w in caught] == [(3, 64)]
-    assert str(caught[0].message) == "candidate tuples for register array rp=3 exceeded cap 64"
+    assert len(sk.restore()) == 0
+    assert sk.overflowed_arrays == [3]
 
 
 @pytest.mark.parametrize("block", [5, 200, short_sketch.RESTORE_BLOCK])
@@ -539,17 +533,14 @@ def test_restore_skips_each_overflowed_array_alone(block, monkeypatch):
     assert counts[3] == counts[9] == 1 << cfg.lp_bits  # every left part
     sk.restore_cap = max(n for rp, n in counts.items() if rp not in (3, 9))
     assert sk.restore_cap < 1 << cfg.lp_bits
-    with pytest.warns(SeaOverflowWarning) as caught:
-        got = set(sk.restore().tolist())
-    assert [str(w.message) for w in caught] == [
-        f"candidate tuples for register array rp={rp} exceeded cap {sk.restore_cap}"
-        for rp in (3, 9)]
+    got = set(sk.restore().tolist())
+    assert sk.overflowed_arrays == [3, 9]
     expected = restored_arrays(sk, skipped=(3, 9))
     assert got == expected
     assert {ip & 15 for ip in expected} == set(range(16)) - {3, 9}
 
 
-def test_restore_overflow_warns_and_continues():
+def test_restore_overflow_records_and_continues():
     sk = SeavSketch(DEFAULT_SEAV, restore_cap=64)
     for row in sk.rows:
         row[3, :] = 0xFF
@@ -557,8 +548,8 @@ def test_restore_overflow_warns_and_continues():
     hip = 0xC0A80000 | 0x1  # rp=1, unaffected by the flooded array
     sk.update_batch(np.full(4096, hip, dtype=np.uint64),
                     rng.integers(0, 2**32, size=4096, dtype=np.uint64))
-    with pytest.warns(RuntimeWarning, match="rp=3"):
-        found = sk.restore()
+    found = sk.restore()
+    assert sk.overflowed_arrays == [3]
     assert hip in found.tolist()
 
 

@@ -235,7 +235,7 @@ def test_sliding_equals_discrete_for_one_window(g):
            [(r.ip, r.estimated_cardinality, r.saturated) for r in discrete_reports]
 
 
-def sliding_estimate(det, hips, cutoff=None):
+def sliding_estimate(det, hips, cutoff=0.0):
     """The one filter read over the detector's active counter bits, as
     its ``detect`` runs it."""
     return long_sketch.union_estimates(det.ldca_config, det.materialize_ldca_cell, hips,

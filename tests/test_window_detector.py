@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,23 @@ def test_reset_clears_and_advances_window():
     assert st.memory_bytes() == mem_before
     assert np.bitwise_count(st.seav.flat).sum() == 0
     assert int(np.unpackbits(st.ldca.data).sum()) == 0
+
+
+def test_each_window_records_the_arrays_its_restore_skipped():
+    # Three windows in a row flood array 3 past the cap: each window's
+    # restore names it, and a heavy host in array 1 is still reported.
+    # A clean window after them names no array.
+    st = fresh(replace(PARAMS, restore_cap=64))
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        heavy_host(st, 0x0A000001, 2048, rng)
+        for row in st.seav.rows:
+            row[3, :] = 0xFF
+        assert [r.ip for r in st.finalize_window()] == [0x0A000001]
+        assert st.seav.overflowed_arrays == [3]
+        st.reset()
+    assert st.finalize_window() == []
+    assert st.seav.overflowed_arrays == []
 
 
 def test_replay_after_reset_is_bit_identical():
